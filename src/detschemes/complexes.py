@@ -39,7 +39,7 @@ from .grading import (
     matrix_piece,
 )
 from .groebner import ensure_gb, height, normal_form
-from .linalg import Echelon, kernel_basis, poly_det, rank_of_columns
+from .linalg import kernel_basis, poly_det, rank_of_columns
 
 
 @dataclass(frozen=True)
@@ -446,14 +446,13 @@ def verify_annihilator(P, d_max=8):
     degree, the forms multiplying all generators into the image span a
     subspace of the minor ideal.
     """
-    report = classify(P)
-    if not report.is_standard:
+    ideal = minors(P, P.t)
+    gb = ensure_gb(ideal)  # before classify, which reads but does not store it
+    if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
     phi = P.matrix
     ring = phi.ring
     field = ring.field
-    ideal = minors(P, P.t)
-    gb = ensure_gb(ideal)
 
     for gen in ideal.generators:
         for j in range(phi.nrows):
@@ -473,37 +472,29 @@ def verify_annihilator(P, d_max=8):
         monos = ring.monomials_of_degree(d)
         if not monos:
             continue
-        pieces = {}
-        echelons = {}
-        row_indexes = {}
-        offsets = {}
+        # f of degree d multiplies every generator e_j into the image iff
+        # f e_j = Φ x_j for some x_j: stack one copy of F_{d+a_j} per j, put
+        # Φ's piece in each block, then the columns (e_j ⊗ mu)_j for the
+        # monomials mu.  Kernel vectors of dependent mu columns give a basis
+        # of those f; the others have no mu part.
+        columns = []
+        rows = []  # per generator j: basis item -> row in its block
         offset = 0
         for j in range(phi.nrows):
-            dj = d + phi.target.twists[j]
-            if dj not in pieces:
-                piece = matrix_piece(phi, dj)
-                ech = Echelon(field)
-                for col in piece.cols:
-                    ech.insert(col)
-                pieces[dj] = piece
-                echelons[dj] = ech
-                row_indexes[dj] = {
-                    item: idx for idx, item in enumerate(piece.row_basis)
-                }
-            offsets[j] = offset
-            offset += len(pieces[dj].row_basis)
-        columns = []
-        for mu in monos:
-            stacked = {}
-            for j in range(phi.nrows):
-                dj = d + phi.target.twists[j]
-                vec = {row_indexes[dj][(j, mu)]: field.one}
-                residual = echelons[dj].reduce(vec)
-                for r, c in residual.items():
-                    stacked[offsets[j] + r] = c
-            columns.append(stacked)
+            piece = matrix_piece(phi, d + phi.target.twists[j])
+            columns.extend(
+                {offset + r: c for r, c in col.items()} for col in piece.cols
+            )
+            rows.append({item: offset + i for i, item in enumerate(piece.row_basis)})
+            offset += piece.nrows
+        first = len(columns)
+        columns.extend(
+            {rows[j][(j, mu)]: field.one for j in range(phi.nrows)} for mu in monos
+        )
         for kern in kernel_basis(columns, field):
-            f = ring.from_terms((monos[t], c) for t, c in kern.items())
+            f = ring.from_terms(
+                (monos[t - first], c) for t, c in kern.items() if t >= first
+            )
             if not normal_form(f, gb).is_zero():
                 return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)

@@ -25,14 +25,9 @@ from .grading import (
     hilbert_function,
     matrix_from_strings,
 )
-from .groebner import (
-    IdealBasis,
-    ensure_gb,
-    height,
-    ideals_equal,
-    normal_form,
-)
-from .linalg import bareiss_rank, poly_det, rank_of_columns
+from .groebner import IdealBasis, ensure_gb, height, normal_form
+from .linalg import poly_det, rank_of_columns
+from .memo import Memo
 from .ring import random_homogeneous
 
 
@@ -77,11 +72,14 @@ def _unwrap(mat_or_pres):
     return mat_or_pres
 
 
-_MINORS_CACHE = {}
+_MINORS_CACHE = Memo()
 
 
-def minors(mat_or_pres, s):
-    """IdealBasis of all s x s minors (zero determinants dropped)."""
+def minors(mat_or_pres, s, memo=True):
+    """IdealBasis of all s x s minors (zero determinants dropped).
+
+    With memo=False the table is read but not written (see ensure_gb).
+    """
     m = _unwrap(mat_or_pres)
     if s < 1 or s > min(m.nrows, m.ncols):
         raise InputError(f"minor size {s} out of range for {m.nrows}x{m.ncols}")
@@ -97,15 +95,19 @@ def minors(mat_or_pres, s):
             if not det.is_zero():
                 gens.append(det)
     result = IdealBasis(ring, tuple(gens), False, ring.order)
-    _MINORS_CACHE[(m, s)] = result
-    return result
+    return _MINORS_CACHE.put((m, s), result) if memo else result
+
+
+def _minors_height(P, s):
+    """Height of I_s(Φ), leaving no minors or basis in the memo tables."""
+    return height(ensure_gb(minors(P, s, memo=False), memo=False))
 
 
 def submaximal_height(P):
     """Height of I_{t-1}(Φ); +inf for t = 1 (empty minors, unit ideal)."""
     if P.t == 1:
         return math.inf
-    return height(minors(P, P.t - 1))
+    return _minors_height(P, P.t - 1)
 
 
 @dataclass(frozen=True)
@@ -134,16 +136,21 @@ class ClassificationReport:
         )
 
 
-_CLASSIFY_CACHE = {}
+_CLASSIFY_CACHE = Memo()
 
 
 def classify(P):
-    """Deterministic standard/good verdict from two Groebner heights."""
+    """Deterministic standard/good verdict from two Groebner heights.
+
+    Only the verdict is memoized.  The minors and bases it needs are read
+    from their tables when present but not added to them, so verdicts on
+    throwaway candidates (augmentation retries, flag stages) pin no ideals.
+    """
     hit = _CLASSIFY_CACHE.get(P)
     if hit is not None:
         return hit
     expected = P.r + 1
-    ht = height(minors(P, P.t))
+    ht = _minors_height(P, P.t)
     sub_ht = submaximal_height(P)
     nvars = P.ring.nvars
     is_standard = ht == expected
@@ -152,8 +159,7 @@ def classify(P):
     report = ClassificationReport(
         expected, ht, sub_ht, is_standard, is_good, empty, P.t, P.r
     )
-    _CLASSIFY_CACHE[P] = report
-    return report
+    return _CLASSIFY_CACHE.put(P, report)
 
 
 # -- generalized rows ------------------------------------------------------------------
@@ -243,29 +249,10 @@ def generalized_deletion(P, combination, seed=0, bound=10):
 
 
 def _invertible(rows, field):
-    dense = [
-        [field.from_int(x) if isinstance(x, int) else x for x in row] for row in rows
-    ]
-    if field.characteristic == 0:
-        return bareiss_rank(_clear(dense)) == len(rows)
-    cols = []
-    for j in range(len(rows)):
-        col = {}
-        for i in range(len(rows)):
-            if not field.is_zero(dense[i][j]):
-                col[i] = dense[i][j]
-        cols.append(col)
-    return rank_of_columns(cols, field) == len(rows)
-
-
-def _clear(dense):
-    cleared = []
-    for row in dense:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        cleared.append([int(x * den) for x in row])
-    return cleared
+    """Is the square matrix of field elements `rows` invertible?"""
+    n = len(rows)
+    cols = [{i: rows[i][j] for i in range(n)} for j in range(n)]
+    return rank_of_columns(cols, field) == n
 
 
 def _deletion_target_height(P):
@@ -409,7 +396,12 @@ class FlagResult:
 
 
 def build_flag(P, seed=0):
-    """Augment repeatedly down to codimension one, verifying every stage."""
+    """Augment repeatedly down to codimension one, verifying every stage.
+
+    The stages after P are seeded random matrices that will not recur, so
+    their minors and bases stay out of the memo tables.
+    """
+    gb = ensure_gb(minors(P, P.t))  # before classify, which reads it
     report = classify(P)
     if not report.is_good:
         raise InputError("build_flag requires a good presentation")
@@ -418,11 +410,11 @@ def build_flag(P, seed=0):
     current = P
     while current.r > 0:
         nxt = augment_general_row(current, seed=rng.randrange(2**32))
-        contained = ideal_contained(
-            minors(nxt, nxt.t), minors(current, current.t)
-        )
-        stages.append(FlagStage(nxt, classify(nxt), contained))
+        ideal = minors(nxt, nxt.t, memo=False)
+        stages.append(FlagStage(nxt, classify(nxt), ideal_contained(ideal, gb)))
         current = nxt
+        if current.r > 0:
+            gb = ensure_gb(ideal, memo=False)
     return FlagResult(tuple(stages), seed)
 
 
@@ -445,6 +437,7 @@ class SectionSequence:
 def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
     """Delete a (generalized) row of a good presentation and certify the
     degreewise Hilbert-function additivity of the induced section sequence."""
+    ideal_s = minors(psi, psi.t)  # before classify, which reads it
     rep_s = classify(psi)
     if not rep_s.is_good:
         raise InputError("section_sequence requires a good presentation")
@@ -476,7 +469,6 @@ def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
             "row deletion does not produce a standard presentation of codimension "
             f"{rep_s.expected_codim + 1} (got {rep_x})"
         )
-    ideal_s = minors(psi, psi.t)
     ideal_x = minors(phi, phi.t)
     rows = []
     for d in range(d_max + 1):
@@ -498,7 +490,3 @@ def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
         deleted,
     )
 
-
-def saturated_equals(I, J):
-    """Ideal equality check used by fixtures (both sides reduced first)."""
-    return ideals_equal(I, J)

@@ -10,7 +10,11 @@ Degree-piece ranks drive Hilbert functions and exactness checks.  Two exact
 engines are available and cross-checked by the test suite: incremental
 sparse echelon on the assembled scalar piece (fine while pieces are small)
 and standard-monomial counting against a Groebner basis of the column module
-(fast at any degree).  The "auto" engine switches on piece size.
+(fast at any degree).  The "auto" engine switches on piece size.  Over QQ the
+echelon engine ranks the piece fraction-free on integers (`linalg.IntEchelon`),
+over F_p on residues.  Piece ranks are memoized per (matrix, degree, engine)
+in a bounded table (`memo.Memo`), since Hilbert tables, section sequences
+and canonical modules rank the same pieces again.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
-from .linalg import AugmentedEchelon, Echelon
+from .linalg import rank_of_columns, solve_columns
+from .memo import Memo
 
 #: columns-times-rows bound below which the echelon engine is used by "auto"
 _PIECE_AUTO_LIMIT = 20000
@@ -106,7 +111,7 @@ class HomogeneousMatrix:
     source generator.
     """
 
-    __slots__ = ("ring", "target", "source", "entries")
+    __slots__ = ("ring", "target", "source", "entries", "_hash")
 
     def __init__(self, target, source, entries):
         if target.ring != source.ring:
@@ -133,6 +138,7 @@ class HomogeneousMatrix:
         self.target = target
         self.source = source
         self.entries = rows
+        self._hash = None  # computed on first use: matrices key memo tables
 
     @property
     def nrows(self):
@@ -197,7 +203,9 @@ class HomogeneousMatrix:
         )
 
     def __hash__(self):
-        return hash((self.target, self.source, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.target, self.source, self.entries))
+        return self._hash
 
     def __repr__(self):
         return f"HomogeneousMatrix({self.nrows}x{self.ncols}: {self.source.describe()} -> {self.target.describe()})"
@@ -305,19 +313,8 @@ class PieceMatrix:
     def ncols(self):
         return len(self.col_basis)
 
-    def dense(self):
-        zero = self.field.zero
-        out = [[zero] * self.ncols for _ in range(self.nrows)]
-        for j, col in enumerate(self.cols):
-            for i, c in col.items():
-                out[i][j] = c
-        return out
-
     def rank(self):
-        ech = Echelon(self.field)
-        for col in self.cols:
-            ech.insert(col)
-        return ech.rank
+        return rank_of_columns(self.cols, self.field)
 
     def multiply(self, other):
         """Matrix product self * other on compatible piece bases."""
@@ -340,51 +337,56 @@ class PieceMatrix:
 
 def matrix_piece(phi, d):
     """The k-linear map (source)_d -> (target)_d in degree-basis coordinates."""
-    ring = phi.ring
-    field = ring.field
     rows = degree_basis(phi.target, d)
     cols = degree_basis(phi.source, d)
     row_index = rows.index_map()
     piece_cols = []
     for (j, mu) in cols.items:
-        acc = {}
-        for i in range(phi.nrows):
-            p = phi.entries[i][j]
-            if p.is_zero():
-                continue
-            for m, c in p.terms:
-                key = (i, mu.mul(m))
-                ridx = row_index[key]
-                v = field.add(acc.get(ridx, field.zero), c)
-                if field.is_zero(v):
-                    acc.pop(ridx, None)
-                else:
-                    acc[ridx] = v
-        piece_cols.append(acc)
-    return PieceMatrix(field, rows.items, cols.items, piece_cols)
+        # each term m of each entry (i, j) lands on its own row (i, mu*m),
+        # so every term is one entry and nothing needs adding up
+        piece_cols.append({
+            row_index[(i, mu.mul(m))]: c
+            for i in range(phi.nrows)
+            for m, c in phi.entries[i][j].terms
+        })
+    return PieceMatrix(phi.ring.field, rows.items, cols.items, piece_cols)
 
 
-_COLUMN_GB_CACHE = {}
+_COLUMN_GB_CACHE = Memo()
+#: A piece rank is reused within one certificate (a Hilbert table, section
+#: sequence and canonical module rank the same pieces), not across inputs,
+#: and its key pins a whole matrix for one int, hence the smaller bound.
+_PIECE_RANK_CACHE = Memo(1024)
 
 
 def column_module_gb(phi):
     hit = _COLUMN_GB_CACHE.get(phi)
     if hit is None:
-        hit = ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
-        _COLUMN_GB_CACHE[phi] = hit
+        hit = _COLUMN_GB_CACHE.put(
+            phi, ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
+        )
     return hit
 
 
 def piece_rank(phi, d, engine="auto"):
-    """Exact rank of the degree-d piece of a homogeneous matrix."""
+    """Exact rank of the degree-d piece of a homogeneous matrix.
+
+    Memoized per engine, so an explicit engine always runs that engine.
+    """
     if engine == "auto":
         size = phi.source.dim(d) * phi.target.dim(d)
         engine = "echelon" if size <= _PIECE_AUTO_LIMIT else "groebner"
+    key = (phi, d, engine)
+    hit = _PIECE_RANK_CACHE.get(key)
+    if hit is not None:
+        return hit
     if engine == "echelon":
-        return matrix_piece(phi, d).rank()
-    if engine == "groebner":
-        return column_module_gb(phi).image_dim(d)
-    raise GradingError(f"unknown rank engine {engine!r}")
+        rank = matrix_piece(phi, d).rank()
+    elif engine == "groebner":
+        rank = column_module_gb(phi).image_dim(d)
+    else:
+        raise GradingError(f"unknown rank engine {engine!r}")
+    return _PIECE_RANK_CACHE.put(key, rank)
 
 
 # -- Hilbert functions ----------------------------------------------------------------
@@ -477,10 +479,7 @@ def image_membership(v, phi):
     for i, p in enumerate(v):
         for m, c in p.terms:
             target_vec[row_index[(i, m)]] = c
-    solver = AugmentedEchelon(field)
-    for j, col in enumerate(piece.cols):
-        solver.insert(col, j)
-    combo = solver.solve(target_vec)
+    combo = solve_columns(piece.cols, target_vec, field)
     if combo is None:
         return False, None
     parts = [[] for _ in range(phi.source.rank)]

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Echelon, IntEchelon
+from .linalg import echelon
+from .memo import Memo
 from .ring import Monomial, Polynomial, PolyRing
 
 
@@ -137,7 +138,8 @@ def _linear_preprocess(polys):
 
     Large minor sets are linearly very redundant; row-reducing them first
     gives distinct leading monomials and shrinks Buchberger's pair queue.
-    Over QQ the elimination runs fraction-free on integer vectors.
+    Over QQ the elimination runs fraction-free on integer vectors, and the
+    integer pivot rows are the new generators.
     """
     ring = polys[0].ring
     field = ring.field
@@ -150,7 +152,6 @@ def _linear_preprocess(polys):
         else:
             passthrough.append(p)
     out = list(passthrough)
-    rational = field.characteristic == 0
     for d in sorted(by_degree):
         group = by_degree[d]
         if len(group) == 1:
@@ -162,27 +163,16 @@ def _linear_preprocess(polys):
             reverse=True,
         )
         index = {m: i for i, m in enumerate(monomials)}
-        if rational:
-            ech = IntEchelon()
-            for p in group:
-                den = 1
-                for _, c in p.terms:
-                    den = den * c.denominator // math.gcd(den, c.denominator)
-                ech.insert({index[m]: int(c * den) for m, c in p.terms})
-            for vec in ech.pivots.values():
-                out.append(
-                    ring.from_terms(
-                        (monomials[i], field.from_int(c)) for i, c in vec.items()
-                    )
+        ech = echelon(field)
+        for p in group:
+            ech.insert({index[m]: c for m, c in p.terms})
+        # pivots hold ints over QQ and residues over F_p; from_int takes both
+        for vec in ech.pivots.values():
+            out.append(
+                ring.from_terms(
+                    (monomials[i], field.from_int(c)) for i, c in vec.items()
                 )
-        else:
-            ech = Echelon(field)
-            for p in group:
-                ech.insert({index[m]: c for m, c in p.terms})
-            for vec in ech.pivots.values():
-                out.append(
-                    ring.from_terms((monomials[i], c) for i, c in vec.items())
-                )
+            )
     return out
 
 
@@ -271,17 +261,22 @@ def buchberger(gens, ring=None):
     return IdealBasis(ring, tuple(reduced), True, ring.order)
 
 
-_GB_CACHE = {}
+_GB_CACHE = Memo()
 
 
-def ensure_gb(I):
-    """Reduced GB of I, cached: IdealBasis values are immutable."""
+def ensure_gb(I, memo=True):
+    """Reduced GB of I, memoized: IdealBasis values are immutable.
+
+    With memo=False the table is read but not written, for callers that
+    need the basis only on the way to a result memoized elsewhere.
+    """
     if I.is_reduced_gb:
         return I
     hit = _GB_CACHE.get(I)
     if hit is None:
         hit = buchberger(I)
-        _GB_CACHE[I] = hit
+        if memo:
+            _GB_CACHE.put(I, hit)
     return hit
 
 
@@ -444,7 +439,7 @@ def minimal_generator_count(I):
     for d in sorted(set(degrees)):
         monomials = ring.monomials_of_degree(d)
         index = {m: i for i, m in enumerate(monomials)}
-        ech = Echelon(ring.field)
+        ech = echelon(ring.field)
         for g, dg in zip(gens, degrees):
             if dg < d:
                 for mu in ring.monomials_of_degree(d - dg):

@@ -1,14 +1,31 @@
-"""Exact scalar linear algebra and polynomial determinants.
+"""Exact linear algebra over QQ and F_p, and polynomial determinants.
 
-Sparse vectors are dicts {row_index: coefficient}.  Echelon structures grow
-incrementally, which fits degree-piece computations where columns arrive one
-generator at a time.  Dense integer elimination uses the fraction-free
-Bareiss scheme, so intermediate values stay integral.
+Sparse vectors are dicts {row_index: coefficient}.  Echelon spans grow
+incrementally, which fits degree pieces whose columns arrive one generator
+at a time.  There is one exact echelon per kind of coefficient:
+
+- `IntEchelon` for QQ.  Each vector is first scaled by the lcm of its
+  denominators (which changes neither its span nor a rank), then eliminated
+  fraction-free on integers, as in Bareiss (Math. Comp. 22, 1968) but with
+  content removal in place of the exact division by the previous pivot.  No
+  `Fraction` arithmetic runs inside the elimination.
+- `Echelon` for residues in F_p, through the field's operations.  It works
+  over any exact field; the tests run it over QQ as the reference that the
+  integer route must match.
+
+`echelon(field)` picks the one for a field.  Row indices at or above an
+echelon's `tags` bound are bookkeeping coordinates: they never become
+pivots but take part in every elimination step.  Inserting a column together
+with a unit coordinate at `tags + j` therefore records, when the column turns
+out dependent, the relation that makes it so over the columns as given (the
+augmented matrix [A | I]).  `kernel_basis` and `solve_columns` read their
+answers from these coordinates.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 
 
@@ -21,8 +38,9 @@ class Echelon:
     worklist visits every reducible row exactly as it becomes live.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, tags=math.inf):
         self.field = field
+        self.tags = tags  # first bookkeeping row
         self.pivots = {}  # pivot row -> normalized vector
 
     @property
@@ -53,102 +71,48 @@ class Echelon:
         return v
 
     def insert(self, vec):
-        """Add a vector to the span; returns its pivot row or None."""
+        """Add a vector to the span.
+
+        Returns None when it became a new pivot; otherwise the reduced
+        vector, which then holds bookkeeping coordinates only.
+        """
         v = self.reduce(vec)
-        if not v:
-            return None
-        row = min(v)
+        row = min(v, default=self.tags)
+        if row >= self.tags:
+            return v
         inv = self.field.inv(v[row])
         self.pivots[row] = {r: self.field.mul(c, inv) for r, c in v.items()}
-        return row
-
-    def contains(self, vec):
-        return not self.reduce(vec)
-
-
-class AugmentedEchelon:
-    """Echelon span that remembers how each pivot combines the inserts."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # pivot row -> (vector, combo over tags)
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def _reduce(self, vec, combo):
-        field = self.field
-        v = {r: c for r, c in vec.items() if not field.is_zero(c)}
-        lam = dict(combo)
-        heap = [r for r in v if r in self.pivots]
-        heapq.heapify(heap)
-        while heap:
-            row = heapq.heappop(heap)
-            c = v.get(row)
-            if c is None:
-                continue
-            pv, pcombo = self.pivots.get(row)
-            for r, pc in pv.items():
-                nc = field.sub(v.get(r, field.zero), field.mul(c, pc))
-                if field.is_zero(nc):
-                    v.pop(r, None)
-                else:
-                    fresh = r not in v
-                    v[r] = nc
-                    if fresh and r in self.pivots:
-                        heapq.heappush(heap, r)
-            for t, pc in pcombo.items():
-                nc = field.add(lam.get(t, field.zero), field.mul(c, pc))
-                if field.is_zero(nc):
-                    lam.pop(t, None)
-                else:
-                    lam[t] = nc
-        return v, lam
-
-    def insert(self, vec, tag):
-        """Insert vec remembering its tag; returns None if dependent.
-
-        On a dependent insert the returned dict expresses vec as a
-        combination of previously inserted tags.
-        """
-        v, lam = self._reduce(vec, {})
-        if not v:
-            return lam
-        row = min(v)
-        inv = self.field.inv(v[row])
-        nv = {r: self.field.mul(c, inv) for r, c in v.items()}
-        ncombo = {t: self.field.mul(c, inv) for t, c in lam.items()}
-        # combo tracks: pivot = inv*(vec - sum lam_t * insert_t)
-        ncombo = {t: self.field.neg(c) for t, c in ncombo.items()}
-        ncombo[tag] = inv
-        self.pivots[row] = (nv, ncombo)
         return None
 
-    def solve(self, vec):
-        """Coefficients over tags expressing vec in the span, or None."""
-        v, lam = self._reduce(vec, {})
-        if v:
-            return None
-        return lam
+    def contains(self, vec):
+        return min(self.reduce(vec), default=self.tags) >= self.tags
 
 
 class IntEchelon:
-    """Fraction-free echelon span of integer sparse vectors.
+    """Fraction-free echelon span over QQ, computed on integer vectors.
 
-    Cross-multiplication elimination with content removal keeps entries
-    integral and small; pivot rows are minimal indices as in Echelon.
+    Vectors may hold ints or Fractions; each is scaled to integers by the
+    lcm of its denominators.  Cross-multiplication elimination with content
+    removal keeps entries integral and small; pivot rows are minimal indices
+    as in Echelon, and `insert` answers as Echelon's does.
     """
 
-    def __init__(self):
+    def __init__(self, tags=math.inf):
+        self.tags = tags  # first bookkeeping row
         self.pivots = {}  # pivot row -> content-free integer vector
 
     @property
     def rank(self):
         return len(self.pivots)
 
-    def insert(self, vec):
-        v = {r: c for r, c in vec.items() if c}
+    def reduce(self, vec):
+        """The vector, scaled to integers, reduced against the span.
+
+        The result has integer entries and is a nonzero multiple of the
+        exact reduction.
+        """
+        den = math.lcm(*[c.denominator for c in vec.values()])
+        v = {r: c.numerator * (den // c.denominator) for r, c in vec.items() if c}
         heap = [r for r in v if r in self.pivots]
         heapq.heapify(heap)
         while heap:
@@ -158,7 +122,7 @@ class IntEchelon:
                 continue
             piv = self.pivots.get(row)
             pc = piv[row]
-            for r in list(v):
+            for r in v:
                 v[r] *= pc
             for r, a in piv.items():
                 nc = v.get(r, 0) - c * a
@@ -169,101 +133,68 @@ class IntEchelon:
                         heapq.heappush(heap, r)
                 else:
                     v.pop(r, None)
-            g = 0
-            for a in v.values():
-                g = _gcd(g, a)
-                if g == 1:
-                    break
+            g = math.gcd(*v.values())
             if g > 1:
                 v = {r: a // g for r, a in v.items()}
-        if not v:
-            return None
-        row = min(v)
+        return v
+
+    def insert(self, vec):
+        """Add a vector to the span; returns as Echelon.insert does."""
+        v = self.reduce(vec)
+        row = min(v, default=self.tags)
+        if row >= self.tags:
+            return v
         self.pivots[row] = v
-        return row
+        return None
+
+
+def echelon(field, tags=math.inf):
+    """Empty span for vectors over `field`: integer route for QQ."""
+    if field.characteristic == 0:
+        return IntEchelon(tags)
+    return Echelon(field, tags)
+
+
+def _first_tag(columns):
+    return 1 + max((r for col in columns for r in col), default=-1)
 
 
 def kernel_basis(columns, field):
-    """Kernel of the map sending unit j to columns[j]; sparse coords over j."""
-    ech = AugmentedEchelon(field)
+    """Kernel of the map sending unit j to columns[j]; sparse coords over j.
+
+    One vector per dependent column j, with coordinate 1 at j and the rest
+    on earlier independent columns.
+    """
+    tags = _first_tag(columns)
+    ech = echelon(field, tags)
     kernel = []
     for j, col in enumerate(columns):
-        dep = ech.insert(col, j)
-        if dep is not None:
-            vec = {t: field.neg(c) for t, c in dep.items()}
-            vec[j] = field.one
-            kernel.append(vec)
+        rel = ech.insert({**col, tags + j: field.one})
+        if rel is not None:
+            inv = field.inv(rel[tags + j])
+            kernel.append({t - tags: field.mul(c, inv) for t, c in rel.items()})
     return kernel
 
 
 def solve_columns(columns, target, field):
     """One solution x with sum x_j * columns[j] = target, or None."""
-    ech = AugmentedEchelon(field)
+    tags = _first_tag(columns + [target])
+    ech = echelon(field, tags)
     for j, col in enumerate(columns):
-        ech.insert(col, j)
-    return ech.solve(target)
+        ech.insert({**col, tags + j: field.one})
+    mark = tags + len(columns)
+    rel = ech.reduce({**target, mark: field.one})
+    if min(rel) < tags:
+        return None
+    scale = field.neg(field.inv(rel.pop(mark)))
+    return {t - tags: field.mul(c, scale) for t, c in rel.items()}
 
 
 def rank_of_columns(columns, field):
-    ech = Echelon(field)
+    ech = echelon(field)
     for col in columns:
         ech.insert(col)
     return ech.rank
-
-
-# -- dense fraction-free elimination ------------------------------------------
-
-
-def bareiss_rank(rows):
-    """Rank of a dense integer matrix by fraction-free elimination."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = None
-        for r in range(pr, nr):
-            if m[r][pc] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        pivot = m[pr][pc]
-        for r in range(pr + 1, nr):
-            factor = m[r][pc]
-            row_r = m[r]
-            row_p = m[pr]
-            for c in range(pc + 1, nc):
-                row_r[c] = (row_r[c] * pivot - factor * row_p[c]) // prev
-            row_r[pc] = 0
-        prev = pivot
-        pr += 1
-        rank += 1
-        if pr == nr:
-            break
-    return rank
-
-
-def rational_matrix_rank(rows):
-    """Rank of a dense matrix of Fractions/ints (row-scaled to integers)."""
-    cleared = []
-    for row in rows:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // _gcd(den, x.denominator)
-        cleared.append([int(x * den) if isinstance(x, Fraction) else x * den for x in row])
-    return bareiss_rank(cleared)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a) if a else 1
 
 
 # -- polynomial determinants ----------------------------------------------------

@@ -20,7 +20,8 @@ from detschemes import (
     quotient_hilbert_function,
     section_sequence,
 )
-from detschemes.determinantal import _verify_deletion
+from detschemes.determinantal import _MINORS_CACHE, _verify_deletion
+from detschemes.groebner import _GB_CACHE, ensure_gb, height
 from detschemes.errors import InputError, VerificationError
 from math import comb
 
@@ -173,6 +174,10 @@ def test_flag_complete_intersection(ci_codim3):
     assert flag.all_good and flag.containments_ok
     for stage in flag.stages[1:]:
         assert stage.containment_ok
+        # seeded stages do not recur: their ideals and bases are not memoized
+        m = stage.presentation.matrix
+        assert (m, m.nrows) not in _MINORS_CACHE
+        assert minors(m, m.nrows, memo=False) not in _GB_CACHE
 
 
 def test_flag_degenerate_square(ring):
@@ -236,3 +241,21 @@ def test_twisted_cubic_classifies_good(ring):
     I = minors(P, 2)
     for d in range(1, 9):
         assert quotient_hilbert_function(I, d) == 3 * d + 1
+
+
+def test_classify_memoizes_only_the_verdict(ring):
+    fresh = presentation_from_strings(
+        ring, [["x0", "x1 + x3", "x2"], ["x1", "x2", "x3 - x0"]]
+    )
+    rep = classify(fresh)
+    ideals = [minors(fresh, s, memo=False) for s in (1, 2)]
+    assert (fresh.matrix, 1) not in _MINORS_CACHE and (fresh.matrix, 2) not in _MINORS_CACHE
+    assert all(ideal not in _GB_CACHE for ideal in ideals)
+    assert classify(fresh) is rep
+    # the same report as from minors and bases computed through the tables
+    want = (2, 2, 4, True, True, False, 2, 1)
+    got = (rep.expected_codim, rep.actual_height, rep.submaximal_height,
+           rep.is_standard, rep.is_good, rep.empty_scheme, rep.t, rep.r)
+    assert got == want
+    assert height(ensure_gb(minors(fresh, 2))) == rep.actual_height
+    assert height(ensure_gb(minors(fresh, 1))) == rep.submaximal_height

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from detschemes import (
+    QQ,
     Coker,
     GradedFreeModule,
     HomogeneousMatrix,
@@ -21,8 +23,9 @@ from detschemes import (
     quotient_hilbert_function,
     verify_complex,
 )
-from detschemes.grading import GradingError, zero_matrix
+from detschemes.grading import _PIECE_RANK_CACHE, GradingError, zero_matrix
 from detschemes.groebner import ensure_gb
+from detschemes.linalg import Echelon, kernel_basis
 from detschemes.ring import random_homogeneous
 
 
@@ -67,6 +70,66 @@ def test_matrix_piece_rank_engines_agree(ring, double_point, generic_2x4):
         phi = pres.matrix
         for d in range(5):
             assert piece_rank(phi, d, "echelon") == piece_rank(phi, d, "groebner")
+
+
+def _rational_form(ring, degree, rng):
+    """Seeded form whose coefficients carry denominators such as 1/3 and 5/7."""
+    p = random_homogeneous(ring, degree, rng, allow_zero=True)
+    return ring.from_terms(
+        (m, c * Fraction(rng.choice((1, 5)), rng.choice((1, 3, 7)))) for m, c in p.terms
+    )
+
+
+def _rational_matrix(ring, rng):
+    nrows = rng.randint(1, 2)
+    ncols = rng.randint(nrows, 3)
+    degree = rng.randint(1, 2)
+    rows = [[_rational_form(ring, degree, rng) for _ in range(ncols)] for _ in range(nrows)]
+    target = GradedFreeModule(ring, (0,) * nrows)
+    source = GradedFreeModule(ring, (degree,) * ncols)
+    return HomogeneousMatrix(target, source, rows)
+
+
+def test_integer_route_matches_fraction_echelon_on_rational_pieces(ring):
+    rng = random.Random(31)
+    for _ in range(8):
+        phi = _rational_matrix(ring, rng)
+        for d in range(4):
+            piece = matrix_piece(phi, d)
+            ech = Echelon(QQ)
+            dependent = sum(ech.insert(col) is not None for col in piece.cols)
+            assert piece.rank() == ech.rank
+            assert len(kernel_basis(piece.cols, QQ)) == dependent == piece.ncols - ech.rank
+
+
+def test_image_membership_witness_with_denominators(ring):
+    rng = random.Random(37)
+    for _ in range(8):
+        phi = _rational_matrix(ring, rng)
+        x = [_rational_form(ring, 1, rng) for _ in range(phi.ncols)]
+        v = tuple(
+            sum((phi.entries[i][j] * x[j] for j in range(phi.ncols)), ring.zero())
+            for i in range(phi.nrows)
+        )
+        ok, pre = image_membership(v, phi)
+        assert ok and all(p.is_zero() or p.homogeneous_degree() == 1 for p in pre)
+        applied = tuple(
+            sum((phi.entries[i][j] * pre[j] for j in range(phi.ncols)), ring.zero())
+            for i in range(phi.nrows)
+        )
+        assert applied == v
+
+
+def test_piece_rank_memo_keys_the_engine(ring):
+    phi = matrix_from_strings(ring, [["1/3*x0^2 + x1*x3", "5/7*x2^2", "x0*x3 - x1^2"]])
+    for d in range(2, 5):
+        assert (phi, d, "echelon") not in _PIECE_RANK_CACHE
+        rank = piece_rank(phi, d, "echelon")
+        assert (phi, d, "echelon") in _PIECE_RANK_CACHE
+        assert (phi, d, "groebner") not in _PIECE_RANK_CACHE
+        assert piece_rank(phi, d, "groebner") == rank
+        assert (phi, d, "groebner") in _PIECE_RANK_CACHE
+        assert piece_rank(phi, d) == rank
 
 
 def test_matrix_piece_functoriality(ring):

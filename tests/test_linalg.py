@@ -2,15 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-from detschemes import QQ
+from detschemes import GF, QQ
 from detschemes.linalg import (
-    AugmentedEchelon,
+    Echelon,
     IntEchelon,
-    bareiss_rank,
     kernel_basis,
     poly_det,
     rank_of_columns,
-    rational_matrix_rank,
     solve_columns,
 )
 
@@ -28,11 +26,28 @@ def _random_matrix(rng, nrows, ncols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)]
 
 
-def test_echelon_rank_matches_bareiss():
-    rng = random.Random(3)
-    for _ in range(30):
-        rows = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert rank_of_columns(_dense_to_cols(rows), QQ) == bareiss_rank(rows)
+def _fraction_rank(cols):
+    """Reference: the field echelon over QQ, on Fractions."""
+    ech = Echelon(QQ)
+    for col in cols:
+        ech.insert(col)
+    return ech.rank
+
+
+def _fraction_kernel_dim(cols):
+    ech = Echelon(QQ)
+    dim = 0
+    for col in cols:
+        if ech.insert(col) is not None:
+            dim += 1
+    return dim
+
+
+def _int_rank(rows):
+    ech = IntEchelon()
+    for col in _dense_to_cols(rows):
+        ech.insert({r: int(c) for r, c in col.items()})
+    return ech.rank
 
 
 def test_int_echelon_matches_fraction_echelon():
@@ -43,7 +58,62 @@ def test_int_echelon_matches_fraction_echelon():
         ech = IntEchelon()
         for col in cols:
             ech.insert({r: int(c) for r, c in col.items()})
-        assert ech.rank == rank_of_columns(cols, QQ)
+        assert ech.rank == _fraction_rank(cols)
+
+
+def _rational_cols(rng, nrows, ncols):
+    """Sparse QQ columns with denominators such as 1/3 and 5/7; the last
+    column, when there are two or more, is 1/3 col_0 + 5/7 col_1."""
+    cols = []
+    for _ in range(ncols):
+        col = {}
+        for i in range(nrows):
+            c = Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+            if c and rng.random() < 0.7:
+                col[i] = c
+        cols.append(col)
+    if ncols > 1:
+        last = {}
+        for i in range(nrows):
+            c = Fraction(1, 3) * cols[0].get(i, 0) + Fraction(5, 7) * cols[1].get(i, 0)
+            if c:
+                last[i] = c
+        cols[-1] = last
+    return cols
+
+
+def test_rank_of_columns_matches_fraction_echelon():
+    rng = random.Random(3)
+    for _ in range(40):
+        cols = _rational_cols(rng, rng.randint(1, 6), rng.randint(1, 7))
+        assert rank_of_columns(cols, QQ) == _fraction_rank(cols)
+        kern = kernel_basis(cols, QQ)
+        assert len(kern) == len(cols) - _fraction_rank(cols) == _fraction_kernel_dim(cols)
+        for vec in kern:
+            for i in {i for col in cols for i in col}:
+                assert sum(cols[j].get(i, 0) * c for j, c in vec.items()) == 0
+
+
+def test_kernel_and_solve_over_prime_field():
+    F = GF(101)
+    rng = random.Random(13)
+
+    def image(cols, x, i):
+        return sum(cols[j].get(i, 0) * c for j, c in x.items()) % 101
+
+    for _ in range(20):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        cols = []
+        for _ in range(ncols):
+            col = {i: rng.randrange(1, 101) for i in range(nrows) if rng.random() < 0.7}
+            cols.append(col)
+        kern = kernel_basis(cols, F)
+        assert len(kern) == ncols - rank_of_columns(cols, F)
+        assert all(image(cols, vec, i) == 0 for vec in kern for i in range(nrows))
+        x = {j: rng.randrange(101) for j in range(ncols)}
+        target = {i: image(cols, x, i) for i in range(nrows) if image(cols, x, i)}
+        combo = solve_columns(cols, target, F)
+        assert all(image(cols, combo, i) == target.get(i, 0) for i in range(nrows))
 
 
 def test_kernel_basis_annihilates():
@@ -53,7 +123,7 @@ def test_kernel_basis_annihilates():
         rows = _random_matrix(rng, nrows, ncols)
         cols = _dense_to_cols(rows)
         kern = kernel_basis(cols, QQ)
-        assert len(kern) == ncols - bareiss_rank(rows)
+        assert len(kern) == ncols - _int_rank(rows)
         for vec in kern:
             for i in range(nrows):
                 total = sum(Fraction(rows[i][j]) * c for j, c in vec.items())
@@ -85,24 +155,33 @@ def test_solve_columns_unsolvable():
 
 
 def test_augmented_echelon_dependency_combination():
-    ech = AugmentedEchelon(QQ)
-    ech.insert({0: Fraction(1), 1: Fraction(2)}, "a")
-    ech.insert({1: Fraction(1)}, "b")
-    dep = ech.insert({0: Fraction(2), 1: Fraction(5)}, "c")
-    assert dep == {"a": Fraction(2), "b": Fraction(1)}
+    # rows 2, 3, 4 are bookkeeping coordinates: the augmented matrix [A | I]
+    for ech in (Echelon(QQ, tags=2), IntEchelon(tags=2)):
+        assert ech.insert({0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}) is None
+        assert ech.insert({1: Fraction(1), 3: Fraction(1)}) is None
+        rel = ech.insert({0: Fraction(2), 1: Fraction(5), 4: Fraction(1)})
+        assert ech.rank == 2
+        # c = 2a + b, up to the scale of the relation
+        assert {t: Fraction(c, rel[4]) for t, c in rel.items()} == {2: -2, 3: -1, 4: 1}
 
 
-def test_bareiss_rank_known():
-    assert bareiss_rank([[1, 2], [2, 4]]) == 1
-    assert bareiss_rank([[1, 0], [0, 1]]) == 2
-    assert bareiss_rank([[0, 0], [0, 0]]) == 0
+def test_int_echelon_rank_known():
+    assert _int_rank([[1, 2], [2, 4]]) == 1
+    assert _int_rank([[1, 0], [0, 1]]) == 2
+    assert _int_rank([[0, 0], [0, 0]]) == 0
 
 
-def test_rational_matrix_rank_clears_denominators():
+def test_int_echelon_clears_denominators():
+    def rank(rows):
+        ech = IntEchelon()
+        for col in _dense_to_cols(rows):
+            ech.insert(col)
+        return ech.rank
+
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
-    assert rational_matrix_rank(rows) == 2
+    assert rank(rows) == 2
     singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    assert rational_matrix_rank(singular) == 1
+    assert rank(singular) == 1
 
 
 def _det_by_permutations(grid, ring):
