@@ -39,7 +39,7 @@ from .grading import (
     matrix_piece,
 )
 from .groebner import ensure_gb, height, normal_form
-from .linalg import kernel_basis, poly_det, rank_of_columns
+from .linalg import Laplace, kernel_basis, rank_of_columns
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,6 @@ def _contraction_matrix(phi, tgt_items, src_items):
     return entries
 
 
-def _maximal_minor(phi, cols):
-    grid = [[phi.entries[i][j] for j in cols] for i in range(phi.nrows)]
-    return poly_det(grid, phi.ring)
-
-
 def _as_matrix(pres_or_matrix):
     if isinstance(pres_or_matrix, DeterminantalPresentation):
         return pres_or_matrix.matrix
@@ -173,7 +168,8 @@ def eagon_northcott(pres_or_matrix, tag="EN"):
     modules += [_module_for(phi, items) for items in levels]
 
     diffs = []
-    first_row = [_maximal_minor(phi, S) for (S, _) in levels[0]]
+    laplace = Laplace(phi.entries, ring)
+    first_row = [laplace.det(range(g), S) for (S, _) in levels[0]]
     diffs.append(HomogeneousMatrix(modules[0], modules[1], [first_row]))
     for i in range(1, len(levels)):
         entries = _contraction_matrix(phi, levels[i - 1], levels[i])
@@ -203,10 +199,11 @@ def buchsbaum_rim(pres_or_matrix, tag="BR"):
     if level2:
         modules.append(_module_for(phi, level2))
         zero = ring.zero()
+        laplace = Laplace(phi.entries, ring)
         entries = [[zero] * len(level2) for _ in range(f)]
         for col, (S, _) in enumerate(level2):
             for pos, l in enumerate(S):
-                det = _maximal_minor(phi, S[:pos] + S[pos + 1 :])
+                det = laplace.det(range(g), S[:pos] + S[pos + 1 :])
                 if det.is_zero():
                     continue
                 entries[l][col] = -det if pos % 2 == 1 else det
@@ -285,20 +282,20 @@ def rank_of_map(phi, seed=0):
         best = max(best, rank_of_columns(cols, field))
     s = best
     limit = min(phi.nrows, phi.ncols)
-    while s > 0 and not _has_nonzero_minor(phi, s):
+    laplace = Laplace(phi.entries, ring)
+    while s > 0 and not _has_nonzero_minor(phi, s, laplace):
         s -= 1
-    while s < limit and _has_nonzero_minor(phi, s + 1):
+    while s < limit and _has_nonzero_minor(phi, s + 1, laplace):
         s += 1
     return s
 
 
-def _has_nonzero_minor(phi, s):
+def _has_nonzero_minor(phi, s, laplace):
     if s == 0:
         return True
     for rows in combinations(range(phi.nrows), s):
         for cols in combinations(range(phi.ncols), s):
-            grid = [[phi.entries[i][j] for j in cols] for i in rows]
-            if not poly_det(grid, phi.ring).is_zero():
+            if not laplace.det(rows, cols).is_zero():
                 return True
     return False
 

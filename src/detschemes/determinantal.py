@@ -26,8 +26,8 @@ from .grading import (
     matrix_from_strings,
 )
 from .groebner import IdealBasis, ensure_gb, height, normal_form
-from .linalg import poly_det, rank_of_columns
-from .memo import Memo
+from .linalg import Laplace, rank_of_columns
+from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
 from .ring import random_homogeneous
 
 
@@ -72,7 +72,8 @@ def _unwrap(mat_or_pres):
     return mat_or_pres
 
 
-_MINORS_CACHE = Memo()
+#: an entry of the minors table weighs its ideal's terms
+_MINORS_CACHE = Memo(MINORS_BUDGET, lambda key, ideal: terms(ideal))
 
 
 def minors(mat_or_pres, s, memo=True):
@@ -87,11 +88,11 @@ def minors(mat_or_pres, s, memo=True):
     if hit is not None:
         return hit
     ring = m.ring
+    laplace = Laplace(m.entries, ring)
     gens = []
     for rows in combinations(range(m.nrows), s):
         for cols in combinations(range(m.ncols), s):
-            grid = [[m.entry(i, j) for j in cols] for i in rows]
-            det = poly_det(grid)
+            det = laplace.det(rows, cols)
             if not det.is_zero():
                 gens.append(det)
     result = IdealBasis(ring, tuple(gens), False, ring.order)
@@ -136,7 +137,7 @@ class ClassificationReport:
         )
 
 
-_CLASSIFY_CACHE = Memo()
+_CLASSIFY_CACHE = Memo(MATRIX_BUDGET, lambda P, report: terms(*P.matrix.entries))
 
 
 def classify(P):
@@ -368,11 +369,27 @@ def ideal_contained(A, B):
     return all(normal_form(g, gb).is_zero() for g in A.generators if not g.is_zero())
 
 
+def extends_by_one_row(psi, phi):
+    """Is psi the matrix phi with one more row appended, entry for entry?
+
+    Then I_{t+1}(psi) ⊆ I_t(phi) for t the row count of phi: expanding a
+    maximal minor of psi along its last row writes it as a combination of
+    maximal minors of phi.
+    """
+    a, b = _unwrap(psi), _unwrap(phi)
+    return (
+        a.nrows == b.nrows + 1
+        and a.source == b.source
+        and a.target.twists[:-1] == b.target.twists
+        and a.entries[:-1] == b.entries
+    )
+
+
 @dataclass(frozen=True)
 class FlagStage:
     presentation: DeterminantalPresentation
     report: ClassificationReport
-    containment_ok: bool  # I(this stage) inside I(previous stage)
+    containment_ok: bool  # I(this stage) inside I(previous stage), structurally
 
 
 @dataclass(frozen=True)
@@ -398,10 +415,11 @@ class FlagResult:
 def build_flag(P, seed=0):
     """Augment repeatedly down to codimension one, verifying every stage.
 
-    The stages after P are seeded random matrices that will not recur, so
-    their minors and bases stay out of the memo tables.
+    Each stage's containment in the previous one is certified by
+    `extends_by_one_row`, which needs no Groebner basis.  The stages after P
+    are seeded random matrices that will not recur, so classify leaves
+    their minors and bases out of the memo tables.
     """
-    gb = ensure_gb(minors(P, P.t))  # before classify, which reads it
     report = classify(P)
     if not report.is_good:
         raise InputError("build_flag requires a good presentation")
@@ -410,11 +428,8 @@ def build_flag(P, seed=0):
     current = P
     while current.r > 0:
         nxt = augment_general_row(current, seed=rng.randrange(2**32))
-        ideal = minors(nxt, nxt.t, memo=False)
-        stages.append(FlagStage(nxt, classify(nxt), ideal_contained(ideal, gb)))
+        stages.append(FlagStage(nxt, classify(nxt), extends_by_one_row(nxt, current)))
         current = nxt
-        if current.r > 0:
-            gb = ensure_gb(ideal, memo=False)
     return FlagResult(tuple(stages), seed)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
 from .linalg import rank_of_columns, solve_columns
-from .memo import Memo
+from .memo import MATRIX_BUDGET, Memo, terms
 
 #: columns-times-rows bound below which the echelon engine is used by "auto"
 _PIECE_AUTO_LIMIT = 20000
@@ -352,11 +352,14 @@ def matrix_piece(phi, d):
     return PieceMatrix(phi.ring.field, rows.items, cols.items, piece_cols)
 
 
-_COLUMN_GB_CACHE = Memo()
+_COLUMN_GB_CACHE = Memo(
+    MATRIX_BUDGET, lambda phi, gb: terms(*phi.entries, *(vec for _, vec in gb.basis))
+)
 #: A piece rank is reused within one certificate (a Hilbert table, section
 #: sequence and canonical module rank the same pieces), not across inputs,
-#: and its key pins a whole matrix for one int, hence the smaller bound.
-_PIECE_RANK_CACHE = Memo(1024)
+#: and its key pins a whole matrix for one int; an entry weighs that
+#: matrix's terms, even when other entries share the matrix.
+_PIECE_RANK_CACHE = Memo(MATRIX_BUDGET, lambda key, rank: terms(*key[0].entries))
 
 
 def column_module_gb(phi):

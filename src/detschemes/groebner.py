@@ -20,8 +20,17 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .linalg import echelon
-from .memo import Memo
-from .ring import Monomial, Polynomial, PolyRing
+from .memo import GB_BUDGET, Memo, terms
+from .ring import (
+    Monomial,
+    Polynomial,
+    PolyRing,
+    _check_degree,
+    _masks,
+    _monomial,
+    _unpack,
+    lcm_key,
+)
 
 
 class GroebnerError(ValueError):
@@ -80,57 +89,54 @@ def spoly(f, g):
 def reduce_full(p, reducers):
     """Full normal form of p against a list of nonzero polynomials.
 
-    Works on raw exponent tuples keyed by the monomial order, so no
-    intermediate Polynomial is materialized; the remainder accumulates in
+    Works on packed monomial keys (a term times a monomial is a key sum), so
+    no intermediate Polynomial is materialized; the remainder accumulates in
     strictly decreasing order.
     """
     ring = p.ring
     field = ring.field
-    key_of = ring._key
+    n = ring.nvars
+    okey = ring._okey
+    mod = ring._modulus  # F_p coefficients are reduced by hand
+    guard = _masks(n)[1]
     red = [
         (
-            g.terms[0][0].exponents,
+            _unpack(g.terms[0][0].key, n),
+            g.terms[0][0].key,
             g.terms[0][1],
-            [(m.exponents, c) for m, c in g.terms],
+            [(m.key, c) for m, c in g.terms],
+            max(m.key for m, _ in g.terms),  # carries g's largest degree
         )
         for g in reducers
     ]
-    cur = {key_of(m.exponents): (m.exponents, c) for m, c in p.terms}
+    cur = {m.key: c for m, c in p.terms}
+    get = cur.get
     remainder = []
     while cur:
-        k = max(cur)
-        le, lc = cur[k]
-        hit = None
-        for ge, gc, gterms in red:
-            divides = True
-            for a, b in zip(ge, le):
-                if a > b:
-                    divides = False
-                    break
-            if divides:
-                hit = (ge, gc, gterms)
+        k = max(cur, key=okey)
+        lc = cur[k]
+        le = _unpack(k, n)
+        for ge, gk, gc, gterms, gmax in red:
+            if not (le - ge) & guard:
                 break
-        if hit is None:
-            remainder.append((le, lc))
+        else:
+            remainder.append((_monomial(k, n), lc))
             del cur[k]
             continue
-        ge, gc, gterms = hit
-        qe = tuple(b - a for a, b in zip(ge, le))
+        qk = k - gk
+        # outside grevlex a tail term of g can outweigh its leading one
+        _check_degree(qk + gmax, n)
         qc = field.div(lc, gc)
-        for me, c in gterms:
-            e2 = tuple(a + b for a, b in zip(qe, me))
-            k2 = key_of(e2)
-            old = cur.get(k2)
-            nc = (
-                field.sub(old[1], field.mul(qc, c))
-                if old is not None
-                else field.neg(field.mul(qc, c))
-            )
-            if field.is_zero(nc):
-                cur.pop(k2, None)
+        for mk, c in gterms:
+            k2 = qk + mk
+            nc = get(k2, 0) - qc * c
+            if mod:
+                nc %= mod
+            if nc:
+                cur[k2] = nc
             else:
-                cur[k2] = (e2, nc)
-    return Polynomial(ring, tuple((Monomial(e), c) for e, c in remainder))
+                cur.pop(k2, None)
+    return Polynomial(ring, tuple(remainder))
 
 
 def _linear_preprocess(polys):
@@ -206,15 +212,22 @@ def buchberger(gens, ring=None):
     basis = deduped
 
     key_of = ring.monomial_key
+    okey = ring._okey
+    n = ring.nvars
+    guard = _masks(n)[1]
+    leads = []  # packed key of each basis element's leading monomial
+    lead_exps = []  # and its packed exponents
     pending = set()
     heap = []
 
     def push_pairs(j):
-        lm_j = basis[j].leading_monomial()
+        kj = basis[j].terms[0][0].key
+        leads.append(kj)
+        lead_exps.append(_unpack(kj, n))
         for i in range(j):
-            lcm = basis[i].leading_monomial().lcm(lm_j)
+            lcm = lcm_key(leads[i], kj, n)
             pending.add((i, j))
-            heapq.heappush(heap, (key_of(lcm), i, j))
+            heapq.heappush(heap, (lcm if okey is None else okey(lcm), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -224,16 +237,15 @@ def buchberger(gens, ring=None):
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lm_i = basis[i].leading_monomial()
-        lm_j = basis[j].leading_monomial()
-        lcm = lm_i.lcm(lm_j)
-        if lcm.total_degree == lm_i.total_degree + lm_j.total_degree and lcm == lm_i.mul(lm_j):
+        lcm = lcm_key(leads[i], leads[j], n)
+        if lcm == leads[i] + leads[j]:
             continue  # coprime leading terms
+        lcm_exps = _unpack(lcm, n)
         chain = False
-        for k in range(len(basis)):
+        for k, ek in enumerate(lead_exps):
             if k == i or k == j:
                 continue
-            if basis[k].leading_monomial().divides(lcm):
+            if not (lcm_exps - ek) & guard:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -261,7 +273,8 @@ def buchberger(gens, ring=None):
     return IdealBasis(ring, tuple(reduced), True, ring.order)
 
 
-_GB_CACHE = Memo()
+#: an entry pins its ideal and its basis; both are weighed by their terms
+_GB_CACHE = Memo(GB_BUDGET, lambda ideal, gb: terms(ideal, gb))
 
 
 def ensure_gb(I, memo=True):

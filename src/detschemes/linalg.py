@@ -20,6 +20,11 @@ with a unit coordinate at `tags + j` therefore records, when the column turns
 out dependent, the relation that makes it so over the columns as given (the
 augmented matrix [A | I]).  `kernel_basis` and `solve_columns` read their
 answers from these coordinates.
+
+Determinants of polynomial matrices (`Laplace`, `poly_det`) run on dicts
+from packed monomial keys to ints for both fields: over QQ rows are scaled
+to integers first, over F_p sub-minors are reduced mod p.  Every sub-minor's
+total degree is checked against the ring's limit as it is formed.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
+
+from .ring import _check_degree
 
 
 class Echelon:
@@ -200,51 +207,93 @@ def rank_of_columns(columns, field):
 # -- polynomial determinants ----------------------------------------------------
 
 
-def _int_terms(p):
-    """Exponent->int dict when every coefficient is an integer, else None."""
-    out = {}
-    for m, c in p.terms:
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                return None
-            out[m.exponents] = c.numerator
-        elif isinstance(c, int):
-            out[m.exponents] = c
+class Laplace:
+    """Determinants of square submatrices of one polynomial matrix.
+
+    Memoized Laplace expansion along the sparsest row, on dicts from packed
+    monomial keys to ints; the memo is keyed by absolute (rows, cols), so
+    every minor of the matrix shares the sub-minors it has in common with
+    the others.  Over QQ each row is first scaled to integer coefficients by
+    the lcm of its denominators, and a minor is divided by the product of
+    the scales of its rows at the end; over F_p entries are residues and
+    every sub-minor is reduced mod p.  No Fraction arithmetic runs inside.
+    Each sub-minor's degree is checked as it is stored, so every key sum
+    formed adds two keys in range (see ring.from_keys).
+    """
+
+    def __init__(self, grid, ring):
+        self.ring = ring
+        self.p = ring.field.characteristic
+        self.scales = []
+        self.grid = []
+        for row in grid:
+            if self.p:
+                self.scales.append(1)
+                self.grid.append([{m.key: c for m, c in f.terms} for f in row])
+                continue
+            den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
+            self.scales.append(den)
+            self.grid.append([
+                {m.key: c.numerator * (den // c.denominator) for m, c in f.terms}
+                for f in row
+            ])
+        self.memo = {}
+
+    def det(self, rows, cols):
+        """The determinant of the submatrix on rows x cols, a Polynomial."""
+        rows, cols = tuple(rows), tuple(cols)
+        if len(rows) != len(cols):
+            raise ValueError("determinant of a non-square matrix")
+        acc = self._expand(rows, cols)
+        if not self.p:
+            den = math.prod(self.scales[r] for r in rows)
+            acc = {k: Fraction(c, den) for k, c in acc.items()}
+        return self.ring.from_keys(acc)
+
+    def _expand(self, rows, cols):
+        if not rows:
+            return {0: 1}
+        grid = self.grid
+        if len(rows) == 1:
+            return grid[rows[0]][cols[0]]
+        key = (rows, cols)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        best = min(range(len(rows)), key=lambda i: sum(1 for c in cols if grid[rows[i]][c]))
+        entries = grid[rows[best]]
+        sub_rows = rows[:best] + rows[best + 1 :]
+        acc = {}
+        get = acc.get
+        for j, c in enumerate(cols):
+            entry = entries[c]
+            if not entry:
+                continue
+            minor = self._expand(sub_rows, cols[:j] + cols[j + 1 :])
+            if not minor:
+                continue
+            sign = -1 if (best + j) % 2 else 1
+            for k1, c1 in entry.items():
+                c1 *= sign
+                for k2, c2 in minor.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        p = self.p
+        if p:
+            acc = {k: c % p for k, c in acc.items() if c % p}
         else:
-            return None
-    return out
-
-
-def _int_dict_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _int_dict_add(a, b, sign):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + sign * c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
+            acc = {k: c for k, c in acc.items() if c}
+        if acc:
+            _check_degree(max(acc), self.ring.nvars)
+        self.memo[key] = acc
+        return acc
 
 
 def poly_det(grid, ring=None):
-    """Determinant of a square polynomial matrix by memoized Laplace expansion.
+    """Determinant of a square polynomial matrix (see Laplace).
 
-    Expands along the sparsest row at each level; integer-coefficient input
-    (the usual case over QQ) runs on plain int dicts.  For an empty matrix
-    the determinant is 1, so a ring handle is required then.
+    For an empty matrix the determinant is 1, so a ring handle is required
+    then.
     """
     n = len(grid)
     if n == 0:
@@ -253,78 +302,4 @@ def poly_det(grid, ring=None):
         return ring.one()
     if any(len(row) != n for row in grid):
         raise ValueError("determinant of a non-square matrix")
-    ring = grid[0][0].ring
-    idx = tuple(range(n))
-
-    if ring.field.characteristic == 0:
-        int_grid = [[_int_terms(p) for p in row] for row in grid]
-        if all(t is not None for row in int_grid for t in row):
-            memo = {}
-
-            def rec_int(rows, cols):
-                if not rows:
-                    return {(0,) * ring.nvars: 1}
-                key = (rows, cols)
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit
-                best = min(
-                    range(len(rows)),
-                    key=lambda rp: sum(
-                        1 for c in cols if int_grid[rows[rp]][c]
-                    ),
-                )
-                r = rows[best]
-                sub_rows = rows[:best] + rows[best + 1 :]
-                acc = {}
-                for jp, c in enumerate(cols):
-                    e = int_grid[r][c]
-                    if not e:
-                        continue
-                    minor = rec_int(sub_rows, cols[:jp] + cols[jp + 1 :])
-                    if not minor:
-                        continue
-                    acc = _int_dict_add(
-                        acc, _int_dict_mul(e, minor), -1 if (best + jp) % 2 else 1
-                    )
-                memo[key] = acc
-                return acc
-
-            from .ring import Monomial
-
-            result = rec_int(idx, idx)
-            return ring.from_terms(
-                (Monomial(e), Fraction(c)) for e, c in result.items()
-            )
-
-    memo = {}
-
-    def rec(rows, cols):
-        if not rows:
-            return ring.one()
-        key = (rows, cols)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = min(
-            range(len(rows)),
-            key=lambda rp: sum(0 if grid[rows[rp]][c].is_zero() else 1 for c in cols),
-        )
-        r = rows[best]
-        sub_rows = rows[:best] + rows[best + 1 :]
-        acc = ring.zero()
-        for jp, c in enumerate(cols):
-            e = grid[r][c]
-            if e.is_zero():
-                continue
-            minor = rec(sub_rows, cols[:jp] + cols[jp + 1 :])
-            if minor.is_zero():
-                continue
-            term = e * minor
-            if (best + jp) % 2:
-                term = -term
-            acc = acc + term
-        memo[key] = acc
-        return acc
-
-    return rec(idx, idx)
+    return Laplace(grid, grid[0][0].ring).det(range(n), range(n))

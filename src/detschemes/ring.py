@@ -4,10 +4,28 @@ The ring R = k[x_0, ..., x_n] carries the standard grading.  Polynomials are
 immutable term sequences kept strictly decreasing in the ring's monomial
 order, with no zero coefficients, so equal polynomials compare equal
 structurally.
+
+A monomial is one packed int (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): field
+i, FIELD_BITS wide, holds the prefix sum e_0 + ... + e_i, so the top field is
+the total degree.  Then int comparison is the grevlex order, multiplying
+monomials adds their keys, and the exponents come back as
+key - ((key << FIELD_BITS) & mask), on which divisibility is one test of the
+fields' guard bits.  Arithmetic keys dicts by these ints and builds Monomial
+objects only for a finished polynomial; the lex and elimination orders sort
+by a key computed from the packed one.
+
+A total degree above MAX_DEGREE raises RingError wherever degrees are made
+or grow: Monomial(), parsing, `from_keys` (and so products, powers and
+determinants), `mul_term`, `Monomial.mul`/`lcm`, and each reduction step of
+`groebner.reduce_full`.  Fields are wide enough for the sum of two keys in
+range, so that check is sound on such a sum; past it, fields would carry
+into each other and divisibility tests would silently go wrong.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from math import comb
 
@@ -38,60 +56,153 @@ ZERO = _Sentinel("ZERO")
 NOT_HOMOGENEOUS = _Sentinel("NOT_HOMOGENEOUS")
 
 
-class Monomial:
-    """Exponent vector with cached total degree."""
+#: bits per packed field of a monomial key
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+#: largest total degree: the top bit of every field stays free as a guard,
+#: and the sum of two such degrees still fits its field
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
 
-    __slots__ = ("exponents", "total_degree")
+
+@functools.cache
+def _masks(n):
+    """(all n fields, guard bits of the n fields) for n variables."""
+    guard = 0
+    for i in range(n):
+        guard |= 1 << (FIELD_BITS * i + FIELD_BITS - 1)
+    return (1 << (FIELD_BITS * n)) - 1, guard
+
+
+def _check_degree(key, n):
+    """The key, after checking that its total degree fits the fields."""
+    if n and key >> (FIELD_BITS * (n - 1)) > MAX_DEGREE:
+        raise RingError(f"total degree above the limit {MAX_DEGREE}")
+    return key
+
+
+def _unpack(key, n):
+    """Packed exponents (field i holds e_i) of a packed key."""
+    return key - ((key << FIELD_BITS) & _masks(n)[0])
+
+
+def _pack(exps, n):
+    """Packed key (field i holds e_0 + ... + e_i) of packed exponents."""
+    shift = FIELD_BITS
+    while shift < FIELD_BITS * n:
+        exps += exps << shift
+        shift <<= 1
+    return exps & _masks(n)[0]
+
+
+class Monomial:
+    """Exponent vector packed into one int.
+
+    Field i (FIELD_BITS wide, least significant first) of `key` holds the
+    prefix sum e_0 + ... + e_i, so the top field is the total degree.  Int
+    comparison of keys is the grevlex order, a product of monomials is the
+    sum of their keys, and a quotient the difference.
+    """
+
+    __slots__ = ("key", "n")
 
     def __init__(self, exponents):
-        exps = tuple(exponents)
-        if any(e < 0 for e in exps):
-            raise RingError("negative exponent")
-        self.exponents = exps
-        self.total_degree = sum(exps)
+        key = shift = total = 0
+        for e in exponents:
+            if e < 0:
+                raise RingError("negative exponent")
+            total += e
+            key |= total << shift
+            shift += FIELD_BITS
+        if total > MAX_DEGREE:
+            raise RingError(f"total degree {total} above the limit {MAX_DEGREE}")
+        self.key = key
+        self.n = shift // FIELD_BITS
+
+    @property
+    def exponents(self):
+        key, out, prev = self.key, [], 0
+        for _ in range(self.n):
+            s = key & _FIELD
+            out.append(s - prev)
+            prev = s
+            key >>= FIELD_BITS
+        return tuple(out)
+
+    @property
+    def total_degree(self):
+        return self.key >> (FIELD_BITS * (self.n - 1)) if self.n else 0
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
+        return (
+            isinstance(other, Monomial) and self.key == other.key and self.n == other.n
+        )
 
     def __hash__(self):
-        return hash(self.exponents)
+        return hash(self.key)
 
     def __repr__(self):
         return f"Monomial{self.exponents}"
 
     def mul(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(_check_degree(self.key + other.key, self.n), self.n)
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        n = self.n
+        return not (_unpack(other.key, n) - _unpack(self.key, n)) & _masks(n)[1]
 
     def div(self, other):
         if not other.divides(self):
             raise RingError("inexact monomial division")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(self.key - other.key, self.n)
 
     def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        n = self.n
+        return _monomial(_check_degree(lcm_key(self.key, other.key, n), n), n)
 
     def is_one(self):
-        return self.total_degree == 0
+        return self.key == 0
 
 
-def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+_new = object.__new__
 
 
-def _lex_key(exps):
-    return exps
+def _monomial(key, n):
+    """Monomial from a packed key that is known to be in range."""
+    m = _new(Monomial)
+    m.key = key
+    m.n = n
+    return m
 
 
-def _elim_last_key(exps):
-    # Block order eliminating the last variable: its exponent dominates.
-    return (exps[-1], _grevlex_key(exps[:-1]))
+def lcm_key(a, b, n):
+    """Packed key of the lcm of the monomials with keys a and b.
+
+    On packed exponents, (A | guard) - B borrows from no field and leaves a
+    field's guard bit set exactly where a_i >= b_i; that selects the field
+    of A or of B.  The lcm's total degree may reach 2 * MAX_DEGREE, which
+    still fits a field, so the key orders and unpacks correctly; it is not
+    checked here (Monomial.lcm checks it before a product is formed).
+    """
+    _, guard = _masks(n)
+    ea, eb = _unpack(a, n), _unpack(b, n)
+    ge = ((ea | guard) - eb) & guard
+    pick_a = ge - (ge >> (FIELD_BITS - 1))
+    return _pack((ea & pick_a) | (eb & ~pick_a), n)
 
 
+def _lex_key(key, n):
+    return _monomial(key, n).exponents
+
+
+def _elim_last_key(key, n):
+    # Block order eliminating the last variable: its exponent replaces the
+    # total degree in the top field, above the grevlex key of the others.
+    return key - (((key >> (FIELD_BITS * (n - 2))) & _FIELD) << (FIELD_BITS * (n - 1)))
+
+
+#: order key of a packed key; None for grevlex, where it is the key itself
 _ORDER_KEYS = {
-    "grevlex": _grevlex_key,
+    "grevlex": None,
     "lex": _lex_key,
     "elim_last": _elim_last_key,
 }
@@ -111,8 +222,11 @@ class PolyRing:
         self.variables = variables
         self.field = field
         self.order = order
-        self.nvars = len(variables)
-        self._key = _ORDER_KEYS[order]
+        self.nvars = n = len(variables)
+        okey = _ORDER_KEYS[order]
+        self._okey = None if okey is None else (lambda key: okey(key, n))
+        self._top = FIELD_BITS * (n - 1)  # shift of the total-degree field
+        self._modulus = field.characteristic
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     def __repr__(self):
@@ -130,7 +244,8 @@ class PolyRing:
         return hash((self.variables, self.field, self.order))
 
     def monomial_key(self, m):
-        return self._key(m.exponents)
+        """Sort key of a monomial in the ring order (an int for grevlex)."""
+        return m.key if self._okey is None else self._okey(m.key)
 
     def with_order(self, order):
         return PolyRing(self.variables, self.field, order, _allow_small=True)
@@ -160,32 +275,47 @@ class PolyRing:
         """Canonicalize arbitrary (Monomial, coeff) pairs into a Polynomial."""
         acc = {}
         for m, c in pairs:
-            if m.exponents in acc:
-                acc[m.exponents] = self.field.add(acc[m.exponents], c)
-            else:
-                acc[m.exponents] = c
-        terms = [
-            (Monomial(e), c) for e, c in acc.items() if not self.field.is_zero(c)
-        ]
-        terms.sort(key=lambda t: self._key(t[0].exponents), reverse=True)
-        return Polynomial(self, tuple(terms))
+            k = m.key
+            acc[k] = acc[k] + c if k in acc else c
+        return self.from_keys(acc)
+
+    def from_keys(self, acc):
+        """Polynomial of a {packed key: coefficient} dict.
+
+        Coefficients may be unreduced ints over F_p; zero ones are dropped.
+        Every key must be a monomial key or the sum of two: then a total
+        degree past MAX_DEGREE still shows in the top field, and raises.
+        """
+        p = self._modulus
+        if p:
+            acc = {k: c % p for k, c in acc.items()}
+        keys = [k for k, c in acc.items() if c]
+        n = self.nvars
+        if keys:
+            _check_degree(max(keys), n)
+        keys.sort(key=self._okey, reverse=True)
+        return Polynomial(self, tuple((_monomial(k, n), acc[k]) for k in keys))
 
     def monomials_of_degree(self, d):
         """All monomials of total degree d, decreasing in the ring order."""
         if d < 0:
             return []
-        out = []
+        if d > MAX_DEGREE:
+            raise RingError(f"total degree {d} above the limit {MAX_DEGREE}")
+        n = self.nvars
+        keys = []
 
-        def rec(prefix, remaining, pos):
-            if pos == self.nvars - 1:
-                out.append(Monomial(tuple(prefix + [remaining])))
+        def rec(key, total, pos):
+            # total = e_0 + ... + e_{pos-1}; field pos gets total + e_pos
+            if pos == n - 1:
+                keys.append(key | d << (FIELD_BITS * pos))
                 return
-            for e in range(remaining, -1, -1):
-                rec(prefix + [e], remaining - e, pos + 1)
+            for s in range(d, total - 1, -1):
+                rec(key | s << (FIELD_BITS * pos), s, pos + 1)
 
-        rec([], d, 0)
-        out.sort(key=lambda m: self._key(m.exponents), reverse=True)
-        return out
+        rec(0, 0, 0)
+        keys.sort(key=self._okey, reverse=True)
+        return [_monomial(k, n) for k in keys]
 
     def dim_of_degree(self, d):
         """dim_k R_d = C(d + n, n)."""
@@ -379,9 +509,10 @@ class Polynomial:
         """Total degree if homogeneous, else NOT_HOMOGENEOUS; ZERO for 0."""
         if not self.terms:
             return ZERO
-        d = self.terms[0][0].total_degree
-        for m, _ in self.terms[1:]:
-            if m.total_degree != d:
+        top = self.ring._top
+        d = self.terms[0][0].key >> top
+        for m, _ in self.terms:
+            if m.key >> top != d:
                 return NOT_HOMOGENEOUS
         return d
 
@@ -391,7 +522,7 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return ZERO
-        return max(m.total_degree for m, _ in self.terms)
+        return max(m.key for m, _ in self.terms) >> self.ring._top
 
     # -- arithmetic --------------------------------------------------------
 
@@ -412,20 +543,18 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check_ring(other)
-        field = self.ring.field
+        ring = self.ring
+        if not self.terms or not other.terms:
+            return ring.zero()
+        right = [(m.key, c) for m, c in other.terms]
         acc = {}
+        get = acc.get
         for m1, c1 in self.terms:
-            e1 = m1.exponents
-            for m2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, m2.exponents))
-                c = field.mul(c1, c2)
-                if e in acc:
-                    acc[e] = field.add(acc[e], c)
-                else:
-                    acc[e] = c
-        terms = [(Monomial(e), c) for e, c in acc.items() if not field.is_zero(c)]
-        terms.sort(key=lambda t: self.ring._key(t[0].exponents), reverse=True)
-        return Polynomial(self.ring, tuple(terms))
+            k1 = m1.key
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+        return ring.from_keys(acc)
 
     def scale(self, c):
         field = self.ring.field
@@ -437,16 +566,17 @@ class Polynomial:
 
     def mul_term(self, m, c):
         """Multiply by the single term c*m (order is preserved)."""
-        field = self.ring.field
+        ring = self.ring
+        field = ring.field
         if field.is_zero(c):
-            return self.ring.zero()
-        me = m.exponents
+            return ring.zero()
+        mk, n, mul = m.key, ring.nvars, field.mul
+        if self.terms:
+            # the largest key carries the largest total degree
+            _check_degree(max(mm.key for mm, _ in self.terms) + mk, n)
         return Polynomial(
-            self.ring,
-            tuple(
-                (Monomial(tuple(a + b for a, b in zip(me, mm.exponents))), field.mul(cc, c))
-                for mm, cc in self.terms
-            ),
+            ring,
+            tuple((_monomial(mm.key + mk, n), mul(cc, c)) for mm, cc in self.terms),
         )
 
     def __pow__(self, k):
@@ -457,8 +587,9 @@ class Polynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # square only when needed, so no degree past the result's
+                base = base * base
         return result
 
     def __eq__(self, other):

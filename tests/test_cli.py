@@ -206,3 +206,58 @@ def test_demo_scripts_run():
             [sys.executable, str(script)], capture_output=True, text=True, timeout=300
         )
         assert result.returncode == 0, (script.name, result.stderr[-500:])
+
+
+def test_cli_degree_past_the_packed_field_exits_2(tmp_path, capsys):
+    text = GOOD_TEXT.replace("  x1 | x2 | x3 | 0", "  x0^40000 | x2 | x3 | 0")
+    path = _write(tmp_path, text)
+    assert run(["classify", path, "--json"]) == 2
+    assert "degree" in capsys.readouterr().err
+    # entries in range whose minors are not
+    text = GOOD_TEXT.replace(
+        "  x1 | x2 | x3 | 0\n  0  | x1 | x2 | x3",
+        "  x0^20000 | x1^20000 | x2^20000\n  x1^20000 | x2^20000 | x3^20000",
+    )
+    assert "x0^20000" in text
+    path = _write(tmp_path, text, "minors.problem")
+    assert run(["classify", path, "--json"]) == 2
+    assert "degree" in capsys.readouterr().err
+
+
+_FUZZ_ALPHABET = "x0123456789^*/+-|:#,. \t\nabQFp_"
+
+
+def _mutate(text, rng):
+    """One seeded edit: delete, insert or replace a span, or shuffle lines."""
+    kind = rng.randrange(5)
+    i = rng.randrange(len(text) + 1)
+    j = min(len(text), i + rng.randint(1, 6))
+    if kind == 0:
+        return text[:i] + text[j:]
+    if kind == 1:
+        junk = "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(1, 4)))
+        return text[:i] + junk + text[i:]
+    if kind == 2:
+        return text[:i] + rng.choice(("99999999999999999999", "40000", "-1", "0", "")) + text[j:]
+    lines = text.splitlines()
+    if kind == 3 and len(lines) > 1:
+        a, b = rng.randrange(len(lines)), rng.randrange(len(lines))
+        lines[a], lines[b] = lines[b], lines[a]
+    else:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    return "\n".join(lines)
+
+
+def test_parse_problem_text_fuzz_raises_only_input_error():
+    import random
+
+    rng = random.Random(20261017)
+    texts = [GOOD_TEXT] + [fixture_path(name).read_text() for name in FIXTURE_NAMES]
+    for _ in range(600):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(text, rng)
+        try:
+            parse_problem_text(text, "fuzz")
+        except InputError:
+            pass

@@ -20,7 +20,8 @@ from detschemes import (
     quotient_hilbert_function,
     section_sequence,
 )
-from detschemes.determinantal import _MINORS_CACHE, _verify_deletion
+from detschemes.determinantal import _MINORS_CACHE, _verify_deletion, extends_by_one_row
+from detschemes.grading import GradedFreeModule, HomogeneousMatrix
 from detschemes.groebner import _GB_CACHE, ensure_gb, height
 from detschemes.errors import InputError, VerificationError
 from math import comb
@@ -180,6 +181,40 @@ def test_flag_complete_intersection(ci_codim3):
         assert minors(m, m.nrows, memo=False) not in _GB_CACHE
 
 
+def test_flag_containment_certificate_matches_normal_forms(cubic_curve, ci_codim3):
+    """The structural certificate against ideal_contained on seeded flags."""
+    for P in (cubic_curve, ci_codim3):
+        for seed in (1, 2, 3):
+            flag = build_flag(P, seed=seed)
+            for prev, stage in zip(flag.stages, flag.stages[1:]):
+                psi, phi = stage.presentation, prev.presentation
+                assert stage.containment_ok and extends_by_one_row(psi, phi)
+                assert ideal_contained(
+                    minors(psi, psi.t, memo=False), minors(phi, phi.t, memo=False)
+                )
+
+
+def test_containment_certificate_rejects_non_extending_matrices(ring, cubic_curve):
+    flag = build_flag(cubic_curve, seed=1)
+    psi = flag.stages[1].presentation.matrix
+    phi = cubic_curve.matrix
+    assert not extends_by_one_row(phi, phi)  # no extra row
+    assert not extends_by_one_row(psi, psi)
+    # change one entry of an inherited row: the ideal leaves I(phi) as well
+    rows = [list(row) for row in psi.entries]
+    rows[0][0] = ring.parse("x3")
+    bad = HomogeneousMatrix(psi.target, psi.source, rows)
+    assert not extends_by_one_row(bad, phi)
+    assert not ideal_contained(minors(bad, 3, memo=False), minors(phi, 2, memo=False))
+    # the same rows with other twists do not extend phi either
+    shifted = HomogeneousMatrix(
+        GradedFreeModule(ring, tuple(t + 1 for t in psi.target.twists)),
+        GradedFreeModule(ring, tuple(t + 1 for t in psi.source.twists)),
+        psi.entries,
+    )
+    assert not extends_by_one_row(shifted, phi)
+
+
 def test_flag_degenerate_square(ring):
     square = presentation_from_strings(ring, [["x0", "x1"], ["x2", "x3"]])
     assert classify(square).is_good
@@ -259,3 +294,17 @@ def test_classify_memoizes_only_the_verdict(ring):
     assert got == want
     assert height(ensure_gb(minors(fresh, 2))) == rep.actual_height
     assert height(ensure_gb(minors(fresh, 1))) == rep.submaximal_height
+
+
+def test_minors_and_classify_past_the_degree_limit_raise(ring):
+    from detschemes.ring import RingError
+
+    rows = [
+        ["x0^20000", "x1^20000", "x2^20000"],
+        ["x1^20000", "x2^20000", "x3^20000"],
+    ]
+    P = presentation_from_strings(ring, rows)
+    with pytest.raises(RingError):
+        minors(P, 2, memo=False)
+    with pytest.raises(RingError):
+        classify(P)

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from detschemes import GF, QQ
+import pytest
+
+from detschemes import GF, QQ, PolyRing, minors
+from detschemes.grading import matrix_from_polys
 from detschemes.linalg import (
     Echelon,
     IntEchelon,
@@ -11,6 +14,7 @@ from detschemes.linalg import (
     rank_of_columns,
     solve_columns,
 )
+from detschemes.ring import RingError
 
 
 def _dense_to_cols(rows):
@@ -221,8 +225,106 @@ def test_poly_det_empty_matrix(ring):
 
 
 def test_poly_det_fraction_coefficients(ring):
-    # non-integer coefficients exercise the generic Laplace path
+    # rows are scaled to integers and the determinant divided back
     half_x0 = ring.parse("1/2*x0")
     x1 = ring.parse("x1")
     grid = [[half_x0, x1], [x1, half_x0]]
     assert poly_det(grid) == ring.parse("1/4*x0^2 - x1^2")
+
+
+def _cofactor_det(grid, ring):
+    """Reference: cofactor expansion along the first row, in Polynomial
+    arithmetic over the ring's field."""
+    if not grid:
+        return ring.one()
+    total = ring.zero()
+    for j, e in enumerate(grid[0]):
+        if e.is_zero():
+            continue
+        term = e * _cofactor_det([row[:j] + row[j + 1 :] for row in grid[1:]], ring)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _random_form(ring, rng, degree, coeffs):
+    """Seeded form of the given degree with a few terms, possibly zero."""
+    monos = ring.monomials_of_degree(degree)
+    terms = [(rng.choice(monos), rng.choice(coeffs)) for _ in range(rng.randint(0, 3))]
+    return ring.from_terms(terms)
+
+
+def _qq_coeffs():
+    return [Fraction(1, 3), Fraction(5, 7), Fraction(-5, 7), Fraction(2), Fraction(-1), Fraction(0)]
+
+
+def _random_grid(ring, rng, n, coeffs):
+    # entry degrees a_i + b_j keep every minor homogeneous
+    a = [rng.randint(0, 1) for _ in range(n)]
+    b = [rng.randint(0, 1) for _ in range(n)]
+    return [[_random_form(ring, rng, a[i] + b[j], coeffs) for j in range(n)] for i in range(n)]
+
+
+def test_poly_det_matches_cofactor_expansion_over_qq(ring):
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        grid = _random_grid(ring, rng, n, _qq_coeffs())
+        assert poly_det(grid, ring) == _cofactor_det(grid, ring)
+
+
+def test_poly_det_matches_cofactor_expansion_over_fp():
+    rng = random.Random(37)
+    for p in (5, 32003):
+        ring = PolyRing(("x0", "x1", "x2", "x3"), GF(p))
+        field = ring.field
+        coeffs = [field.from_int(c) for c in (1, 2, p - 1, p - 2, 3)]
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            grid = _random_grid(ring, rng, n, coeffs)
+            det = poly_det(grid, ring)
+            assert det == _cofactor_det(grid, ring)
+            assert all(type(c) is int and 0 < c < p for _, c in det.terms)
+
+
+def test_shared_laplace_minors_match_poly_det():
+    rng = random.Random(41)
+    for field, coeffs in ((QQ, _qq_coeffs()), (GF(32003), [1, 2, 32002, 7])):
+        ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+        for _ in range(6):
+            nrows, ncols = rng.randint(1, 3), rng.randint(3, 5)
+            a = [rng.randint(0, 1) for _ in range(nrows)]
+            b = [rng.randint(1, 2) for _ in range(ncols)]
+            polys = [
+                [_random_form(ring, rng, b[j] - a[i], coeffs) for j in range(ncols)]
+                for i in range(nrows)
+            ]
+            mat = matrix_from_polys(ring, polys, a, b)
+            for s in range(1, min(nrows, ncols) + 1):
+                want = []
+                for rows in combinations(range(nrows), s):
+                    for cols in combinations(range(ncols), s):
+                        det = poly_det([[polys[i][j] for j in cols] for i in rows], ring)
+                        if not det.is_zero():
+                            want.append(det)
+                assert list(minors(mat, s, memo=False).generators) == want
+
+
+def test_poly_det_past_the_degree_limit_raises():
+    # x0^40000 - x1^2 would overflow the packed fields
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        a, b = ring.parse("x0^20000"), ring.parse("x1")
+        with pytest.raises(RingError):
+            poly_det([[a, b], [b, a]])
+        half = ring.parse("x0^16000")
+        assert poly_det([[half, b], [b, half]]) == half * half - b * b
+
+
+def test_poly_det_checks_every_sub_minor():
+    # equal columns make the determinant 0, but its 2x2 sub-minors reach
+    # degree 40000, past what a packed key can hold
+    ring = PolyRing(("x0", "x1", "x2", "x3"))
+    a, b, c, d = (ring.parse(s) for s in ("x0^20000", "x2", "x3", "x1^20000"))
+    one, zero = ring.one(), ring.zero()
+    with pytest.raises(RingError):
+        poly_det([[one, one, zero], [a, a, b], [c, c, d]])

@@ -4,7 +4,7 @@ import pytest
 
 from detschemes import GF, NOT_HOMOGENEOUS, QQ, ZERO, PolyRing
 from detschemes.linalg import poly_det
-from detschemes.ring import ParseError, RingError, random_homogeneous
+from detschemes.ring import MAX_DEGREE, Monomial, ParseError, RingError, random_homogeneous
 
 
 def rational_point(values):
@@ -184,3 +184,140 @@ def test_functional_wrappers(ring):
     assert evaluate(p, rational_point((2, 3, 0, 0))) == 5
     with pytest.raises(RingError):
         poly_arith("pow", p, q)
+
+
+# -- packed monomials against the exponent-tuple reference ---------------------------
+#
+# The reference functions are the exponent-tuple operations that packed keys
+# replace: the grevlex key as a tuple, and componentwise mul/div/divides/lcm.
+
+
+def _grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _elim_last_key(exps):
+    return (exps[-1], _grevlex_key(exps[:-1]))
+
+
+def _tuple_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _tuple_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _tuple_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _composition(rng, n, degree):
+    cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+    return tuple(y - x for x, y in zip([0] + cuts, cuts + [degree]))
+
+
+def _exponent_pair(rng, n):
+    """Seeded (a, b): small or up to the degree limit, b often a multiple of a."""
+    top = rng.choice((4, 40, MAX_DEGREE))
+    a = _composition(rng, n, rng.randint(0, top))
+    if rng.random() < 0.4:
+        b = _tuple_mul(a, _composition(rng, n, rng.randint(0, top - sum(a))))
+    else:
+        b = _composition(rng, n, rng.randint(0, top))
+    return a, b
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def test_packed_monomials_match_tuple_reference():
+    rng = random.Random(20261017)
+    for n in range(3, 8):  # up to 6 ring variables plus the auxiliary one
+        for _ in range(400):
+            a, b = _exponent_pair(rng, n)
+            ma, mb = Monomial(a), Monomial(b)
+            assert ma.exponents == a and ma.total_degree == sum(a)
+            assert _sign(ma.key, mb.key) == _sign(_grevlex_key(a), _grevlex_key(b))
+            assert (ma == mb) == (a == b)
+            assert ma.divides(mb) == _tuple_divides(a, b)
+            assert mb.divides(ma) == _tuple_divides(b, a)
+            if _tuple_divides(a, b):
+                assert mb.div(ma).exponents == _tuple_div(b, a)
+            else:
+                with pytest.raises(RingError):
+                    mb.div(ma)
+            for op, ref in ((ma.mul, _tuple_mul), (ma.lcm, _tuple_lcm)):
+                want = ref(a, b)
+                if sum(want) <= MAX_DEGREE:
+                    assert op(mb).exponents == want
+                else:
+                    with pytest.raises(RingError):
+                        op(mb)
+
+
+def test_order_keys_match_tuple_reference():
+    rng = random.Random(5)
+    for n in range(3, 8):
+        names = tuple(f"x{i}" for i in range(n))
+        for order, ref in (("grevlex", _grevlex_key), ("lex", tuple), ("elim_last", _elim_last_key)):
+            ring = PolyRing(names, QQ, order, _allow_small=True)
+            for _ in range(200):
+                a, b = _exponent_pair(rng, n)
+                ka, kb = ring.monomial_key(Monomial(a)), ring.monomial_key(Monomial(b))
+                assert _sign(ka, kb) == _sign(ref(a), ref(b))
+
+
+def test_monomials_of_degree_match_tuple_reference():
+    for n in range(3, 6):
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+        for d in range(5):
+            got = [m.exponents for m in ring.monomials_of_degree(d)]
+            assert len(got) == len(set(got)) == ring.dim_of_degree(d)
+            assert all(sum(e) == d for e in got)
+            assert got == sorted(got, key=_grevlex_key, reverse=True)
+
+
+def test_degree_past_the_packed_field_is_rejected(ring):
+    with pytest.raises(RingError):
+        Monomial((MAX_DEGREE + 1, 0, 0, 0))
+    with pytest.raises(RingError):
+        ring.parse("x0^40000")
+    with pytest.raises(RingError):
+        ring.parse(f"x0^{MAX_DEGREE} * x1")
+    big = ring.parse("x0^20000")
+    assert big ** 1 == big  # powers square only as far as needed
+    with pytest.raises(RingError):
+        big * big
+    with pytest.raises(RingError):
+        big ** 2
+    with pytest.raises(RingError):
+        ring.monomials_of_degree(MAX_DEGREE + 1)
+    top = ring.parse(f"x0^{MAX_DEGREE - 1}") * ring.parse("x3")
+    assert top.homogeneous_degree() == MAX_DEGREE
+
+
+def test_degree_growth_in_terms_and_reductions_is_rejected(ring):
+    from detschemes.groebner import reduce_full, spoly
+
+    m, m2 = Monomial((20000, 0, 0, 0)), Monomial((0, 20000, 0, 0))
+    for grow in (m.mul, m.lcm):
+        with pytest.raises(RingError):
+            grow(m2)
+    big = ring.parse("x0^20000")
+    with pytest.raises(RingError):
+        big.mul_term(m2, QQ.one)
+    with pytest.raises(RingError):
+        spoly(ring.parse("x0^20000 * x1"), ring.parse("x1^20000 * x2"))
+    # under lex a reducer's tail term can outweigh its leading one
+    lex = ring.with_order("lex")
+    with pytest.raises(RingError):
+        reduce_full(lex.parse("x0*x2^10000"), [lex.parse("x0 + x1^30000")])
+    assert reduce_full(lex.parse("x0*x2"), [lex.parse("x0 + x1^3")]) == lex.parse(
+        "-x1^3*x2"
+    )
