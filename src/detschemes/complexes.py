@@ -27,19 +27,18 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .determinantal import DeterminantalPresentation, classify, minors
+from .determinantal import _unwrap, classify, minors
 from .errors import InputError, VerificationError
 from .grading import (
     Coker,
     GradedFreeModule,
     HomogeneousMatrix,
-    default_truncation_bound,
     hilbert_function,
-    image_membership,
     matrix_piece,
+    matrix_truncation_bound,
 )
-from .groebner import ensure_gb, height, normal_form
-from .linalg import Laplace, kernel_basis, rank_of_columns
+from .groebner import ensure_gb, height, quotient_hilbert_function
+from .linalg import Laplace, echelon, rank_of_columns
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,9 @@ def _contraction_matrix(phi, tgt_items, src_items):
     return entries
 
 
-def _as_matrix(pres_or_matrix):
-    if isinstance(pres_or_matrix, DeterminantalPresentation):
-        return pres_or_matrix.matrix
-    return pres_or_matrix
-
-
 def eagon_northcott(pres_or_matrix, tag="EN"):
     """The Eagon-Northcott complex of Φ, augmented over R by the minors map."""
-    phi = _as_matrix(pres_or_matrix)
+    phi = _unwrap(pres_or_matrix)
     g, f = phi.nrows, phi.ncols
     if g < 1:
         raise InputError("Eagon-Northcott needs a target of positive rank")
@@ -184,7 +177,7 @@ def buchsbaum_rim(pres_or_matrix, tag="BR"):
     the identity in the middle (the empty minor is 1), so free modules are
     their own first Buchsbaum-Rim modules.
     """
-    phi = _as_matrix(pres_or_matrix)
+    phi = _unwrap(pres_or_matrix)
     g, f = phi.nrows, phi.ncols
     if f < g:
         raise InputError("needs at least as many columns as rows")
@@ -259,9 +252,9 @@ def verify_complex(C):
 def rank_of_map(phi, seed=0):
     """Largest s with a nonvanishing s x s minor.
 
-    Seeded random evaluations give a fast certified lower bound (a nonzero
-    scalar minor lifts to a nonzero polynomial minor); exhaustive search over
-    one size settles the exact value.
+    Seeded random evaluations give a certified lower bound (a nonzero scalar
+    minor lifts to a nonzero polynomial minor); exhaustive search over the
+    next sizes settles the exact value.
     """
     if phi.nrows == 0 or phi.ncols == 0 or phi.is_zero():
         return 0
@@ -283,16 +276,12 @@ def rank_of_map(phi, seed=0):
     s = best
     limit = min(phi.nrows, phi.ncols)
     laplace = Laplace(phi.entries, ring)
-    while s > 0 and not _has_nonzero_minor(phi, s, laplace):
-        s -= 1
     while s < limit and _has_nonzero_minor(phi, s + 1, laplace):
         s += 1
     return s
 
 
 def _has_nonzero_minor(phi, s, laplace):
-    if s == 0:
-        return True
     for rows in combinations(range(phi.nrows), s):
         for cols in combinations(range(phi.ncols), s):
             if not laplace.det(rows, cols).is_zero():
@@ -438,10 +427,14 @@ class AnnihilatorReport:
 def verify_annihilator(P, d_max=8):
     """Check Ann(coker Φ) = I(Φ) degreewise up to d_max.
 
-    One direction: every maximal minor multiplies every target generator
-    into the image (with an explicit preimage witness).  The other: in each
-    degree, the forms multiplying all generators into the image span a
-    subspace of the minor ideal.
+    A form f of degree d multiplies every target generator e_j into the
+    image iff the column (f e_j)_j lies in the span of Φ's pieces in degrees
+    d + a_j, one block per j.  In each degree, every maximal minor of that
+    degree must add nothing to the span ("minors-annihilate").  The monomial
+    columns (μ e_j)_j that raise its rank then number dim (R/Ann)_d; all
+    minors of degree <= d have passed, so I_d ⊆ Ann_d, and the two are equal
+    iff that count is dim (R/I)_d ("annihilator-inside-minors").  Degrees
+    past d_max are visited only for the minors that live there.
     """
     ideal = minors(P, P.t)
     gb = ensure_gb(ideal)  # before classify, which reads but does not store it
@@ -449,51 +442,35 @@ def verify_annihilator(P, d_max=8):
         raise InputError("verify_annihilator requires a standard presentation")
     phi = P.matrix
     ring = phi.ring
-    field = ring.field
+    targets = range(phi.nrows)
+    by_degree = {}
+    for g in ideal.generators:
+        if not g.is_zero():
+            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
 
-    for gen in ideal.generators:
-        for j in range(phi.nrows):
-            v = tuple(
-                gen if i == j else ring.zero() for i in range(phi.nrows)
-            )
-            ok, witness = image_membership(v, phi)
-            if not ok or witness is None:
-                return AnnihilatorReport(
-                    False,
-                    d_max,
-                    gen.homogeneous_degree(),
-                    "minors-annihilate",
-                )
-
-    for d in range(d_max + 1):
-        monos = ring.monomials_of_degree(d)
-        if not monos:
-            continue
-        # f of degree d multiplies every generator e_j into the image iff
-        # f e_j = Φ x_j for some x_j: stack one copy of F_{d+a_j} per j, put
-        # Φ's piece in each block, then the columns (e_j ⊗ mu)_j for the
-        # monomials mu.  Kernel vectors of dependent mu columns give a basis
-        # of those f; the others have no mu part.
-        columns = []
-        rows = []  # per generator j: basis item -> row in its block
+    for d in sorted(set(range(d_max + 1)).union(by_degree)):
+        span = echelon(ring.field)
+        rows = {}  # (j, monomial of degree d) -> its row in block j
         offset = 0
-        for j in range(phi.nrows):
+        for j in targets:
             piece = matrix_piece(phi, d + phi.target.twists[j])
-            columns.extend(
-                {offset + r: c for r, c in col.items()} for col in piece.cols
-            )
-            rows.append({item: offset + i for i, item in enumerate(piece.row_basis)})
+            for col in piece.cols:
+                span.insert({offset + r: c for r, c in col.items()})
+            for i, item in enumerate(piece.row_basis):
+                if item[0] == j:
+                    rows[item] = offset + i
             offset += piece.nrows
-        first = len(columns)
-        columns.extend(
-            {rows[j][(j, mu)]: field.one for j in range(phi.nrows)} for mu in monos
-        )
-        for kern in kernel_basis(columns, field):
-            f = ring.from_terms(
-                (monos[t - first], c) for t, c in kern.items() if t >= first
-            )
-            if not normal_form(f, gb).is_zero():
-                return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
+        for g in by_degree.get(d, ()):
+            column = {rows[(j, m)]: c for j in targets for m, c in g.terms}
+            if span.insert(column) is None:  # a new pivot: g e_j leaves the image
+                return AnnihilatorReport(False, d_max, d, "minors-annihilate")
+        if d > d_max:
+            continue
+        base = span.rank
+        for mu in ring.monomials_of_degree(d):
+            span.insert({rows[(j, mu)]: ring.field.one for j in targets})
+        if span.rank - base != quotient_hilbert_function(gb, d):
+            return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
 
 
@@ -514,29 +491,20 @@ class CanonicalModule:
     degrees: tuple
 
 
-def canonical_module(P, d_max=None, engine="auto"):
+def canonical_module(P, d_max=None):
     report = classify(P)
     if not report.is_standard or P.r != 1:
         raise InputError("canonical_module needs a standard codimension-2 presentation")
     ring = P.ring
     if d_max is None:
-        max_deg = max(
-            (
-                p.homogeneous_degree()
-                for row in P.matrix.entries
-                for p in row
-                if not p.is_zero()
-            ),
-            default=1,
-        )
-        d_max = default_truncation_bound(ring, max_deg)
+        d_max = matrix_truncation_bound(P.matrix)
     en = eagon_northcott(P)
     last = en.differentials[-1]
     omega = last.transpose_dual().shifted(ring.nvars)
 
     def first_nonzero(subject, start):
         for d in range(start, start + 64):
-            if hilbert_function(subject, d, engine) > 0:
+            if hilbert_function(subject, d) > 0:
                 return d
         raise VerificationError("module appears to vanish; no aligning twist")
 
@@ -547,8 +515,8 @@ def canonical_module(P, d_max=None, engine="auto"):
     e = d0_x - d0_w
     degrees = []
     for k in range(d_max + 1):
-        hx = hilbert_function(mx, k, engine)
-        hw = hilbert_function(om, k - e, engine)
+        hx = hilbert_function(mx, k)
+        hw = hilbert_function(om, k - e)
         if hx != hw:
             raise VerificationError(
                 f"canonical-module Hilbert functions disagree in degree {k}: "

@@ -21,9 +21,9 @@ from .grading import (
     Coker,
     GradedFreeModule,
     HomogeneousMatrix,
-    default_truncation_bound,
     hilbert_function,
     matrix_from_strings,
+    matrix_truncation_bound,
 )
 from .groebner import IdealBasis, ensure_gb, height, normal_form
 from .linalg import Laplace, rank_of_columns
@@ -122,19 +122,6 @@ class ClassificationReport:
     t: int
     r: int
     witness: object = None
-
-    def with_witness(self, witness):
-        return ClassificationReport(
-            self.expected_codim,
-            self.actual_height,
-            self.submaximal_height,
-            self.is_standard,
-            self.is_good,
-            self.empty_scheme,
-            self.t,
-            self.r,
-            witness,
-        )
 
 
 _CLASSIFY_CACHE = Memo(MATRIX_BUDGET, lambda P, report: terms(*P.matrix.entries))
@@ -256,16 +243,12 @@ def _invertible(rows, field):
     return rank_of_columns(cols, field) == n
 
 
-def _deletion_target_height(P):
-    return P.r + 2
-
-
 def _verify_deletion(P, deleted):
     """Deleted (t-1)-row matrix leaves maximal minors of height r+2?"""
     if deleted.nrows == 0:
         return True, math.inf
     ht = height(minors(deleted, deleted.nrows))
-    return ht >= _deletion_target_height(P), ht
+    return ht >= P.r + 2, ht
 
 
 def find_generalized_row(P, seed=0, trials=32, bound=10):
@@ -449,7 +432,7 @@ class SectionSequence:
         return all(hs == hq + hx for _, hs, hq, hx in self.hf_rows)
 
 
-def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
+def section_sequence(psi, deleted_row, d_max=None):
     """Delete a (generalized) row of a good presentation and certify the
     degreewise Hilbert-function additivity of the induced section sequence."""
     ideal_s = minors(psi, psi.t)  # before classify, which reads it
@@ -458,11 +441,7 @@ def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
         raise InputError("section_sequence requires a good presentation")
     m = psi.matrix
     if d_max is None:
-        max_deg = max(
-            (p.homogeneous_degree() for row in m.entries for p in row if not p.is_zero()),
-            default=1,
-        )
-        d_max = default_truncation_bound(psi.ring, max_deg)
+        d_max = matrix_truncation_bound(m)
     if isinstance(deleted_row, GeneralizedRowWitness):
         if deleted_row.literal_row is not None:
             idx = deleted_row.literal_row
@@ -487,9 +466,9 @@ def section_sequence(psi, deleted_row, d_max=None, engine="auto"):
     ideal_x = minors(phi, phi.t)
     rows = []
     for d in range(d_max + 1):
-        hs = hilbert_function(Coker(m), d, engine)
-        hq = hilbert_function(ideal_s, d - twist, engine)
-        hx = hilbert_function(Coker(deleted), d, engine)
+        hs = hilbert_function(Coker(m), d)
+        hq = hilbert_function(ideal_s, d - twist)
+        hx = hilbert_function(Coker(deleted), d)
         rows.append((d, hs, hq, hx))
         if hs != hq + hx:
             raise VerificationError(

@@ -10,18 +10,19 @@ Degree-piece ranks drive Hilbert functions and exactness checks.  Two exact
 engines are available and cross-checked by the test suite: incremental
 sparse echelon on the assembled scalar piece (fine while pieces are small)
 and standard-monomial counting against a Groebner basis of the column module
-(fast at any degree).  The "auto" engine switches on piece size.  Over QQ the
-echelon engine ranks the piece fraction-free on integers (`linalg.IntEchelon`),
-over F_p on residues.  Piece ranks are memoized per (matrix, degree, engine)
-in a bounded table (`memo.Memo`), since Hilbert tables, section sequences
-and canonical modules rank the same pieces again.
+(fast at any degree).  `piece_rank` is the one place that picks an engine:
+"auto" switches on piece size, and every caller in the package takes it.
+Over QQ the echelon engine ranks the piece fraction-free on integers
+(`linalg.IntEchelon`), over F_p on residues.  Piece ranks are memoized per
+(matrix, degree, engine) in a bounded table (`memo.Memo`), since Hilbert
+tables, section sequences and canonical modules rank the same pieces again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
+from .groebner import ColumnModuleGB, IdealBasis
 from .linalg import rank_of_columns, solve_columns
 from .memo import MATRIX_BUDGET, Memo, terms
 
@@ -90,6 +91,15 @@ def default_truncation_bound(ring, max_generator_degree):
     """Degreewise checks run to (max generator degree) + n + 3 by default:
     far enough to see Hilbert-polynomial stabilization on desk-scale data."""
     return max_generator_degree + (ring.nvars - 1) + 3
+
+
+def matrix_truncation_bound(phi):
+    """default_truncation_bound for the largest degree of an entry of phi."""
+    max_deg = max(
+        (p.homogeneous_degree() for row in phi.entries for p in row if not p.is_zero()),
+        default=1,
+    )
+    return default_truncation_bound(phi.ring, max_deg)
 
 
 def degree_basis(F, d):
@@ -215,15 +225,6 @@ def zero_matrix(target, source):
     z = target.ring.zero()
     rows = [[z] * source.rank for _ in range(target.rank)]
     return HomogeneousMatrix(target, source, rows)
-
-
-def identity_matrix(F):
-    z = F.ring.zero()
-    one = F.ring.one()
-    rows = [
-        [one if i == j else z for j in range(F.rank)] for i in range(F.rank)
-    ]
-    return HomogeneousMatrix(F, F, rows)
 
 
 def matrix_from_strings(ring, rows, row_twists=None, col_twists=None):
@@ -405,20 +406,20 @@ class Ker:
     matrix: HomogeneousMatrix
 
 
-def hilbert_function(subject, d, engine="auto"):
+def hilbert_function(subject, d):
     """dim_k of the degree-d piece of R/I, coker Φ, or ker Φ.
 
-    Values come from rank-nullity on the degree piece; the rank itself is
-    computed by the selected exact engine.
+    Values come from rank-nullity on the degree piece; piece_rank picks the
+    exact engine that computes the rank.
     """
     if isinstance(subject, IdealBasis):
-        return _hf_quotient(subject, d, engine)
+        return _hf_quotient(subject, d)
     if isinstance(subject, Coker):
         m = subject.matrix
-        return m.target.dim(d) - piece_rank(m, d, engine)
+        return m.target.dim(d) - piece_rank(m, d)
     if isinstance(subject, Ker):
         m = subject.matrix
-        return m.source.dim(d) - piece_rank(m, d, engine)
+        return m.source.dim(d) - piece_rank(m, d)
     raise GradingError(f"unsupported Hilbert subject {subject!r}")
 
 
@@ -436,16 +437,14 @@ def _ideal_as_matrix(I):
     return HomogeneousMatrix(target, source, [gens])
 
 
-def _hf_quotient(I, d, engine):
+def _hf_quotient(I, d):
     ring = I.ring
     if d < 0:
         return 0
     gens = [g for g in I.generators if not g.is_zero()]
     if not gens:
         return ring.dim_of_degree(d)
-    if engine == "gb_oracle":
-        return quotient_hilbert_function(I, d)
-    return hilbert_function(Coker(_ideal_as_matrix(I)), d, engine)
+    return hilbert_function(Coker(_ideal_as_matrix(I)), d)
 
 
 # -- membership and exactness -----------------------------------------------------------
@@ -517,7 +516,7 @@ class ExactnessReport:
         return [e for e in self.entries if not e.exact]
 
 
-def graded_exactness_check(complex_, degrees, engine="auto"):
+def graded_exactness_check(complex_, degrees):
     """Degreewise exactness of a free complex at its interior positions.
 
     For each position i >= 1 and degree d: dim ker((d_i)_d) must equal
@@ -528,7 +527,7 @@ def graded_exactness_check(complex_, degrees, engine="auto"):
     diffs = complex_.differentials
     entries = []
     for d in degrees:
-        ranks = [piece_rank(diff, d, engine) for diff in diffs]
+        ranks = [piece_rank(diff, d) for diff in diffs]
         for i in range(1, len(modules)):
             dim_fi = modules[i].dim(d)
             ker_dim = dim_fi - ranks[i - 1]

@@ -68,12 +68,8 @@ def ideal(ring, *gens):
 
 
 def _poly_sort_key(p):
-    return tuple((p.ring.monomial_key(m), _coeff_key(c)) for m, c in p.terms)
-
-
-def _coeff_key(c):
     # Fraction and int coefficients are mutually comparable
-    return c
+    return tuple((p.ring.monomial_key(m), c) for m, c in p.terms)
 
 
 def spoly(f, g):

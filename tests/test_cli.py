@@ -132,6 +132,14 @@ def test_cli_section_and_hilbert(tmp_path, capsys):
     assert hf["results"]["quotient"][0] == 1
 
 
+def test_cli_annihilator_generic_2x4(capsys):
+    path = str(fixture_path("generic_2x4"))
+    assert run(["annihilator", path, "--max-degree", "5", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["passed"] is True
+    assert report["results"]["max_degree"] == 5
+
+
 def test_cli_examples_against_goldens(capsys):
     code = run(["examples", "--json"])
     report = json.loads(capsys.readouterr().out)

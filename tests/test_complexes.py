@@ -1,20 +1,27 @@
+import random
 from math import comb
 
 import pytest
 
 from detschemes import (
+    GF,
+    QQ,
     GradedFreeModule,
     HomogeneousMatrix,
+    PolyRing,
     betti_table,
     buchsbaum_eisenbud,
     buchsbaum_rim,
     canonical_module,
     classify,
     cm_type,
+    complexes,
     eagon_northcott,
     ensure_gb,
     graded_exactness_check,
     hilbert_function,
+    ideal,
+    image_membership,
     koszul,
     matrix_from_strings,
     minors,
@@ -25,8 +32,13 @@ from detschemes import (
     verify_annihilator,
     verify_complex,
 )
+from detschemes.complexes import AnnihilatorReport
+from detschemes.determinantal import DeterminantalPresentation
 from detschemes.errors import InputError, VerificationError
-from detschemes.grading import Coker, zero_matrix
+from detschemes.grading import Coker, matrix_piece, zero_matrix
+from detschemes.groebner import IdealBasis
+from detschemes.linalg import kernel_basis
+from detschemes.ring import random_homogeneous
 
 
 def _flip_sign_of_column(cpx, position, col):
@@ -237,6 +249,158 @@ def test_verify_annihilator_guard(ring):
     )
     with pytest.raises(InputError):
         verify_annihilator(P, d_max=4)
+
+
+def _reference_annihilator(P, d_max):
+    """verify_annihilator as it was before the rank count: one image
+    membership per (maximal minor, target generator), then the kernel of
+    [Φ-piece blocks | monomial columns] in each degree, each kernel form
+    reduced modulo the minor ideal."""
+    minor_ideal = complexes.minors(P, P.t)
+    gb = ensure_gb(minor_ideal)
+    if not classify(P).is_standard:
+        raise InputError("verify_annihilator requires a standard presentation")
+    phi = P.matrix
+    ring = phi.ring
+    field = ring.field
+    for gen in minor_ideal.generators:
+        for j in range(phi.nrows):
+            v = tuple(gen if i == j else ring.zero() for i in range(phi.nrows))
+            ok, witness = image_membership(v, phi)
+            if not ok or witness is None:
+                return AnnihilatorReport(
+                    False, d_max, gen.homogeneous_degree(), "minors-annihilate"
+                )
+    for d in range(d_max + 1):
+        monos = ring.monomials_of_degree(d)
+        columns = []
+        rows = []
+        offset = 0
+        for j in range(phi.nrows):
+            piece = matrix_piece(phi, d + phi.target.twists[j])
+            columns.extend({offset + r: c for r, c in col.items()} for col in piece.cols)
+            rows.append({item: offset + i for i, item in enumerate(piece.row_basis)})
+            offset += piece.nrows
+        first = len(columns)
+        columns.extend(
+            {rows[j][(j, mu)]: field.one for j in range(phi.nrows)} for mu in monos
+        )
+        for kern in kernel_basis(columns, field):
+            f = ring.from_terms(
+                (monos[t - first], c) for t, c in kern.items() if t >= first
+            )
+            if not normal_form(f, gb).is_zero():
+                return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
+    return AnnihilatorReport(True, d_max)
+
+
+#: (rows, columns, entry degree) of the seeded annihilator presentations
+_ANNIHILATOR_SHAPES = ((1, 3, 1), (2, 3, 1), (2, 4, 1), (1, 2, 2), (2, 3, 2))
+
+
+def _seeded_presentations():
+    """Every shape above over QQ and F_32003, on P^3 and P^4."""
+    out = []
+    rng = random.Random(20261018)
+    for field in (QQ, GF(32003)):
+        for n in (4, 5):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), field)
+            for nrows, ncols, deg in _ANNIHILATOR_SHAPES:
+                rows = [
+                    [random_homogeneous(ring, deg, rng) for _ in range(ncols)]
+                    for _ in range(nrows)
+                ]
+                target = GradedFreeModule(ring, (0,) * nrows)
+                source = GradedFreeModule(ring, (deg,) * ncols)
+                out.append(
+                    DeterminantalPresentation(HomogeneousMatrix(target, source, rows))
+                )
+    return out
+
+
+@pytest.fixture(scope="module")
+def annihilator_cases(
+    double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4
+):
+    fixtures = [double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3]
+    return fixtures + [generic_2x4] + _seeded_presentations()
+
+
+def _on_p3(cases):
+    """The mutation tests run on P^3 only, which keeps them quick."""
+    return [P for P in cases if P.ring.nvars == 4]
+
+
+def _with_minor_ideal(monkeypatch, P, gens):
+    mutated = IdealBasis(P.ring, tuple(gens), False, P.ring.order)
+    monkeypatch.setattr(complexes, "minors", lambda *_: mutated)
+
+
+def test_verify_annihilator_matches_reference(annihilator_cases):
+    for P in annihilator_cases:
+        report = verify_annihilator(P, d_max=4)
+        assert report == _reference_annihilator(P, 4)
+        assert report.passed
+
+
+def test_verify_annihilator_detects_a_dropped_minor(annihilator_cases, monkeypatch):
+    for P in _on_p3(annihilator_cases):
+        gens = minors(P, P.t).generators
+        for k in (0, len(gens) - 1):
+            rest = gens[:k] + gens[k + 1 :]
+            outside = not normal_form(gens[k], ensure_gb(ideal(P.ring, *rest))).is_zero()
+            assert outside  # maximal minors of these presentations are minimal
+            _with_minor_ideal(monkeypatch, P, rest)
+            report = verify_annihilator(P, d_max=4)
+            assert report == _reference_annihilator(P, 4)
+            assert report.failed_direction == "annihilator-inside-minors"
+            assert report.failed_degree == gens[k].homogeneous_degree()
+
+
+def test_verify_annihilator_detects_a_non_annihilating_cube(
+    annihilator_cases, monkeypatch
+):
+    for P in _on_p3(annihilator_cases):
+        gens = minors(P, P.t).generators
+        gb = ensure_gb(minors(P, P.t))
+        for i in range(P.ring.nvars):
+            cube = P.ring.parse(f"x{i}^3")
+            _with_minor_ideal(monkeypatch, P, gens + (cube,))
+            for d_max in (2, 4):  # the cube's degree lies past d_max 2
+                report = verify_annihilator(P, d_max=d_max)
+                assert report == _reference_annihilator(P, d_max)
+                if normal_form(cube, gb).is_zero():
+                    assert report.passed
+                else:
+                    assert (report.failed_degree, report.failed_direction) == (
+                        3,
+                        "minors-annihilate",
+                    )
+
+
+def test_verify_annihilator_checks_every_minor_of_a_degree(double_point, monkeypatch):
+    # x0^2 does not annihilate and comes after the six quadrics of its degree
+    gens = minors(double_point, 2).generators
+    square = double_point.ring.parse("x0^2")
+    _with_minor_ideal(monkeypatch, double_point, gens + (square,))
+    report = verify_annihilator(double_point, d_max=4)
+    assert report == AnnihilatorReport(False, 4, 2, "minors-annihilate")
+    assert report == _reference_annihilator(double_point, 4)
+
+
+def test_verify_annihilator_reports_the_lowest_failing_degree(
+    double_point, monkeypatch
+):
+    # Both directions fail: the minor ideal loses a quadric and gains x0^3.
+    # Degrees are visited in order, so the quadric's degree is reported; the
+    # reference checks every minor first, so it reports the cube.
+    gens = minors(double_point, 2).generators
+    cube = double_point.ring.parse("x0^3")
+    _with_minor_ideal(monkeypatch, double_point, gens[1:] + (cube,))
+    report = verify_annihilator(double_point, d_max=4)
+    assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
+    reference = _reference_annihilator(double_point, 4)
+    assert reference == AnnihilatorReport(False, 4, 3, "minors-annihilate")
 
 
 def test_canonical_module_fixtures(cubic_curve, coordinate_axes, ci_codim2):
