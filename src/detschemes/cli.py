@@ -278,8 +278,7 @@ def _cmd_annihilator(spec, args):
 
 
 def _cmd_flag(spec, args):
-    seed = args.seed if args.seed is not None else spec.seed
-    flag = build_flag(spec.presentation, seed=seed)
+    flag = build_flag(spec.presentation, seed=spec.seed)
     return {
         "codims": list(flag.codims),
         "all_good": flag.all_good,
@@ -294,7 +293,7 @@ def _cmd_flag(spec, args):
             }
             for st in flag.stages
         ],
-        "seed": seed,
+        "seed": spec.seed,
     }, 0 if flag.all_good and flag.containments_ok else 1
 
 

@@ -395,13 +395,15 @@ def betti_table(C, acyclicity=None, seed=0):
 def cm_type(P, seed=0):
     """Cohen-Macaulay type: rank of the last module of the minimal EN resolution.
 
-    Cross-checked against the closed form C(r+t-1, r).
+    That module has one generator per composition of r into t parts, as
+    `eagon_northcott` enumerates them; the count is cross-checked against the
+    closed form C(r+t-1, r).
     """
     report = classify(P)
     if not report.is_standard:
         raise InputError("cm_type requires a standard determinantal presentation")
-    complex_ = eagon_northcott(P)
-    last_rank = complex_.modules[-1].rank
+    _check_characteristic(P.matrix)
+    last_rank = len(_compositions(P.r, P.t))
     expected = comb(P.r + P.t - 1, P.r)
     if last_rank != expected:
         raise VerificationError(

@@ -9,8 +9,10 @@ checked at construction time, so every HomogeneousMatrix in flight is valid.
 Degree-piece ranks drive Hilbert functions and exactness checks.  Two exact
 engines are available and cross-checked by the test suite: incremental
 sparse echelon on the assembled scalar piece (fine while pieces are small)
-and standard-monomial counting against a Groebner basis of the column module
-(fast at any degree).  `piece_rank` is the one place that picks an engine:
+and standard-monomial counting against the reduced Groebner basis of the
+column module's idealization, computed once per matrix by the ideal
+Buchberger (`groebner.ColumnModuleGB`; fast at any degree).  `piece_rank`
+is the one place that picks an engine:
 "auto" switches on piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on integers
 (`linalg.IntEchelon`), over F_p on residues.  Piece ranks are memoized per
@@ -353,9 +355,7 @@ def matrix_piece(phi, d):
     return PieceMatrix(phi.ring.field, rows.items, cols.items, piece_cols)
 
 
-_COLUMN_GB_CACHE = Memo(
-    MATRIX_BUDGET, lambda phi, gb: terms(*phi.entries, *(vec for _, vec in gb.basis))
-)
+_COLUMN_GB_CACHE = Memo(MATRIX_BUDGET, lambda phi, gb: terms(*phi.entries, gb.basis))
 #: A piece rank is reused within one certificate (a Hilbert table, section
 #: sequence and canonical module rank the same pieces), not across inputs,
 #: and its key pins a whole matrix for one int; an entry weighs that

@@ -6,10 +6,11 @@ it: membership, Krull dimension and height via independent variable sets,
 ideal quotient and saturation through a single auxiliary elimination
 variable, and minimal generator counts by degreewise linear algebra.
 
-A light extension to submodules of twisted free modules (column modules of
-homogeneous matrices) provides exact Hilbert functions of cokernels through
-standard-monomial counting; the grading layer uses it as the fast engine for
-large degree pieces and as an independent cross-check oracle.
+Column modules of homogeneous matrices run on the same Buchberger: Nagata's
+idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
+the standard monomials of its reduced basis in e-degree 1 count the cokernel
+degree by degree.  The grading layer uses those counts as the rank engine
+for large degree pieces, and the test suite pins them against the echelon.
 """
 
 from __future__ import annotations
@@ -51,9 +52,6 @@ class IdealBasis:
 
     def __len__(self):
         return len(self.generators)
-
-    def is_zero_ideal(self):
-        return all(g.is_zero() for g in self.generators)
 
     def contains_unit(self):
         return any(
@@ -352,19 +350,24 @@ def krull_dim(I):
 # -- quotient / saturation through elimination -----------------------------------
 
 
-def _aux_ring(ring):
-    name = "_w"
-    while name in ring.variables:
-        name += "_"
+def _aux_ring(ring, extra=1, order="elim_last"):
+    """ring with `extra` fresh variables appended, and the first one's index."""
+    stem = "_w"
+    while any(v.startswith(stem) for v in ring.variables):
+        stem += "_"
+    names = tuple(f"{stem}{i}" for i in range(extra))
     return (
-        PolyRing(ring.variables + (name,), ring.field, "elim_last", _allow_small=True),
+        PolyRing(ring.variables + names, ring.field, order, _allow_small=True),
         len(ring.variables),
     )
 
 
-def _lift(p, aux):
+def _lift(p, aux, tail=None):
+    """p in aux, times the monomial whose exponents in the appended variables
+    are `tail` (by default all zero)."""
+    tail = tail or (0,) * (aux.nvars - p.ring.nvars)
     return aux.from_terms(
-        (Monomial(m.exponents + (0,)), c) for m, c in p.terms
+        (Monomial(m.exponents + tail), c) for m, c in p.terms
     )
 
 
@@ -379,11 +382,10 @@ def intersect(I, J):
     ring = I.ring
     if ring != J.ring:
         raise GroebnerError("ideals live in different rings")
-    aux, w_index = _aux_ring(ring)
-    w = aux.variable(w_index)
-    one_minus_w = aux.one() - w
-    gens = [w * _lift(f, aux) for f in I.generators if not f.is_zero()]
-    gens += [one_minus_w * _lift(g, aux) for g in J.generators if not g.is_zero()]
+    aux, _ = _aux_ring(ring)
+    # w f for f in I and (1 - w) g for g in J
+    gens = [_lift(f, aux, (1,)) for f in I.generators if not f.is_zero()]
+    gens += [_lift(g, aux) - _lift(g, aux, (1,)) for g in J.generators if not g.is_zero()]
     if not gens:
         return IdealBasis(ring, (), True, ring.order)
     gb = buchberger(gens, aux)
@@ -485,137 +487,49 @@ def quotient_hilbert_function(I, d):
 class ColumnModuleGB:
     """Groebner basis of the submodule spanned by homogeneous column vectors.
 
-    Vectors live in a twisted free module (twists = generator degrees); the
-    order is degree, then the ring order on the monomial, then component.
-    Only top-reduction is performed: leading terms are what standard-monomial
-    counting needs.
+    Vectors live in a twisted free module R^g (twists = generator degrees).
+    The columns enter Nagata's idealization: in R[e_1..e_g] the ideal
+    J = (sum_i v_i e_i : columns v) + (e_i e_k : i <= k) meets e-degree 1 in
+    the column span, so R[e]/J in e-degree 1 is the cokernel.  Every
+    generator is bihomogeneous in (e-degree, degree with deg e_i = twist_i),
+    so the reduced basis from `buchberger` is too, under any monomial order,
+    and its leading monomials x^m e_i give exact standard-monomial counts.
     """
 
     def __init__(self, ring, twists, columns):
         self.ring = ring
         self.twists = tuple(twists)
-        self.rank = len(self.twists)
-        self.basis = []
-        self._min_leads = None
-        self._count_cache = {}
-        self._build([tuple(col) for col in columns])
-
-    # vector helpers: a vector is a tuple of Polynomials, one per component
-
-    def _lead(self, vec):
-        best = None
-        for i, part in enumerate(vec):
-            if part.is_zero():
-                continue
-            m, c = part.leading_term()
-            key = (
-                m.total_degree + self.twists[i],
-                self.ring.monomial_key(m),
-                -i,
-            )
-            if best is None or key > best[0]:
-                best = (key, i, m, c)
-        return best
-
-    def _sub_multiple(self, vec, other, comp_shift_m, coeff):
-        return tuple(
-            p - q.mul_term(comp_shift_m, coeff) for p, q in zip(vec, other)
-        )
-
-    def _top_reduce(self, vec):
-        field = self.ring.field
-        while True:
-            lead = self._lead(vec)
-            if lead is None:
-                return None
-            _, i, m, c = lead
-            hit = None
-            for entry in self.basis:
-                (_, bi, bm, bc), bvec = entry
-                if bi == i and bm.divides(m):
-                    hit = (bm, bc, bvec)
-                    break
-            if hit is None:
-                return lead, vec
-            bm, bc, bvec = hit
-            vec = self._sub_multiple(vec, bvec, m.div(bm), field.div(c, bc))
-
-    def _build(self, columns):
-        todo = []
+        g = len(self.twists)
+        aux, first = _aux_ring(ring, g, "grevlex")
+        unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
+        e = [aux.variable(first + i) for i in range(g)]
+        gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]
         for col in columns:
-            if len(col) != self.rank:
+            if len(col) != g:
                 raise GroebnerError("column length does not match module rank")
-            if any(not p.is_zero() for p in col):
-                todo.append(col)
-        for col in todo:
-            reduced = self._top_reduce(col)
-            if reduced is not None:
-                self.basis.append(reduced)
-        pairs = []
-        for a, b in combinations(range(len(self.basis)), 2):
-            self._maybe_pair(pairs, a, b)
-        field = self.ring.field
-        while pairs:
-            _, a, b = heapq.heappop(pairs)
-            (_, _ia, ma, ca), va = self.basis[a]
-            (_, _ib, mb, cb), vb = self.basis[b]
-            lcm = ma.lcm(mb)
-            s = self._sub_multiple(
-                tuple(p.mul_term(lcm.div(ma), field.inv(ca)) for p in va),
-                vb,
-                lcm.div(mb),
-                field.inv(cb),
+            gens.append(
+                sum((_lift(p, aux, unit[i]) for i, p in enumerate(col)), aux.zero())
             )
-            reduced = self._top_reduce(s)
-            if reduced is not None:
-                self.basis.append(reduced)
-                new = len(self.basis) - 1
-                for old in range(new):
-                    self._maybe_pair(pairs, old, new)
-        self._finalize()
-
-    def _maybe_pair(self, pairs, a, b):
-        (_, ia, ma, _), _ = self.basis[a]
-        (_, ib, mb, _), _ = self.basis[b]
-        if ia != ib:
-            return
-        lcm = ma.lcm(mb)
-        key = (lcm.total_degree + self.twists[ia], self.ring.monomial_key(lcm))
-        heapq.heappush(pairs, (key, a, b))
-
-    def _finalize(self):
-        by_comp = {}
-        for (_, i, m, _), _vec in self.basis:
-            by_comp.setdefault(i, []).append(m)
-        minimal = {}
-        for i, ms in by_comp.items():
-            keep = []
-            for m in sorted(ms, key=lambda x: x.total_degree):
-                if not any(k.divides(m) for k in keep):
-                    keep.append(m)
-            minimal[i] = keep
-        self._min_leads = minimal
-
-    # -- counting -------------------------------------------------------------
+        # buchberger, not ensure_gb: callers memoize the whole object, so the
+        # aux ideal would only crowd the basis table
+        self.basis = buchberger(gens, aux)
+        # a reduced basis is minimal: no lead x^m e_i divides another one
+        self._leads = [[] for _ in range(g)]
+        for b in self.basis:
+            exps = b.leading_monomial().exponents
+            if sum(exps[first:]) == 1:
+                self._leads[exps.index(1, first) - first].append(Monomial(exps[:first]))
 
     def coker_dim(self, d):
         """dim_k of degree-d piece of (free module)/(column span)."""
-        hit = self._count_cache.get(d)
-        if hit is not None:
-            return hit
         total = 0
-        for i, tw in enumerate(self.twists):
-            deg = d - tw
-            if deg < 0:
-                continue
-            leads = self._min_leads.get(i, ())
+        for tw, leads in zip(self.twists, self._leads):
             if not leads:
-                total += self.ring.dim_of_degree(deg)
+                total += self.ring.dim_of_degree(d - tw)
                 continue
-            for m in self.ring.monomials_of_degree(deg):
+            for m in self.ring.monomials_of_degree(d - tw):
                 if not any(lm.divides(m) for lm in leads):
                     total += 1
-        self._count_cache[d] = total
         return total
 
     def image_dim(self, d):

@@ -22,8 +22,8 @@ from collections import OrderedDict
 #: verdicts 24k (classify-stream and row-surgery).  Piece ranks and
 #: column-module bases, also keyed by matrices, share the verdicts' budget:
 #: piece ranks are reused only within one certificate, and row-surgery hits
-#: them as often under it as with no bound; column-module bases stay under
-#: 1,100 terms.
+#: them as often under it as with no bound; column-module bases (a matrix
+#: with the reduced basis of its idealization) stay under 1,300 terms.
 MINORS_BUDGET = 150_000
 GB_BUDGET = 180_000
 MATRIX_BUDGET = 24_000

@@ -487,12 +487,6 @@ class Polynomial:
     def leading_coeff(self):
         return self.leading_term()[1]
 
-    def coeff_of(self, m):
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return self.ring.field.zero
-
     def monic(self):
         if self.is_zero():
             return self
@@ -515,9 +509,6 @@ class Polynomial:
             if m.key >> top != d:
                 return NOT_HOMOGENEOUS
         return d
-
-    def is_homogeneous(self):
-        return not isinstance(self.homogeneous_degree(), _Sentinel) or self.is_zero()
 
     def total_degree(self):
         if not self.terms:
@@ -640,12 +631,6 @@ class Polynomial:
             q_terms.append((qm, qc))
             rem = rem - g.mul_term(qm, qc)
         return self.ring.from_terms(q_terms)
-
-    def change_order(self, ring):
-        """Reinterpret in a ring with the same variables/field, other order."""
-        if ring.variables != self.ring.variables or ring.field != self.ring.field:
-            raise RingError("incompatible ring for order change")
-        return ring.from_terms(self.terms)
 
 
 # -- functional wrappers matching the operation-style API ----------------------

@@ -10,6 +10,7 @@ from detschemes import (
     HomogeneousMatrix,
     Ker,
     degree_basis,
+    eagon_northcott,
     graded_exactness_check,
     hilbert_function,
     ideal,
@@ -65,11 +66,20 @@ def test_matrix_piece_row_of_variables(ring):
     assert piece.rank() == 2
 
 
-def test_matrix_piece_rank_engines_agree(ring, double_point, generic_2x4):
-    for pres in (double_point, generic_2x4):
-        phi = pres.matrix
-        for d in range(5):
-            assert piece_rank(phi, d, "echelon") == piece_rank(phi, d, "groebner")
+def test_matrix_piece_rank_engines_agree(
+    double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4
+):
+    # Φ, every Eagon-Northcott differential (targets of rank up to 8 on
+    # generic_2x4) and, in codimension 2, the presentation of ω
+    for pres in (double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4):
+        en = eagon_northcott(pres)
+        maps = [pres.matrix, *en.differentials]
+        if pres.r == 1:
+            maps.append(en.differentials[-1].transpose_dual().shifted(pres.ring.nvars))
+        for phi in maps:
+            low = min(phi.target.twists)
+            for d in range(low, low + 5):
+                assert piece_rank(phi, d, "echelon") == piece_rank(phi, d, "groebner")
 
 
 def _rational_form(ring, degree, rng):

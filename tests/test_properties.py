@@ -90,20 +90,47 @@ def test_en_br_with_quadric_entries(ring):
         assert graded_exactness_check(en, range(9)).all_exact
 
 
+def _random_matrix(ring, rng, row_twists, col_twists, zero_cols=()):
+    rows = [
+        [
+            ring.zero() if j in zero_cols
+            else random_homogeneous(ring, b - a, rng, allow_zero=True)
+            for j, b in enumerate(col_twists)
+        ]
+        for a in row_twists
+    ]
+    return HomogeneousMatrix(
+        GradedFreeModule(ring, row_twists), GradedFreeModule(ring, col_twists), rows
+    )
+
+
 def test_rank_engines_agree_on_random_matrices(ring):
     rng = random.Random(104)
+    phis = []
     for _ in range(6):
         nrows = rng.randint(1, 3)
         ncols = rng.randint(nrows, 4)
         degree = rng.randint(1, 2)
-        rows = [
-            [random_homogeneous(ring, degree, rng, allow_zero=True) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        target = GradedFreeModule(ring, (0,) * nrows)
-        source = GradedFreeModule(ring, (degree,) * ncols)
-        phi = HomogeneousMatrix(target, source, rows)
-        for d in range(6):
+        phis.append(_random_matrix(ring, rng, (0,) * nrows, (degree,) * ncols))
+    # mixed target twists, where the idealization ideal of the column
+    # module is not homogeneous in the standard grading; both prime fields;
+    # three rows; a zero column; and the zero matrix, whose idealization
+    # holds only the products e_i e_k
+    f5 = PolyRing(ring.variables, GF(5))
+    f32003 = PolyRing(ring.variables, GF(32003))
+    phis += [
+        _random_matrix(ring, rng, (0, -1), (1, 1, 2)),
+        _random_matrix(ring, rng, (1, 0, 0), (2, 2, 2)),
+        _random_matrix(f5, rng, (0, 1), (1, 2, 2)),
+        _random_matrix(f5, rng, (0, 0, 0), (1, 1, 1, 1)),
+        _random_matrix(f32003, rng, (-1, 0, 0), (1, 1, 1)),
+        _random_matrix(f32003, rng, (0, 0), (1, 2, 1), zero_cols=(1,)),
+        _random_matrix(ring, rng, (0, 0, 0), (1, 1, 1, 1), zero_cols=(2,)),
+        _random_matrix(ring, rng, (0, 1), (1, 2, 2), zero_cols=(0, 1, 2)),
+    ]
+    for phi in phis:
+        low = min(phi.target.twists)
+        for d in range(low, low + 6):
             assert piece_rank(phi, d, "echelon") == piece_rank(phi, d, "groebner")
 
 
