@@ -25,10 +25,11 @@ from .grading import (
     matrix_from_strings,
     matrix_truncation_bound,
 )
-from .groebner import IdealBasis, ensure_gb, height, normal_form
+from .field import GF
+from .groebner import _GB_CACHE, IdealBasis, ensure_gb, height, normal_form
 from .linalg import Laplace, rank_of_columns
 from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
-from .ring import random_homogeneous
+from .ring import PolyRing, random_homogeneous
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,63 @@ def minors(mat_or_pres, s, memo=True):
     return _MINORS_CACHE.put((m, s), result) if memo else result
 
 
+#: the field of the mod-p lower bound on heights over QQ
+_HEIGHT_FIELD = GF(32003)
+
+
 def _minors_height(P, s):
-    """Height of I_s(Φ), leaving no minors or basis in the memo tables."""
-    return height(ensure_gb(minors(P, s, memo=False), memo=False))
+    """Height of I_s(Φ), leaving no minors or basis in the memo tables.
+
+    Cheapest route first: a basis already in the memo tables; over QQ, the
+    mod-p certificate of `_certified_height`; else the full Groebner basis.
+    """
+    m = _unwrap(P)
+    stored = _MINORS_CACHE.get((m, s))
+    gb = None if stored is None else _GB_CACHE.get(stored)
+    if gb is None:
+        ht = _certified_height(m, s)
+        if ht is not None:
+            return ht
+        gb = ensure_gb(minors(m, s, memo=False), memo=False)
+    return height(gb)
+
+
+def _certified_height(m, s):
+    """ht I_s(m) over QQ when a lower bound mod p meets the upper bound.
+
+    When every s-minor has positive degree, I_s is proper and its height is
+    at most (t-s+1)(ncols-s+1) (Eagon-Northcott) and at most nvars.  Rows
+    scaled to integers have s-minors that are nonzero integer multiples of
+    the minors over QQ, and their images J_p mod p span each degree piece
+    with rank at most the rank over QQ.  So HF(R_p/J_p) >= HF(R/I_s) in
+    every degree and ht J_p <= ht I_s, for every prime.  Returns None when
+    the two bounds differ or the field is not QQ.
+    """
+    ring = m.ring
+    if ring.field.characteristic:
+        return None
+    rows, cols = sorted(m.target.twists), sorted(m.source.twists)
+    if sum(cols[:s]) <= sum(rows[-s:]):
+        return None  # a minor of degree 0 may be a unit
+    upper = min((m.nrows - s + 1) * (m.ncols - s + 1), ring.nvars)
+    # heights do not depend on the monomial order, so take the cheap grevlex
+    ring_p = PolyRing(ring.variables, _HEIGHT_FIELD, _allow_small=True)
+    grid = []
+    for row in m.entries:
+        den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
+        grid.append([
+            ring_p.from_keys(
+                {mm.key: c.numerator * (den // c.denominator) for mm, c in f.terms}
+            )
+            for f in row
+        ])
+    m_p = HomogeneousMatrix(
+        GradedFreeModule(ring_p, m.target.twists),
+        GradedFreeModule(ring_p, m.source.twists),
+        grid,
+    )
+    lower = height(ensure_gb(minors(m_p, s, memo=False), memo=False))
+    return upper if lower == upper else None
 
 
 def submaximal_height(P):
@@ -128,9 +183,10 @@ _CLASSIFY_CACHE = Memo(MATRIX_BUDGET, lambda P, report: terms(*P.matrix.entries)
 
 
 def classify(P):
-    """Deterministic standard/good verdict from two Groebner heights.
+    """Deterministic standard/good verdict from two exact heights.
 
-    Only the verdict is memoized.  The minors and bases it needs are read
+    Each height is certified or computed by `_minors_height`.  Only the
+    verdict is memoized.  The minors and bases it needs are read
     from their tables when present but not added to them, so verdicts on
     throwaway candidates (augmentation retries, flag stages) pin no ideals.
     """
@@ -435,7 +491,7 @@ class SectionSequence:
 def section_sequence(psi, deleted_row, d_max=None):
     """Delete a (generalized) row of a good presentation and certify the
     degreewise Hilbert-function additivity of the induced section sequence."""
-    ideal_s = minors(psi, psi.t)  # before classify, which reads it
+    ideal_s = minors(psi, psi.t, memo=False)
     rep_s = classify(psi)
     if not rep_s.is_good:
         raise InputError("section_sequence requires a good presentation")

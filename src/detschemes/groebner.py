@@ -15,6 +15,7 @@ for large degree pieces, and the test suite pins them against the echelon.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -46,6 +47,17 @@ class IdealBasis:
     generators: tuple
     is_reduced_gb: bool = False
     order: str = "grevlex"
+    # computed on first use: ideals key the Groebner table
+    _hash: int = dataclasses.field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(
+                self,
+                "_hash",
+                hash((self.ring, self.generators, self.is_reduced_gb, self.order)),
+            )
+        return self._hash
 
     def __iter__(self):
         return iter(self.generators)

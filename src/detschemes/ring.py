@@ -401,33 +401,34 @@ class _PolyParser:
         return tok
 
     def parse(self):
-        result = self.parse_term(allow_sign=True)
+        """Every term is one coefficient times one monomial, so the terms
+        add up in one {packed key: coefficient} dict."""
+        acc = {}
+        self.parse_term(acc, allow_sign=True)
         while self.peek() in ("+", "-"):
-            op = self.next()
-            term = self.parse_term(allow_sign=False)
-            result = result + (term if op == "+" else -term)
+            self.parse_term(acc, negate=self.next() == "-")
         if self.peek() is not None:
             raise ParseError(f"unexpected token {self.peek()!r}")
-        return result
+        return self.ring.from_keys(acc)
 
-    def parse_term(self, allow_sign):
-        sign = 1
+    def parse_term(self, acc, allow_sign=False, negate=False):
+        field, n = self.ring.field, self.ring.nvars
         if allow_sign and self.peek() in ("+", "-"):
-            if self.next() == "-":
-                sign = -1
-        factors = [self.parse_factor()]
+            negate = self.next() == "-"
+        key, coeff = self.parse_factor()
         while self.peek() == "*":
             self.next()
-            factors.append(self.parse_factor())
-        result = factors[0]
-        for f in factors[1:]:
-            result = result * f
-        if sign < 0:
-            result = -result
-        return result
+            k, c = self.parse_factor()
+            key = _check_degree(key + k, n)
+            coeff = field.mul(coeff, c)
+        if negate:
+            coeff = field.neg(coeff)
+        acc[key] = acc[key] + coeff if key in acc else coeff
 
     def parse_factor(self):
+        """(packed key, coefficient) of one constant or variable power."""
         tok = self.next()
+        field = self.ring.field
         if tok is None:
             raise ParseError("unexpected end of input")
         if tok.isdigit() or (tok.startswith("-") and tok[1:].isdigit()):
@@ -438,11 +439,10 @@ class _PolyParser:
                 if den_tok is None or not den_tok.isdigit():
                     raise ParseError("malformed rational coefficient")
                 try:
-                    c = self.ring.field.from_fraction(num, int(den_tok))
+                    return 0, field.from_fraction(num, int(den_tok))
                 except FieldError as e:
                     raise ParseError(str(e))
-                return self.ring.constant(c)
-            return self.ring.constant(self.ring.field.from_int(num))
+            return 0, field.from_int(num)
         if tok in self.ring._var_index:
             i = self.ring._var_index[tok]
             exp = 1
@@ -454,9 +454,7 @@ class _PolyParser:
                 exp = int(e_tok)
             exps = [0] * self.ring.nvars
             exps[i] = exp
-            return Polynomial(
-                self.ring, ((Monomial(tuple(exps)), self.ring.field.one),)
-            )
+            return Monomial(tuple(exps)).key, field.one
         if tok.isidentifier():
             raise ParseError(f"unknown variable {tok!r}")
         raise ParseError(f"malformed token {tok!r}")
@@ -465,11 +463,12 @@ class _PolyParser:
 class Polynomial:
     """Immutable sparse polynomial; terms sorted decreasing in ring order."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+        self._hash = None  # computed on first use: polynomials key memo tables
 
     # -- basics -----------------------------------------------------------
 
@@ -591,7 +590,9 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        if self._hash is None:
+            self._hash = hash((self.ring, self.terms))
+        return self._hash
 
     def __repr__(self):
         return self.ring.format_poly(self)

@@ -269,3 +269,25 @@ def test_parse_problem_text_fuzz_raises_only_input_error():
             parse_problem_text(text, "fuzz")
         except InputError:
             pass
+
+
+def test_a_200_term_entry_parses_and_malformed_ones_exit_2(tmp_path, ring, capsys):
+    import random
+
+    rng = random.Random(5)
+    monos = ring.monomials_of_degree(9)
+    terms = []
+    for _ in range(200):
+        mono = monos[rng.randrange(len(monos))]
+        body = "*".join(f"x{i}^{e}" for i, e in enumerate(mono.exponents) if e)
+        terms.append(f"{rng.randint(1, 9)}/{rng.randint(1, 5)}*{body}")
+    entry = " + ".join(terms)
+    want = sum((ring.parse(t) for t in terms), ring.zero())
+    text = GOOD_TEXT.replace("  x1 | x2 | x3 | 0\n  0  | x1 | x2 | x3",
+                             f"  {entry} | x0^9\n  x1^9 | x2^9")
+    spec = parse_problem_text(text)
+    assert spec.presentation.matrix.entry(0, 0) == want
+    for bad in (entry + " +", entry + " x0", entry.replace("x0^", "x0^^", 1)):
+        path = _write(tmp_path, text.replace(entry, bad), "bad.problem")
+        assert run(["classify", path, "--json"]) == 2
+        capsys.readouterr()

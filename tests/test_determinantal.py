@@ -1,9 +1,13 @@
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from detschemes import (
+    QQ,
     Coker,
+    DeterminantalPresentation,
     augment_general_row,
     build_flag,
     classify,
@@ -20,9 +24,18 @@ from detschemes import (
     quotient_hilbert_function,
     section_sequence,
 )
-from detschemes.determinantal import _MINORS_CACHE, _verify_deletion, extends_by_one_row
+from detschemes import groebner
+from detschemes.determinantal import (
+    _MINORS_CACHE,
+    _certified_height,
+    _minors_height,
+    _verify_deletion,
+    extends_by_one_row,
+)
 from detschemes.grading import GradedFreeModule, HomogeneousMatrix
 from detschemes.groebner import _GB_CACHE, ensure_gb, height
+from detschemes.linalg import rank_of_columns
+from detschemes.ring import PolyRing
 from detschemes.errors import InputError, VerificationError
 from math import comb
 
@@ -230,6 +243,8 @@ def test_section_sequence_double_point_augmented(double_point):
     assert seq.additivity_ok
     # deleting the added row recovers the original matrix
     assert seq.deleted_matrix.entries == double_point.matrix.entries
+    # the seeded psi will not recur, so its minors are not memoized
+    assert (psi.matrix, psi.t) not in _MINORS_CACHE
 
 
 def test_section_sequence_rejects_bad_deletion(coordinate_axes):
@@ -308,3 +323,145 @@ def test_minors_and_classify_past_the_degree_limit_raise(ring):
         minors(P, 2, memo=False)
     with pytest.raises(RingError):
         classify(P)
+
+
+# -- certified heights --------------------------------------------------------------------
+
+
+def _full_height(P, s):
+    return height(ensure_gb(minors(P, s, memo=False), memo=False))
+
+
+def _assert_certified_heights_exact(P):
+    """Every certified height is the Groebner height; returns how many were."""
+    m = P.matrix
+    certified = 0
+    for s in {P.t, P.t - 1} - {0}:
+        want = _full_height(P, s)
+        got = _certified_height(m, s)
+        assert got in (None, want), (m, s, got, want)
+        certified += got is not None
+        assert _minors_height(P, s) == want
+    return certified
+
+
+def _substitute(P, a):
+    """P with x_i replaced by sum_j a[i][j] x_j in every entry."""
+    ring = P.ring
+    xs = ring.gens()
+    images = [sum((xs[j].scale(ring.field.from_int(c)) for j, c in enumerate(row) if c),
+                  ring.zero()) for row in a]
+    rows = []
+    for row in P.matrix.entries:
+        out = []
+        for f in row:
+            acc = ring.zero()
+            for mono, c in f.terms:
+                term = ring.constant(c)
+                for i, e in enumerate(mono.exponents):
+                    term = term * images[i] ** e
+                acc = acc + term
+            out.append(acc)
+        rows.append(out)
+    return DeterminantalPresentation(HomogeneousMatrix(P.matrix.target, P.matrix.source, rows))
+
+
+def _coordinate_change(rng, n=4):
+    """Seeded invertible integer n x n matrix with entries in [-2, 2]."""
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        cols = [{i: QQ.from_int(a[i][j]) for i in range(n) if a[i][j]} for j in range(n)]
+        if rank_of_columns(cols, QQ) == n:
+            return a
+
+
+def _generic_block(rng, nvars, row_twists, col_twists, denominators=False):
+    """Seeded dense QQ forms, with coefficients c/d when `denominators`."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(nvars)))
+    rows = []
+    for a in row_twists:
+        row = []
+        for b in col_twists:
+            row.append(ring.from_terms(
+                (mono, Fraction(rng.randint(-10, 10), rng.randint(1, 9) if denominators else 1))
+                for mono in ring.monomials_of_degree(b - a)
+            ))
+        rows.append(row)
+    return DeterminantalPresentation(HomogeneousMatrix(
+        GradedFreeModule(ring, row_twists), GradedFreeModule(ring, col_twists), rows
+    ))
+
+
+_GENERIC_SHAPES = (
+    (4, (0,), (1, 1)), (4, (0,), (1, 2, 2)), (5, (0,), (1, 1, 1)),
+    (4, (0, 0), (1, 1, 1)), (4, (0, 0), (1, 1, 2)), (5, (0, 0), (1, 1, 1, 1)),
+    (4, (0, 1), (2, 2, 2)), (4, (0, 0, 0), (1, 1, 1, 1)),
+)
+
+
+def test_certified_height_equals_the_groebner_height_on_fixtures(
+    double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4
+):
+    rng = random.Random(20261017)
+    fixtures = (double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4)
+    certified = 0
+    for P in fixtures:
+        certified += _assert_certified_heights_exact(P)
+        for _ in range(2):
+            certified += _assert_certified_heights_exact(_substitute(P, _coordinate_change(rng)))
+    assert certified > 0
+
+
+@pytest.mark.parametrize("denominators", (False, True))
+def test_certified_height_equals_the_groebner_height_on_generic_blocks(denominators):
+    rng = random.Random(7 + denominators)
+    for nvars, rows, cols in _GENERIC_SHAPES:
+        P = _generic_block(rng, nvars, rows, cols, denominators)
+        # generic heights meet the Eagon-Northcott bound: all are certified
+        assert _assert_certified_heights_exact(P) == len({P.t, P.t - 1} - {0})
+
+
+def test_certified_height_falls_back_when_every_entry_vanishes_mod_p(ring, cubic_curve):
+    rows = [[f.scale(Fraction(32003)) for f in row] for row in cubic_curve.matrix.entries]
+    P = DeterminantalPresentation(
+        HomogeneousMatrix(cubic_curve.matrix.target, cubic_curve.matrix.source, rows)
+    )
+    for s in (1, 2):
+        assert _certified_height(P.matrix, s) is None  # J_p = 0 gives 0 < upper
+        assert _minors_height(P, s) == _full_height(cubic_curve, s)
+    assert classify(P).is_good
+
+
+def test_a_constant_minor_is_never_certified(ring):
+    # the constant 32003 makes I_1 the unit ideal, while mod p the entries
+    # leave (x0, x1, x2, x3), whose height 4 meets the bound min(2*3, nvars)
+    P = presentation_from_strings(ring, [["32003", "x0", "x1"], ["0", "x3", "x2"]])
+    assert _certified_height(P.matrix, 1) is None
+    assert _minors_height(P, 1) == math.inf
+    assert _minors_height(P, 2) == _full_height(P, 2) == 2
+    rep = classify(P)
+    assert rep.submaximal_height == math.inf and rep.is_good
+
+
+def test_special_fixtures_fall_back_for_their_submaximal_height(double_point, coordinate_axes):
+    for P in (double_point, coordinate_axes):
+        assert _certified_height(P.matrix, 1) is None
+        assert _certified_height(P.matrix, 2) == _full_height(P, 2)
+        assert _minors_height(P, 1) == _full_height(P, 1) == 3
+
+
+def test_augmentation_and_flags_run_no_buchberger_over_qq(monkeypatch):
+    calls = []
+    original = groebner.buchberger
+
+    def counted(gens, ring=None):
+        out = original(gens, ring)
+        calls.append(out.ring.field.characteristic)
+        return out
+
+    monkeypatch.setattr(groebner, "buchberger", counted)
+    P = _generic_block(random.Random(3), 4, (0, 0), (1, 1, 1))
+    psi = augment_general_row(P, seed=4)
+    flag = build_flag(P, seed=5)
+    assert classify(psi).is_good and flag.all_good and flag.containments_ok
+    assert calls and 0 not in calls  # only Buchberger runs mod p

@@ -20,7 +20,7 @@ from detschemes import (
     quotient_hilbert_function,
     saturate,
 )
-from detschemes.groebner import GroebnerError, spoly, reduce_full
+from detschemes.groebner import GroebnerError, IdealBasis, spoly, reduce_full
 from detschemes.linalg import Echelon
 from detschemes.ring import random_homogeneous
 
@@ -248,3 +248,28 @@ def test_quotient_hilbert_function_known(ring_p2, ring):
         ring, "x1^2", "x1*x2", "x1*x3", "x2^2", "x2*x3", "x3^2"
     )
     assert [quotient_hilbert_function(J, d) for d in range(6)] == [1, 4, 4, 4, 4, 4]
+
+
+def test_equal_ideals_hash_equal_and_share_memo_entries(ring):
+    from detschemes.groebner import _GB_CACHE
+
+    gens = ("x0^2 - 3/2*x1*x2", "x1*x3 + x2^2", "x0*x3")
+    a = ideal(ring, *gens)
+    b = ideal(ring, *(ring.parse(str(g)) for g in a.generators))
+    assert a == b and a.generators[0] is not b.generators[0]
+    assert hash(a) == hash(b)
+    assert all(hash(f) == hash(g) for f, g in zip(a.generators, b.generators))
+    assert "_hash" not in repr(a)
+    gb = ensure_gb(a)
+    assert b in _GB_CACHE and ensure_gb(b) is gb
+    # the cached hash takes no part in equality, which still sees every field
+    assert IdealBasis(ring, a.generators, True, ring.order) != a
+
+
+def test_equal_matrices_share_their_minors_entry(ring):
+    from detschemes import presentation_from_strings
+
+    rows = [["x0", "x1 + x3", "x2"], ["x1", "x2", "x3 - 2*x0"]]
+    P, Q = (presentation_from_strings(ring, rows) for _ in range(2))
+    assert P.matrix is not Q.matrix and hash(P.matrix) == hash(Q.matrix)
+    assert minors(Q, 2) is minors(P, 2)

@@ -321,3 +321,27 @@ def test_degree_growth_in_terms_and_reductions_is_rejected(ring):
     assert reduce_full(lex.parse("x0*x2"), [lex.parse("x0 + x1^3")]) == lex.parse(
         "-x1^3*x2"
     )
+
+
+def test_parse_many_terms_matches_the_term_by_term_sum(ring):
+    from fractions import Fraction
+
+    rng = random.Random(11)
+    monos = ring.monomials_of_degree(9)  # 220 monomials in 4 variables
+    chunks, want = [], ring.zero()
+    for k in range(200):
+        mono = monos[rng.randrange(len(monos))]  # repeats add up
+        c = Fraction(rng.randint(1, 30), rng.randint(1, 4))
+        neg = rng.random() < 0.5
+        body = "*".join(
+            f"x{i}^{e}" for i, e in enumerate(mono.exponents) if e
+        )
+        chunks.append(("- " if neg else ("+ " if k else "")) + f"{c}*{body}")
+        term = ring.from_terms([(mono, -c if neg else c)])
+        want = want + term
+    p = ring.parse(" ".join(chunks))
+    assert p == want and len(p.terms) > 100
+    assert p.homogeneous_degree() == 9
+    assert ring.parse("x0*x1 - x1*x0 + 2*x0*3*x1 - 6*x1*x0").is_zero()
+    gf = PolyRing(ring.variables, GF(7))
+    assert gf.parse("3*x0 + 4*x0 + 5*x1*2") == gf.parse("3*x1")
