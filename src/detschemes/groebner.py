@@ -6,6 +6,17 @@ it: membership, Krull dimension and height via independent variable sets,
 ideal quotient and saturation through a single auxiliary elimination
 variable, and minimal generator counts by degreewise linear algebra.
 
+Buchberger runs on one integer kernel over packed monomial keys.  A basis
+element is a list of (key, int) terms: monic residues over F_p, and over QQ
+a primitive integer polynomial with a positive leading coefficient.  Its
+reducer entry is built once, when it joins the basis.  S-polynomials and
+reductions work on {key: int} dicts: over F_p with one `% p` per term, over
+QQ fraction-free (cancelling lc against gc multiplies the working dict by
+gc/gcd(lc, gc), and each remainder is made primitive).  Only the finished,
+minimalized and interreduced basis is made monic as Polynomials; no
+`Fraction` arithmetic runs before that.  `reduce_full`, `spoly` and
+`normal_form` are thin wrappers over the same kernel.
+
 Column modules of homogeneous matrices run on the same Buchberger: Nagata's
 idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
 the standard monomials of its reduced basis in e-degree 1 count the cokernel
@@ -19,6 +30,7 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .linalg import echelon
@@ -77,114 +89,198 @@ def ideal(ring, *gens):
     return IdealBasis(ring, polys, False, ring.order)
 
 
-def _poly_sort_key(p):
-    # Fraction and int coefficients are mutually comparable
-    return tuple((p.ring.monomial_key(m), c) for m, c in p.terms)
+# -- the integer kernel ------------------------------------------------------------
+#
+# A kernel polynomial is a list of (packed key, int) terms, decreasing in the
+# ring order.  Normalized means monic residues over F_p and, over QQ,
+# content-free with a positive leading coefficient.
 
 
-def spoly(f, g):
-    lm_f, lc_f = f.leading_term()
-    lm_g, lc_g = g.leading_term()
-    lcm = lm_f.lcm(lm_g)
-    field = f.ring.field
-    a = f.mul_term(lcm.div(lm_f), field.inv(lc_f))
-    b = g.mul_term(lcm.div(lm_g), field.inv(lc_g))
-    return a - b
+def _scaled(p):
+    """(int terms, scale) of a nonzero polynomial: over QQ the terms of
+    scale * p, scale the lcm of its denominators; over F_p its residues and 1."""
+    if p.ring._modulus:
+        return [(m.key, c) for m, c in p.terms], 1
+    den = math.lcm(*[c.denominator for _, c in p.terms])
+    return [(m.key, c.numerator * (den // c.denominator)) for m, c in p.terms], den
 
 
-def reduce_full(p, reducers):
-    """Full normal form of p against a list of nonzero polynomials.
+def _normalized(poly, mod):
+    """The normalized scalar multiple of a nonzero kernel polynomial."""
+    lc = poly[0][1]
+    if mod:
+        if lc == 1:
+            return poly
+        inv = pow(lc, mod - 2, mod)
+        return [(k, c * inv % mod) for k, c in poly]
+    g = math.gcd(*[c for _, c in poly])
+    if lc < 0:
+        g = -g
+    return poly if g == 1 else [(k, c // g) for k, c in poly]
 
-    Works on packed monomial keys (a term times a monomial is a key sum), so
-    no intermediate Polynomial is materialized; the remainder accumulates in
-    strictly decreasing order.
+
+def _basis_poly(p):
+    """The normalized kernel polynomial of a nonzero polynomial."""
+    return _normalized(_scaled(p)[0], p.ring._modulus)
+
+
+def _entry(poly, n):
+    """Reducer entry of a normalized kernel polynomial."""
+    k = poly[0][0]
+    # the largest key carries the largest total degree
+    return _unpack(k, n), k, poly[0][1], poly, max(k for k, _ in poly)
+
+
+def _polynomial(ring, poly, scale):
+    """The Polynomial poly / scale; over F_p scale is always 1."""
+    n = ring.nvars
+    if ring._modulus:
+        return Polynomial(ring, tuple((_monomial(k, n), c) for k, c in poly))
+    return Polynomial(
+        ring, tuple((_monomial(k, n), Fraction(c, scale)) for k, c in poly)
+    )
+
+
+def _spair(f, g, ring):
+    """{key: int} S-polynomial of two reducer entries, and its scale: it is
+    scale times the S-polynomial of the monic f and g."""
+    n, mod = ring.nvars, ring._modulus
+    _, kf, cf, tf, mf = f
+    _, kg, cg, tg, mg = g
+    lcm = _check_degree(lcm_key(kf, kg, n), n)
+    qf, qg = lcm - kf, lcm - kg
+    _check_degree(qf + mf, n)
+    _check_degree(qg + mg, n)
+    if mod:  # monic entries
+        a = b = scale = 1
+    else:
+        h = math.gcd(cf, cg)
+        a, b = cg // h, cf // h
+        scale = cf * a
+    cur = {qf + k: a * c for k, c in tf}
+    get = cur.get
+    for k, c in tg:
+        k2 = qg + k
+        nc = get(k2, 0) - b * c
+        if mod:
+            nc %= mod
+        if nc:
+            cur[k2] = nc
+        else:
+            cur.pop(k2, None)
+    return cur, scale
+
+
+def _reduce(cur, table, ring):
+    """Full reduction of the {key: int} dict `cur` against reducer entries.
+
+    Each step cancels the largest term against the first entry whose leading
+    monomial divides it.  Over F_p that is one `% p` per term.  Over QQ it
+    is fraction-free: cancelling lc against the entry's gc multiplies the
+    working dict and the remainder by gc/gcd(lc, gc).  Returns the remainder
+    terms, in decreasing order, and their scale over the exact remainder
+    (the product of those multipliers; 1 over F_p).
     """
-    ring = p.ring
-    field = ring.field
     n = ring.nvars
     okey = ring._okey
-    mod = ring._modulus  # F_p coefficients are reduced by hand
+    mod = ring._modulus
     guard = _masks(n)[1]
-    red = [
-        (
-            _unpack(g.terms[0][0].key, n),
-            g.terms[0][0].key,
-            g.terms[0][1],
-            [(m.key, c) for m, c in g.terms],
-            max(m.key for m, _ in g.terms),  # carries g's largest degree
-        )
-        for g in reducers
-    ]
-    cur = {m.key: c for m, c in p.terms}
     get = cur.get
     remainder = []
+    scale = 1
     while cur:
         k = max(cur, key=okey)
         lc = cur[k]
         le = _unpack(k, n)
-        for ge, gk, gc, gterms, gmax in red:
+        for ge, gk, gc, gterms, gmax in table:
             if not (le - ge) & guard:
                 break
         else:
-            remainder.append((_monomial(k, n), lc))
+            remainder.append((k, lc))
             del cur[k]
             continue
         qk = k - gk
         # outside grevlex a tail term of g can outweigh its leading one
         _check_degree(qk + gmax, n)
-        qc = field.div(lc, gc)
+        if mod:  # monic entries
+            for mk, c in gterms:
+                k2 = qk + mk
+                nc = (get(k2, 0) - lc * c) % mod
+                if nc:
+                    cur[k2] = nc
+                else:
+                    cur.pop(k2, None)
+            continue
+        h = math.gcd(lc, gc)
+        a, b = gc // h, lc // h
+        if a != 1:
+            for k2 in cur:
+                cur[k2] *= a
+            remainder = [(k2, c * a) for k2, c in remainder]
+            scale *= a
         for mk, c in gterms:
             k2 = qk + mk
-            nc = get(k2, 0) - qc * c
-            if mod:
-                nc %= mod
+            nc = get(k2, 0) - b * c
             if nc:
                 cur[k2] = nc
             else:
                 cur.pop(k2, None)
-    return Polynomial(ring, tuple(remainder))
+    return remainder, scale
+
+
+def spoly(f, g):
+    """S-polynomial of f / lc(f) and g / lc(g)."""
+    ring, n = f.ring, f.ring.nvars
+    s, scale = _spair(_entry(_basis_poly(f), n), _entry(_basis_poly(g), n), ring)
+    if not ring._modulus:
+        s = {k: Fraction(c, scale) for k, c in s.items()}
+    return ring.from_keys(s)
+
+
+def reduce_full(p, reducers):
+    """Full normal form of p against a list of nonzero polynomials."""
+    ring = p.ring
+    if p.is_zero():
+        return p
+    terms, den = _scaled(p)
+    table = [_entry(_basis_poly(g), ring.nvars) for g in reducers]
+    remainder, scale = _reduce(dict(terms), table, ring)
+    return _polynomial(ring, remainder, den * scale)
 
 
 def _linear_preprocess(polys):
-    """Interreduce same-degree homogeneous generators by exact echelon.
+    """Normalized kernel polynomials of the generators, the same-degree
+    homogeneous ones interreduced by exact echelon.
 
     Large minor sets are linearly very redundant; row-reducing them first
     gives distinct leading monomials and shrinks Buchberger's pair queue.
-    Over QQ the elimination runs fraction-free on integer vectors, and the
-    integer pivot rows are the new generators.
+    Over QQ the elimination runs fraction-free on the integer terms.
     """
     ring = polys[0].ring
-    field = ring.field
+    mod, top = ring._modulus, ring._top
     by_degree = {}
-    passthrough = []
+    out = []  # inhomogeneous generators pass through
     for p in polys:
-        d = p.homogeneous_degree()
-        if isinstance(d, int):
-            by_degree.setdefault(d, []).append(p)
+        poly = _basis_poly(p)
+        d = poly[0][0] >> top
+        if all(k >> top == d for k, _ in poly):
+            by_degree.setdefault(d, []).append(poly)
         else:
-            passthrough.append(p)
-    out = list(passthrough)
+            out.append(poly)
     for d in sorted(by_degree):
         group = by_degree[d]
         if len(group) == 1:
             out.extend(group)
             continue
-        monomials = sorted(
-            {m for p in group for m, _ in p.terms},
-            key=lambda m: ring.monomial_key(m),
-            reverse=True,
-        )
-        index = {m: i for i, m in enumerate(monomials)}
-        ech = echelon(field)
-        for p in group:
-            ech.insert({index[m]: c for m, c in p.terms})
-        # pivots hold ints over QQ and residues over F_p; from_int takes both
+        keys = {k for poly in group for k, _ in poly}
+        keys = sorted(keys, key=ring._okey, reverse=True)
+        index = {k: i for i, k in enumerate(keys)}
+        ech = echelon(ring.field)
+        for poly in group:
+            ech.insert({index[k]: c for k, c in poly})
+        # a pivot's smallest index is its leading monomial
         for vec in ech.pivots.values():
-            out.append(
-                ring.from_terms(
-                    (monomials[i], field.from_int(c)) for i, c in vec.items()
-                )
-            )
+            out.append(_normalized([(keys[i], c) for i, c in sorted(vec.items())], mod))
     return out
 
 
@@ -193,7 +289,8 @@ def buchberger(gens, ring=None):
 
     Deterministic for a fixed monomial order: generators are sorted
     canonically, pairs are selected by smallest lcm (normal strategy), and
-    the result is minimalized, interreduced and made monic.
+    the result is minimalized, interreduced and made monic.  Everything up
+    to that last step runs on the integer kernel.
     """
     if isinstance(gens, IdealBasis):
         ring = gens.ring
@@ -208,50 +305,45 @@ def buchberger(gens, ring=None):
     if not polys:
         return IdealBasis(ring, (), True, ring.order)
 
-    polys = _linear_preprocess(polys)
-    polys = [p.monic() for p in polys]
-    polys.sort(key=_poly_sort_key)
-    deduped = []
-    for p in polys:
-        if not deduped or deduped[-1] != p:
-            deduped.append(p)
-    basis = deduped
-
-    key_of = ring.monomial_key
     okey = ring._okey
+    order = okey or int  # sort key of a packed key; grevlex: the key itself
+    mod = ring._modulus
     n = ring.nvars
     guard = _masks(n)[1]
-    leads = []  # packed key of each basis element's leading monomial
-    lead_exps = []  # and its packed exponents
+    table = []  # reducer entry of each basis element
     pending = set()
     heap = []
 
-    def push_pairs(j):
-        kj = basis[j].terms[0][0].key
-        leads.append(kj)
-        lead_exps.append(_unpack(kj, n))
+    def add(poly):
+        j = len(table)
+        table.append(_entry(poly, n))
+        kj = table[j][1]
         for i in range(j):
-            lcm = lcm_key(leads[i], kj, n)
             pending.add((i, j))
-            heapq.heappush(heap, (lcm if okey is None else okey(lcm), i, j))
+            heapq.heappush(heap, (order(lcm_key(table[i][1], kj, n)), i, j))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+    # canonical order, so that equal generators meet and the run is deterministic
+    for poly in sorted(
+        _linear_preprocess(polys), key=lambda poly: [(order(k), c) for k, c in poly]
+    ):
+        if not table or table[-1][3] != poly:
+            add(poly)
 
     while heap:
         _, i, j = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        lcm = lcm_key(leads[i], leads[j], n)
-        if lcm == leads[i] + leads[j]:
+        ki, kj = table[i][1], table[j][1]
+        lcm = lcm_key(ki, kj, n)
+        if lcm == ki + kj:
             continue  # coprime leading terms
         lcm_exps = _unpack(lcm, n)
         chain = False
-        for k, ek in enumerate(lead_exps):
+        for k, entry in enumerate(table):
             if k == i or k == j:
                 continue
-            if not (lcm_exps - ek) & guard:
+            if not (lcm_exps - entry[0]) & guard:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in pending and b not in pending:
@@ -259,24 +351,23 @@ def buchberger(gens, ring=None):
                     break
         if chain:
             continue
-        r = reduce_full(spoly(basis[i], basis[j]), basis)
-        if not r.is_zero():
-            basis.append(r.monic())
-            push_pairs(len(basis) - 1)
+        r, _ = _reduce(_spair(table[i], table[j], ring)[0], table, ring)
+        if r:
+            add(_normalized(r, mod))
 
     # minimalize: drop elements whose leading monomial another one divides
     minimal = []
-    for p in sorted(basis, key=lambda q: key_of(q.leading_monomial())):
-        lm = p.leading_monomial()
-        if not any(q.leading_monomial().divides(lm) for q in minimal):
-            minimal.append(p)
+    for entry in sorted(table, key=lambda e: order(e[1])):
+        if not any(not (entry[0] - m[0]) & guard for m in minimal):
+            minimal.append(entry)
     # interreduce tails
     reduced = []
-    for idx, p in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(reduce_full(p, others).monic())
-    reduced.sort(key=lambda q: key_of(q.leading_monomial()), reverse=True)
-    return IdealBasis(ring, tuple(reduced), True, ring.order)
+    for idx, entry in enumerate(minimal):
+        r, _ = _reduce(dict(entry[3]), minimal[:idx] + minimal[idx + 1 :], ring)
+        reduced.append(_normalized(r, mod))
+    reduced.sort(key=lambda poly: order(poly[0][0]), reverse=True)
+    monic = tuple(_polynomial(ring, poly, poly[0][1]) for poly in reduced)
+    return IdealBasis(ring, monic, True, ring.order)
 
 
 #: an entry pins its ideal and its basis; both are weighed by their terms

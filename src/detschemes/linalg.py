@@ -9,9 +9,9 @@ at a time.  There is one exact echelon per kind of coefficient:
   fraction-free on integers, as in Bareiss (Math. Comp. 22, 1968) but with
   content removal in place of the exact division by the previous pivot.  No
   `Fraction` arithmetic runs inside the elimination.
-- `Echelon` for residues in F_p, through the field's operations.  It works
-  over any exact field; the tests run it over QQ as the reference that the
-  integer route must match.
+- `Echelon` for residues in F_p, on plain ints with one `% p` per entry.
+  Over any other exact field it runs on the field's operations; the tests
+  run it over QQ as the reference that the integer route must match.
 
 `echelon(field)` picks the one for a field.  Row indices at or above an
 echelon's `tags` bound are bookkeeping coordinates: they never become
@@ -57,24 +57,32 @@ class Echelon:
     def reduce(self, vec):
         """Fully reduce a sparse vector against the current span."""
         field = self.field
-        v = {r: c for r, c in vec.items() if not field.is_zero(c)}
-        heap = [r for r in v if r in self.pivots]
+        p = field.characteristic  # F_p residues are reduced by hand
+        if p:
+            v = {r: c % p for r, c in vec.items() if c % p}
+        else:
+            v = {r: c for r, c in vec.items() if not field.is_zero(c)}
+        pivots = self.pivots
+        get = v.get
+        heap = [r for r in v if r in pivots]
         heapq.heapify(heap)
         while heap:
             row = heapq.heappop(heap)
-            c = v.get(row)
+            c = get(row)
             if c is None:
                 continue
-            piv = self.pivots.get(row)
-            for r, pc in piv.items():
-                nc = field.sub(v.get(r, field.zero), field.mul(c, pc))
-                if field.is_zero(nc):
-                    v.pop(r, None)
+            for r, pc in pivots[row].items():
+                old = get(r)
+                if p:
+                    nc = ((old or 0) - c * pc) % p
                 else:
-                    fresh = r not in v
+                    nc = field.sub(field.zero if old is None else old, field.mul(c, pc))
+                if nc:
                     v[r] = nc
-                    if fresh and r in self.pivots:
+                    if old is None and r in pivots:
                         heapq.heappush(heap, r)
+                elif old is not None:
+                    del v[r]
         return v
 
     def insert(self, vec):

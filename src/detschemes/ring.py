@@ -17,8 +17,8 @@ by a key computed from the packed one.
 
 A total degree above MAX_DEGREE raises RingError wherever degrees are made
 or grow: Monomial(), parsing, `from_keys` (and so products, powers and
-determinants), `mul_term`, `Monomial.mul`/`lcm`, and each reduction step of
-`groebner.reduce_full`.  Fields are wide enough for the sum of two keys in
+determinants), `mul_term`, `Monomial.mul`/`lcm`, and each S-polynomial and
+reduction step of the Groebner kernel.  Fields are wide enough for the sum of two keys in
 range, so that check is sound on such a sum; past it, fields would carry
 into each other and divisibility tests would silently go wrong.
 """

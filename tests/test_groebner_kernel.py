@@ -1,0 +1,266 @@
+"""The integer Buchberger kernel against the Fraction-based reference.
+
+`groebner_reference` keeps the Buchberger, normal form and S-polynomial
+that ran on field arithmetic before the kernel.  Every basis here must equal
+the reference's byte for byte: the same monomial keys, the same
+coefficients and the same coefficient types.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import groebner_reference as ref
+from detschemes import GF, PolyRing, buchsbaum_rim, eagon_northcott, groebner, ideal, minors
+from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
+from detschemes.complexes import betti_table, buchsbaum_eisenbud, verify_complex
+from detschemes.field import RationalField
+from detschemes.groebner import (
+    ColumnModuleGB,
+    buchberger,
+    ideal_quotient,
+    intersect,
+    normal_form,
+    reduce_full,
+    saturate,
+    spoly,
+)
+from detschemes.memo import Memo
+from detschemes.ring import MAX_DEGREE, RingError
+
+VARS3 = ("x0", "x1", "x2")
+VARS4 = ("x0", "x1", "x2", "x3")
+
+
+def _signature(polys):
+    return [tuple((m.key, type(c), c) for m, c in p.terms) for p in polys]
+
+
+def _assert_same_basis(gens, ring=None):
+    got, want = buchberger(gens, ring), ref.buchberger(gens, ring)
+    assert (got.ring, got.is_reduced_gb, got.order) == (want.ring, want.is_reduced_gb, want.order)
+    assert _signature(got.generators) == _signature(want.generators)
+    return got
+
+
+def _form(ring, d, rng, coeff, size=4):
+    monos = ring.monomials_of_degree(d)
+    picks = rng.sample(monos, min(len(monos), rng.randint(2, size)))
+    return ring.from_terms((m, coeff(rng)) for m in picks)
+
+
+def _with_denominators(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+def _near_2_64(rng):
+    return Fraction(rng.choice([-1, 1]) * (2**64 + rng.randint(-9, 9)), rng.randint(1, 3))
+
+
+def _system(ring, rng, coeff, count, degrees=(1, 2, 3)):
+    return [_form(ring, rng.choice(degrees), rng, coeff) for _ in range(count)]
+
+
+def _fresh_gb_cache(patch):
+    """An empty Groebner table for the patch's lifetime, so no basis is read."""
+    table = groebner._GB_CACHE
+    patch.setattr(groebner, "_GB_CACHE", Memo(table.budget, table.weight))
+
+
+def _recorded(monkeypatch, action):
+    """Every generator list `action` hands to buchberger, with its ring."""
+    seen = []
+    original = groebner.buchberger
+
+    def record(gens, ring=None):
+        seen.append((list(gens.generators) if hasattr(gens, "generators") else list(gens), ring))
+        return original(gens, ring)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "buchberger", record)
+        _fresh_gb_cache(patch)
+        action()
+    return seen
+
+
+@pytest.mark.parametrize(
+    "coeff", [_with_denominators, _near_2_64], ids=["denominators", "near_2_64"]
+)
+def test_qq_bases_match_the_reference(coeff):
+    rng = random.Random(701)
+    ring = PolyRing(VARS4)
+    for _ in range(6):
+        _assert_same_basis(_system(ring, rng, coeff, rng.randint(2, 4), (1, 2)), ring)
+    # many same-degree forms go through the fraction-free linear preprocess
+    _assert_same_basis(_system(ring, rng, coeff, 8, (2,)), ring)
+
+
+@pytest.mark.parametrize("p", [32003, 7])
+def test_prime_field_bases_match_the_reference(p):
+    rng = random.Random(702 + p)
+    ring = PolyRing(VARS4, GF(p))
+    residue = ring.field.random
+    for _ in range(8):
+        _assert_same_basis(_system(ring, rng, residue, rng.randint(2, 4), (1, 2)), ring)
+    _assert_same_basis(_system(ring, rng, residue, 8, (2,)), ring)
+
+
+@pytest.mark.parametrize("order", ["lex", "elim_last"])
+@pytest.mark.parametrize("field", [None, GF(32003)], ids=["QQ", "F32003"])
+def test_other_orders_match_the_reference(order, field):
+    rng = random.Random(703)
+    base = PolyRing(VARS3) if field is None else PolyRing(VARS3, field)
+    ring = base.with_order(order)
+    coeff = _with_denominators if field is None else ring.field.random
+    for _ in range(5):
+        _assert_same_basis(_system(ring, rng, coeff, rng.randint(2, 3), (1, 2)), ring)
+    # inhomogeneous generators pass the linear preprocess untouched
+    for _ in range(3):
+        gens = [
+            _form(ring, 2, rng, coeff) + _form(ring, 1, rng, coeff, 2)
+            for _ in range(rng.randint(2, 3))
+        ]
+        _assert_same_basis(gens, ring)
+
+
+def test_elimination_ideals_match_the_reference(monkeypatch):
+    rng = random.Random(704)
+    for field in (None, GF(32003), GF(7)):
+        ring = PolyRing(VARS4) if field is None else PolyRing(VARS4, field)
+        coeff = _with_denominators if field is None else ring.field.random
+        I = ideal(ring, "x0*x1", "x1*x2", "x0^2*x3")
+        J = ideal(ring, "x1", "x2 + x3")
+        K = ideal(ring, *_system(ring, rng, coeff, 3, (2,)))
+        L = ideal(ring, *_system(ring, rng, coeff, 2, (1,)))
+
+        def action():
+            intersect(I, J)
+            intersect(K, L)
+            ideal_quotient(I, J)
+            ideal_quotient(K, L)
+            saturate(I, J)
+            saturate(K, ideal(ring, "x0"))
+
+        seen = _recorded(monkeypatch, action)
+        # the auxiliary-variable ideals are inhomogeneous, in elim_last order
+        assert any(r is not None and r.order == "elim_last" for _, r in seen)
+        for gens, r in seen:
+            _assert_same_basis(gens, r)
+
+
+def _fixture(name, field=None):
+    text = fixture_path(name).read_text()
+    if field is not None:
+        text = text.replace("ring.field: QQ", f"ring.field: {field}")
+    return parse_problem_text(text, name).presentation
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_minor_ideals_and_idealizations_match_the_reference(name, monkeypatch):
+    P = _fixture(name)
+    for s in {P.t, P.t - 1} - {0}:
+        _assert_same_basis(minors(P, s))
+    phi = P.matrix
+    seen = _recorded(
+        monkeypatch, lambda: ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
+    )
+    assert len(seen) == 1
+    for gens, r in seen:
+        _assert_same_basis(gens, r)
+    if name == "generic_2x4":  # an F_p idealization with more rows: EN's first differential
+        d = eagon_northcott(_fixture(name, "Fp:32003")).differentials[0]
+        seen = _recorded(
+            monkeypatch, lambda: ColumnModuleGB(d.ring, d.target.twists, d.columns())
+        )
+        for gens, r in seen:
+            _assert_same_basis(gens, r)
+
+
+def test_normal_forms_and_spolys_match_the_reference():
+    rng = random.Random(705)
+    for field in (None, GF(32003), GF(7)):
+        ring = PolyRing(VARS4) if field is None else PolyRing(VARS4, field)
+        coeff = _with_denominators if field is None else ring.field.random
+        gens = _system(ring, rng, coeff, 3, (1, 2))
+        gb = buchberger(gens, ring)
+        for _ in range(6):
+            p = _form(ring, rng.randint(1, 3), rng, coeff, 6)
+            assert _signature([normal_form(p, gb)]) == _signature([ref.reduce_full(p, list(gb))])
+            # reducers that are neither monic nor a basis
+            assert _signature([reduce_full(p, gens)]) == _signature([ref.reduce_full(p, gens)])
+        for f in gens:
+            for g in gens:
+                if f is not g:
+                    assert _signature([spoly(f, g)]) == _signature([ref.spoly(f, g)])
+
+
+_FIELD_ARITHMETIC = ("add", "sub", "mul", "div", "inv", "neg")
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__mod__", "__pow__", "__neg__",
+)
+
+
+def _count_fractions(patch):
+    """The argument tuples of every Fraction built for the patch's lifetime."""
+    built = []
+    construct = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return construct(cls, *args, **kwargs)
+
+    patch.setattr(Fraction, "__new__", staticmethod(counted))
+    return built
+
+
+def test_qq_buchberger_runs_no_fraction_arithmetic(monkeypatch):
+    """Only the final monic step builds Fractions, one per output term."""
+    rng = random.Random(706)
+    ring = PolyRing(VARS4)
+    inputs = [_system(ring, rng, _with_denominators, 4, (1, 2)) for _ in range(4)]
+    inputs.append(list(minors(_fixture("generic_2x4"), 2)))
+    want = [_signature(ref.buchberger(gens, ring).generators) for gens in inputs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("field arithmetic inside the integer kernel")
+
+    for gens, expected in zip(inputs, want):
+        with monkeypatch.context() as patch:
+            for name in _FIELD_ARITHMETIC:
+                patch.setattr(RationalField, name, forbidden)
+            for name in _FRACTION_ARITHMETIC:
+                patch.setattr(Fraction, name, forbidden)
+            built = _count_fractions(patch)
+            gb = buchberger(gens, ring)
+        assert _signature(gb.generators) == expected
+        assert len(built) == sum(len(g.terms) for g in gb.generators)
+
+
+def test_prime_field_certificates_build_no_fraction(monkeypatch):
+    """Eagon-Northcott and Buchsbaum-Rim certificates over F_p stay on
+    residues, Groebner bases of the differentials' minors included."""
+    P = _fixture("generic_2x4", "Fp:32003")
+    with monkeypatch.context() as patch:
+        built = _count_fractions(patch)
+        _fresh_gb_cache(patch)
+        for cpx in (eagon_northcott(P), buchsbaum_rim(P)):
+            assert verify_complex(cpx)
+            be = buchsbaum_eisenbud(cpx)
+            assert be.passed
+        betti_table(eagon_northcott(P), buchsbaum_eisenbud(eagon_northcott(P)))
+    assert built == []
+
+
+def test_degree_growth_in_a_tail_term_is_rejected():
+    """Under lex the S-polynomial's multiple of a tail term can pass the
+    degree limit although the lcm of the leading terms does not."""
+    lex = PolyRing(VARS4).with_order("lex")
+    f, g = lex.parse(f"x0 + x1^{MAX_DEGREE}"), lex.parse("x0*x2")
+    for build in (spoly, ref.spoly):
+        with pytest.raises(RingError):
+            build(f, g)
+    for basis in (buchberger, ref.buchberger):
+        with pytest.raises(RingError):
+            basis([f, g], lex)
