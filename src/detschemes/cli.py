@@ -136,23 +136,21 @@ def parse_problem_text(text, path="<string>"):
     except (ParseError, RingError, GradingError, InputError) as e:
         raise InputError(f"{path}: {e}")
 
-    seed = 0
-    if "seed" in fields:
-        try:
-            seed = int(fields["seed"])
-        except ValueError:
-            raise InputError(f"{path}: seed must be an unsigned integer")
-        if seed < 0:
-            raise InputError(f"{path}: seed must be an unsigned integer")
-    d_max = 10
-    if "d_max" in fields:
-        try:
-            d_max = int(fields["d_max"])
-        except ValueError:
-            raise InputError(f"{path}: d_max must be a positive integer")
-        if d_max < 1:
-            raise InputError(f"{path}: d_max must be a positive integer")
+    seed = _bounded_int(fields.get("seed", "0"), 0, f"{path}: seed")
+    d_max = _bounded_int(fields.get("d_max", "10"), 1, f"{path}: d_max")
     return ProblemSpec(path, ring, pres, seed, d_max)
+
+
+def _bounded_int(value, low, name):
+    """int(value) if it is at least low (0 or 1), else an InputError."""
+    message = f"{name} must be {'an unsigned' if low == 0 else 'a positive'} integer"
+    try:
+        number = int(value)
+    except ValueError:
+        raise InputError(message) from None
+    if number < low:
+        raise InputError(message)
+    return number
 
 
 def load_problem(path):
@@ -257,7 +255,7 @@ def _cmd_betti(spec, args):
 
 
 def _cmd_cm_type(spec, args):
-    value = cm_type(spec.presentation, seed=spec.seed)
+    value = cm_type(spec.presentation)
     return {
         "cm_type": value,
         "t": spec.presentation.t,
@@ -266,8 +264,7 @@ def _cmd_cm_type(spec, args):
 
 
 def _cmd_annihilator(spec, args):
-    d_max = args.max_degree if args.max_degree is not None else spec.d_max
-    report = verify_annihilator(spec.presentation, d_max=d_max)
+    report = verify_annihilator(spec.presentation, d_max=spec.d_max)
     results = {
         "passed": report.passed,
         "max_degree": report.max_degree,
@@ -317,13 +314,12 @@ def _cmd_canonical(spec, args):
 
 
 def _cmd_hilbert(spec, args):
-    d_max = args.max_degree if args.max_degree is not None else spec.d_max
     pres = spec.presentation
     ideal = minors(pres, pres.t)
-    quotient = [hilbert_function(ideal, d) for d in range(d_max + 1)]
-    coker = [hilbert_function(Coker(pres.matrix), d) for d in range(d_max + 1)]
+    quotient = [hilbert_function(ideal, d) for d in range(spec.d_max + 1)]
+    coker = [hilbert_function(Coker(pres.matrix), d) for d in range(spec.d_max + 1)]
     return {
-        "max_degree": d_max,
+        "max_degree": spec.d_max,
         "quotient": quotient,
         "coker": coker,
     }, 0
@@ -343,7 +339,7 @@ def fixture_report(name):
     results, code = _cmd_classify(spec, None)
     report = classify(spec.presentation)
     if report.is_standard:
-        results["cm_type"] = cm_type(spec.presentation, seed=spec.seed)
+        results["cm_type"] = cm_type(spec.presentation)
         ideal = minors(spec.presentation, spec.presentation.t)
         results["minimal_generators"] = {
             str(d): c for d, c in sorted(minimal_generator_count(ideal).items())
@@ -467,13 +463,15 @@ def run(argv=None):
     started = time.perf_counter()
     command = args.command
     try:
+        seed = 0 if args.seed is None else _bounded_int(args.seed, 0, "--seed")
         if command == "examples":
             spec = None
-            seed = args.seed if args.seed is not None else 0
         else:
             spec = load_problem(args.spec)
             if args.seed is not None:
-                spec.seed = args.seed
+                spec.seed = seed
+            if getattr(args, "max_degree", None) is not None:
+                spec.d_max = _bounded_int(args.max_degree, 1, "--max-degree")
             seed = spec.seed
         results, code = _COMMANDS[command](spec, args)
     except InputError as e:

@@ -34,10 +34,9 @@ from .grading import (
     GradedFreeModule,
     HomogeneousMatrix,
     hilbert_function,
-    matrix_piece,
     matrix_truncation_bound,
 )
-from .groebner import ensure_gb, height, quotient_hilbert_function
+from .groebner import ColumnModuleGB, ensure_gb, height, quotient_hilbert_function
 from .linalg import Laplace, echelon, rank_of_columns
 
 
@@ -392,7 +391,7 @@ def betti_table(C, acyclicity=None, seed=0):
     return BettiTable(tuple(cells))
 
 
-def cm_type(P, seed=0):
+def cm_type(P):
     """Cohen-Macaulay type: rank of the last module of the minimal EN resolution.
 
     That module has one generator per composition of r into t parts, as
@@ -429,49 +428,41 @@ class AnnihilatorReport:
 def verify_annihilator(P, d_max=8):
     """Check Ann(coker Φ) = I(Φ) degreewise up to d_max.
 
-    A form f of degree d multiplies every target generator e_j into the
-    image iff the column (f e_j)_j lies in the span of Φ's pieces in degrees
-    d + a_j, one block per j.  In each degree, every maximal minor of that
-    degree must add nothing to the span ("minors-annihilate").  The monomial
-    columns (μ e_j)_j that raise its rank then number dim (R/Ann)_d; all
-    minors of degree <= d have passed, so I_d ⊆ Ann_d, and the two are equal
-    iff that count is dim (R/I)_d ("annihilator-inside-minors").  Degrees
-    past d_max are visited only for the minors that live there.
+    A form f annihilates coker Φ iff the normal form of f e_j modulo the
+    column span of Φ vanishes for every target generator e_j; the reduced
+    basis of the column module (`ColumnModuleGB`) gives those normal forms.
+    In each degree d, every maximal minor of degree d must have only zero
+    normal forms ("minors-annihilate").  Normal forms are k-linear, so
+    dim (R/Ann)_d is the rank of μ ↦ (NF(μ e_j))_j over the monomials μ of
+    degree d; all minors of degree <= d have passed, so I_d ⊆ Ann_d, and the
+    two are equal iff that rank is dim (R/I)_d ("annihilator-inside-minors").
+    Degrees are visited in increasing order, past d_max only for the minors
+    that live there, so the lowest failing degree is reported.
     """
     ideal = minors(P, P.t)
     gb = ensure_gb(ideal)  # before classify, which reads but does not store it
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
-    phi = P.matrix
-    ring = phi.ring
-    targets = range(phi.nrows)
+    ring, t = P.ring, P.t
+    # not column_module_gb, whose table would pin a basis only this reads
+    module = ColumnModuleGB(ring, P.matrix.target.twists, P.matrix.columns())
     by_degree = {}
     for g in ideal.generators:
         if not g.is_zero():
             by_degree.setdefault(g.homogeneous_degree(), []).append(g)
 
     for d in sorted(set(range(d_max + 1)).union(by_degree)):
-        span = echelon(ring.field)
-        rows = {}  # (j, monomial of degree d) -> its row in block j
-        offset = 0
-        for j in targets:
-            piece = matrix_piece(phi, d + phi.target.twists[j])
-            for col in piece.cols:
-                span.insert({offset + r: c for r, c in col.items()})
-            for i, item in enumerate(piece.row_basis):
-                if item[0] == j:
-                    rows[item] = offset + i
-            offset += piece.nrows
         for g in by_degree.get(d, ()):
-            column = {rows[(j, m)]: c for j in targets for m, c in g.terms}
-            if span.insert(column) is None:  # a new pivot: g e_j leaves the image
+            if any(not module.normal_form(g, j).is_zero() for j in range(t)):
                 return AnnihilatorReport(False, d_max, d, "minors-annihilate")
         if d > d_max:
             continue
-        base = span.rank
+        span = echelon(ring.field)  # coordinates (standard monomial of NF(μ e_j), j)
         for mu in ring.monomials_of_degree(d):
-            span.insert({rows[(j, mu)]: ring.field.one for j in targets})
-        if span.rank - base != quotient_hilbert_function(gb, d):
+            mono = ring.from_terms([(mu, ring.field.one)])
+            nfs = [module.normal_form(mono, j).terms for j in range(t)]
+            span.insert({m.key * t + j: c for j in range(t) for m, c in nfs[j]})
+        if span.rank != quotient_hilbert_function(gb, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
 

@@ -22,6 +22,7 @@ idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
 the standard monomials of its reduced basis in e-degree 1 count the cokernel
 degree by degree.  The grading layer uses those counts as the rank engine
 for large degree pieces, and the test suite pins them against the echelon.
+Normal forms of p e_j against that basis certify the annihilator.
 """
 
 from __future__ import annotations
@@ -239,13 +240,14 @@ def spoly(f, g):
 
 def reduce_full(p, reducers):
     """Full normal form of p against a list of nonzero polynomials."""
-    ring = p.ring
-    if p.is_zero():
-        return p
+    return _reduce_poly(p, [_entry(_basis_poly(g), p.ring.nvars) for g in reducers])
+
+
+def _reduce_poly(p, table):
+    """Full normal form of the Polynomial p against reducer entries."""
     terms, den = _scaled(p)
-    table = [_entry(_basis_poly(g), ring.nvars) for g in reducers]
-    remainder, scale = _reduce(dict(terms), table, ring)
-    return _polynomial(ring, remainder, den * scale)
+    remainder, scale = _reduce(dict(terms), table, p.ring)
+    return _polynomial(p.ring, remainder, den * scale)
 
 
 def _linear_preprocess(polys):
@@ -604,7 +606,7 @@ class ColumnModuleGB:
         self.twists = tuple(twists)
         g = len(self.twists)
         aux, first = _aux_ring(ring, g, "grevlex")
-        unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
+        self._unit = unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
         e = [aux.variable(first + i) for i in range(g)]
         gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]
         for col in columns:
@@ -616,12 +618,21 @@ class ColumnModuleGB:
         # buchberger, not ensure_gb: callers memoize the whole object, so the
         # aux ideal would only crowd the basis table
         self.basis = buchberger(gens, aux)
+        self._table = None  # reducer entries of the basis, for normal_form
         # a reduced basis is minimal: no lead x^m e_i divides another one
         self._leads = [[] for _ in range(g)]
         for b in self.basis:
             exps = b.leading_monomial().exponents
             if sum(exps[first:]) == 1:
                 self._leads[exps.index(1, first) - first].append(Monomial(exps[:first]))
+
+    def normal_form(self, p, j):
+        """Normal form of p e_j modulo the column span, in the auxiliary
+        ring: k-linear in p, and zero iff p e_j lies in the span."""
+        aux = self.basis.ring
+        if self._table is None:  # built once; the counts never need it
+            self._table = [_entry(_basis_poly(b), aux.nvars) for b in self.basis]
+        return _reduce_poly(_lift(p, aux, self._unit[j]), self._table)
 
     def coker_dim(self, d):
         """dim_k of degree-d piece of (free module)/(column span)."""

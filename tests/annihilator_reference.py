@@ -1,0 +1,67 @@
+"""Reference oracle: the block-echelon annihilator check that the
+column-module normal forms replaced.
+
+`verify_annihilator` is kept verbatim from before that change: in every
+degree it stacks one copy of Φ's image piece per target generator into a
+block-diagonal echelon and counts ranks there.  The differential tests
+assert that the package's reports equal these.
+"""
+
+from __future__ import annotations
+
+from detschemes.complexes import AnnihilatorReport
+from detschemes.determinantal import classify, minors
+from detschemes.errors import InputError
+from detschemes.grading import matrix_piece
+from detschemes.groebner import ensure_gb, quotient_hilbert_function
+from detschemes.linalg import echelon
+
+
+def verify_annihilator(P, d_max=8):
+    """Check Ann(coker Φ) = I(Φ) degreewise up to d_max.
+
+    A form f of degree d multiplies every target generator e_j into the
+    image iff the column (f e_j)_j lies in the span of Φ's pieces in degrees
+    d + a_j, one block per j.  In each degree, every maximal minor of that
+    degree must add nothing to the span ("minors-annihilate").  The monomial
+    columns (μ e_j)_j that raise its rank then number dim (R/Ann)_d; all
+    minors of degree <= d have passed, so I_d ⊆ Ann_d, and the two are equal
+    iff that count is dim (R/I)_d ("annihilator-inside-minors").  Degrees
+    past d_max are visited only for the minors that live there.
+    """
+    ideal = minors(P, P.t)
+    gb = ensure_gb(ideal)  # before classify, which reads but does not store it
+    if not classify(P).is_standard:
+        raise InputError("verify_annihilator requires a standard presentation")
+    phi = P.matrix
+    ring = phi.ring
+    targets = range(phi.nrows)
+    by_degree = {}
+    for g in ideal.generators:
+        if not g.is_zero():
+            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
+
+    for d in sorted(set(range(d_max + 1)).union(by_degree)):
+        span = echelon(ring.field)
+        rows = {}  # (j, monomial of degree d) -> its row in block j
+        offset = 0
+        for j in targets:
+            piece = matrix_piece(phi, d + phi.target.twists[j])
+            for col in piece.cols:
+                span.insert({offset + r: c for r, c in col.items()})
+            for i, item in enumerate(piece.row_basis):
+                if item[0] == j:
+                    rows[item] = offset + i
+            offset += piece.nrows
+        for g in by_degree.get(d, ()):
+            column = {rows[(j, m)]: c for j in targets for m, c in g.terms}
+            if span.insert(column) is None:  # a new pivot: g e_j leaves the image
+                return AnnihilatorReport(False, d_max, d, "minors-annihilate")
+        if d > d_max:
+            continue
+        base = span.rank
+        for mu in ring.monomials_of_degree(d):
+            span.insert({rows[(j, mu)]: ring.field.one for j in targets})
+        if span.rank - base != quotient_hilbert_function(gb, d):
+            return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
+    return AnnihilatorReport(True, d_max)

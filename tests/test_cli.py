@@ -140,6 +140,28 @@ def test_cli_annihilator_generic_2x4(capsys):
     assert report["results"]["max_degree"] == 5
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("annihilator", "--max-degree", "-2"),
+        ("annihilator", "--max-degree", "0"),
+        ("hilbert", "--max-degree", "-3"),
+        ("flag", "--seed", "-5"),
+        ("classify", "--seed", "-1"),
+    ],
+)
+def test_cli_overrides_obey_the_problem_file_rules(command, flag, value, capsys):
+    path = str(fixture_path("cubic_curve"))
+    assert run([command, path, flag, value, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be" in captured.err
+    # the smallest values the problem file allows pass
+    smallest = "1" if flag == "--max-degree" else "0"
+    assert run([command, path, flag, smallest, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]
+
+
 def test_cli_examples_against_goldens(capsys):
     code = run(["examples", "--json"])
     report = json.loads(capsys.readouterr().out)

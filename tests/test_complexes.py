@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import annihilator_reference
 from detschemes import (
     GF,
     QQ,
@@ -401,6 +402,63 @@ def test_verify_annihilator_reports_the_lowest_failing_degree(
     assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
     reference = _reference_annihilator(double_point, 4)
     assert reference == AnnihilatorReport(False, 4, 3, "minors-annihilate")
+
+
+def _twisted_presentations():
+    """Seeded presentations with unequal row twists, and a 3x5 one.
+
+    Entry (i, l) has degree b_l - a_i, so with row twists (0, 1) the first
+    row is one degree above the second.
+    """
+    out = []
+    rng = random.Random(20261019)
+    shapes = (((0, 1), (2, 2, 2)), ((0, 1), (2, 2, 2, 2)), ((0, 0, 0), (1,) * 5))
+    for field in (QQ, GF(32003)):
+        for n in (4, 5):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), field)
+            for row_twists, col_twists in shapes:
+                rows = [
+                    [random_homogeneous(ring, b - a, rng) for b in col_twists]
+                    for a in row_twists
+                ]
+                target = GradedFreeModule(ring, row_twists)
+                source = GradedFreeModule(ring, col_twists)
+                out.append(
+                    DeterminantalPresentation(HomogeneousMatrix(target, source, rows))
+                )
+    return out
+
+
+def test_verify_annihilator_matches_the_block_echelon(
+    annihilator_cases, monkeypatch
+):
+    fixtures, seeded = annihilator_cases[:6], annihilator_cases[6:]
+    for P in fixtures:
+        report = verify_annihilator(P, d_max=6)
+        assert report == annihilator_reference.verify_annihilator(P, 6)
+        assert report.passed
+    twisted = _twisted_presentations()
+    assert {P.matrix.target.twists for P in twisted} == {(0, 1), (0, 0, 0)}
+    for P in seeded + twisted:
+        report = verify_annihilator(P, d_max=4)
+        assert report == annihilator_reference.verify_annihilator(P, 4)
+        assert report.passed
+    # both directions of failure, each at the degree the block echelon names
+    for P in _on_p3(seeded + twisted):
+        gens = minors(P, P.t).generators
+        e = gens[0].homogeneous_degree()
+        x0 = P.ring.parse("x0")
+        for mutated, d_max in (
+            (gens[1:], 4),
+            (gens + (x0**3,), 4),
+            # two degrees past d_max: the first passes, the second fails
+            (gens + (x0 * gens[0], x0 ** (e + 2)), e - 1),
+        ):
+            _with_minor_ideal(monkeypatch, P, mutated)
+            monkeypatch.setattr(annihilator_reference, "minors", complexes.minors)
+            report = verify_annihilator(P, d_max=d_max)
+            assert report == annihilator_reference.verify_annihilator(P, d_max)
+            assert not report.passed
 
 
 def test_canonical_module_fixtures(cubic_curve, coordinate_axes, ci_codim2):
