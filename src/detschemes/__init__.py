@@ -40,7 +40,6 @@ from .grading import (
     degree_basis,
     graded_exactness_check,
     hilbert_function,
-    image_membership,
     matrix_from_polys,
     matrix_from_strings,
     matrix_piece,

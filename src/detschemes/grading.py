@@ -15,7 +15,9 @@ Buchberger (`groebner.ColumnModuleGB`; fast at any degree).  `piece_rank`
 is the one place that picks an engine:
 "auto" switches on piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on integers
-(`linalg.IntEchelon`), over F_p on residues.  Piece ranks are memoized per
+(`linalg.IntEchelon`), over F_p on residues (`linalg.Echelon`).  A rank is
+all that any certificate reads from a piece, so nothing here solves in a
+piece or multiplies two.  Piece ranks are memoized per
 (matrix, degree, engine) in a bounded table (`memo.Memo`), since Hilbert
 tables, section sequences and canonical modules rank the same pieces again.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import ColumnModuleGB, IdealBasis
-from .linalg import rank_of_columns, solve_columns
+from .linalg import rank_of_columns
 from .memo import MATRIX_BUDGET, Memo, terms
 
 #: columns-times-rows bound below which the echelon engine is used by "auto"
@@ -319,24 +321,6 @@ class PieceMatrix:
     def rank(self):
         return rank_of_columns(self.cols, self.field)
 
-    def multiply(self, other):
-        """Matrix product self * other on compatible piece bases."""
-        if len(other.row_basis) != self.ncols:
-            raise GradingError("piece multiplication shape mismatch")
-        field = self.field
-        cols = []
-        for col in other.cols:
-            acc = {}
-            for k, c in col.items():
-                for i, a in self.cols[k].items():
-                    v = field.add(acc.get(i, field.zero), field.mul(a, c))
-                    if field.is_zero(v):
-                        acc.pop(i, None)
-                    else:
-                        acc[i] = v
-            cols.append(acc)
-        return PieceMatrix(field, self.row_basis, other.col_basis, cols)
-
 
 def matrix_piece(phi, d):
     """The k-linear map (source)_d -> (target)_d in degree-basis coordinates."""
@@ -447,49 +431,7 @@ def _hf_quotient(I, d):
     return hilbert_function(Coker(_ideal_as_matrix(I)), d)
 
 
-# -- membership and exactness -----------------------------------------------------------
-
-
-def image_membership(v, phi):
-    """Decide v ∈ im Φ for a homogeneous target element; witness on success.
-
-    v is a tuple of polynomials (one per target generator), homogeneous of a
-    common total degree.  Returns (True, preimage) or (False, None).
-    """
-    ring = phi.ring
-    field = ring.field
-    if len(v) != phi.target.rank:
-        raise GradingError("element length must equal target rank")
-    degree = None
-    for i, p in enumerate(v):
-        if p.is_zero():
-            continue
-        dp = p.homogeneous_degree()
-        if not isinstance(dp, int):
-            raise GradingError("element must be homogeneous")
-        total = dp + phi.target.twists[i]
-        if degree is None:
-            degree = total
-        elif degree != total:
-            raise GradingError("element components have mismatched degrees")
-    if degree is None:
-        return True, tuple(ring.zero() for _ in range(phi.source.rank))
-
-    piece = matrix_piece(phi, degree)
-    row_index = {item: idx for idx, item in enumerate(piece.row_basis)}
-    target_vec = {}
-    for i, p in enumerate(v):
-        for m, c in p.terms:
-            target_vec[row_index[(i, m)]] = c
-    combo = solve_columns(piece.cols, target_vec, field)
-    if combo is None:
-        return False, None
-    parts = [[] for _ in range(phi.source.rank)]
-    for j, c in combo.items():
-        gen, mono = piece.col_basis[j]
-        parts[gen].append((mono, c))
-    preimage = tuple(ring.from_terms(part) for part in parts)
-    return True, preimage
+# -- exactness -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)

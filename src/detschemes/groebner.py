@@ -37,6 +37,7 @@ from itertools import combinations
 from .linalg import echelon
 from .memo import GB_BUDGET, Memo, terms
 from .ring import (
+    FIELD_BITS,
     Monomial,
     Polynomial,
     PolyRing,
@@ -469,17 +470,30 @@ def _aux_ring(ring, extra=1, order="elim_last"):
 
 def _lift(p, aux, tail=None):
     """p in aux, times the monomial whose exponents in the appended variables
-    are `tail` (by default all zero)."""
-    tail = tail or (0,) * (aux.nvars - p.ring.nvars)
-    return aux.from_terms(
-        (Monomial(m.exponents + tail), c) for m, c in p.terms
-    )
+    are `tail` (by default all zero).
+
+    On packed keys, appended field n + i holds a term's total degree plus
+    tail_0 + ... + tail_i, so each key gains its degree once per appended
+    field and the packed prefix sums of `tail`.  A total degree past
+    MAX_DEGREE shows in the top field, where `from_keys` raises.
+    """
+    n, top = p.ring.nvars, p.ring._top
+    ones = shifted = total = 0
+    for i, e in enumerate(tail or (0,) * (aux.nvars - n)):
+        total += e
+        ones |= 1 << (FIELD_BITS * (n + i))
+        shifted |= total << (FIELD_BITS * (n + i))
+    return aux.from_keys({m.key + (m.key >> top) * ones + shifted: c for m, c in p.terms})
 
 
 def _project(p, ring):
-    return ring.from_terms(
-        (Monomial(m.exponents[:-1]), c) for m, c in p.terms
-    )
+    """p in `ring`, its last variable set to 1: the key's top field goes."""
+    mask = _masks(ring.nvars)[0]
+    acc = {}
+    for m, c in p.terms:
+        k = m.key & mask
+        acc[k] = acc[k] + c if k in acc else c
+    return ring.from_keys(acc)
 
 
 def intersect(I, J):

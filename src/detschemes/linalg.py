@@ -9,17 +9,12 @@ at a time.  There is one exact echelon per kind of coefficient:
   fraction-free on integers, as in Bareiss (Math. Comp. 22, 1968) but with
   content removal in place of the exact division by the previous pivot.  No
   `Fraction` arithmetic runs inside the elimination.
-- `Echelon` for residues in F_p, on plain ints with one `% p` per entry.
-  Over any other exact field it runs on the field's operations; the tests
-  run it over QQ as the reference that the integer route must match.
+- `Echelon` for residues in F_p, on plain ints with one `% p` per entry
+  and a pivot inverted as c^(p-2) mod p.
 
-`echelon(field)` picks the one for a field.  Row indices at or above an
-echelon's `tags` bound are bookkeeping coordinates: they never become
-pivots but take part in every elimination step.  Inserting a column together
-with a unit coordinate at `tags + j` therefore records, when the column turns
-out dependent, the relation that makes it so over the columns as given (the
-augmented matrix [A | I]).  `kernel_basis` and `solve_columns` read their
-answers from these coordinates.
+`echelon(field)` picks the one for a field.  Both only count: a rank is all
+the certificates read, so neither keeps track of how a dependent vector
+combines the earlier ones.
 
 Determinants of polynomial matrices (`Laplace`, `poly_det`) run on dicts
 from packed monomial keys to ints for both fields: over QQ rows are scaled
@@ -37,17 +32,17 @@ from .ring import _check_degree
 
 
 class Echelon:
-    """Incremental row-echelon span of sparse vectors over an exact field.
+    """Incremental row-echelon span of sparse vectors over F_p.
 
-    Pivot of a vector is its smallest row index; pivot entries are
-    normalized to 1, so reduction is a plain subtract-multiple loop.
-    Elimination at a row only fills rows below it, so a lazy min-heap
-    worklist visits every reducible row exactly as it becomes live.
+    Entries are ints, reduced mod p on the way in.  Pivot of a vector is its
+    smallest row index; pivot entries are normalized to 1, so reduction is a
+    plain subtract-multiple loop.  Elimination at a row only fills rows
+    below it, so a lazy min-heap worklist visits every reducible row exactly
+    as it becomes live.
     """
 
-    def __init__(self, field, tags=math.inf):
-        self.field = field
-        self.tags = tags  # first bookkeeping row
+    def __init__(self, field):
+        self.p = field.characteristic
         self.pivots = {}  # pivot row -> normalized vector
 
     @property
@@ -56,12 +51,8 @@ class Echelon:
 
     def reduce(self, vec):
         """Fully reduce a sparse vector against the current span."""
-        field = self.field
-        p = field.characteristic  # F_p residues are reduced by hand
-        if p:
-            v = {r: c % p for r, c in vec.items() if c % p}
-        else:
-            v = {r: c for r, c in vec.items() if not field.is_zero(c)}
+        p = self.p
+        v = {r: c % p for r, c in vec.items() if c % p}
         pivots = self.pivots
         get = v.get
         heap = [r for r in v if r in pivots]
@@ -73,10 +64,7 @@ class Echelon:
                 continue
             for r, pc in pivots[row].items():
                 old = get(r)
-                if p:
-                    nc = ((old or 0) - c * pc) % p
-                else:
-                    nc = field.sub(field.zero if old is None else old, field.mul(c, pc))
+                nc = ((old or 0) - c * pc) % p
                 if nc:
                     v[r] = nc
                     if old is None and r in pivots:
@@ -89,18 +77,15 @@ class Echelon:
         """Add a vector to the span.
 
         Returns None when it became a new pivot; otherwise the reduced
-        vector, which then holds bookkeeping coordinates only.
+        vector, which is then empty.
         """
         v = self.reduce(vec)
-        row = min(v, default=self.tags)
-        if row >= self.tags:
+        if not v:
             return v
-        inv = self.field.inv(v[row])
-        self.pivots[row] = {r: self.field.mul(c, inv) for r, c in v.items()}
+        p, row = self.p, min(v)
+        inv = pow(v[row], p - 2, p)
+        self.pivots[row] = {r: c * inv % p for r, c in v.items()}
         return None
-
-    def contains(self, vec):
-        return min(self.reduce(vec), default=self.tags) >= self.tags
 
 
 class IntEchelon:
@@ -112,8 +97,7 @@ class IntEchelon:
     as in Echelon, and `insert` answers as Echelon's does.
     """
 
-    def __init__(self, tags=math.inf):
-        self.tags = tags  # first bookkeeping row
+    def __init__(self):
         self.pivots = {}  # pivot row -> content-free integer vector
 
     @property
@@ -156,53 +140,17 @@ class IntEchelon:
     def insert(self, vec):
         """Add a vector to the span; returns as Echelon.insert does."""
         v = self.reduce(vec)
-        row = min(v, default=self.tags)
-        if row >= self.tags:
+        if not v:
             return v
-        self.pivots[row] = v
+        self.pivots[min(v)] = v
         return None
 
 
-def echelon(field, tags=math.inf):
+def echelon(field):
     """Empty span for vectors over `field`: integer route for QQ."""
     if field.characteristic == 0:
-        return IntEchelon(tags)
-    return Echelon(field, tags)
-
-
-def _first_tag(columns):
-    return 1 + max((r for col in columns for r in col), default=-1)
-
-
-def kernel_basis(columns, field):
-    """Kernel of the map sending unit j to columns[j]; sparse coords over j.
-
-    One vector per dependent column j, with coordinate 1 at j and the rest
-    on earlier independent columns.
-    """
-    tags = _first_tag(columns)
-    ech = echelon(field, tags)
-    kernel = []
-    for j, col in enumerate(columns):
-        rel = ech.insert({**col, tags + j: field.one})
-        if rel is not None:
-            inv = field.inv(rel[tags + j])
-            kernel.append({t - tags: field.mul(c, inv) for t, c in rel.items()})
-    return kernel
-
-
-def solve_columns(columns, target, field):
-    """One solution x with sum x_j * columns[j] = target, or None."""
-    tags = _first_tag(columns + [target])
-    ech = echelon(field, tags)
-    for j, col in enumerate(columns):
-        ech.insert({**col, tags + j: field.one})
-    mark = tags + len(columns)
-    rel = ech.reduce({**target, mark: field.one})
-    if min(rel) < tags:
-        return None
-    scale = field.neg(field.inv(rel.pop(mark)))
-    return {t - tags: field.mul(c, scale) for t, c in rel.items()}
+        return IntEchelon()
+    return Echelon(field)
 
 
 def rank_of_columns(columns, field):

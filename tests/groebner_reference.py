@@ -5,6 +5,10 @@
 step divides field elements, so the whole computation runs on the field's
 own arithmetic.  The differential tests assert that the package's bases,
 normal forms and S-polynomials equal these byte for byte.
+
+`lift` and `project` are `groebner._lift` and `_project` as they were
+before they worked on packed keys: every monomial is rebuilt from its
+exponent tuple, so `Monomial()` checks each degree.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import heapq
 from detschemes.groebner import GroebnerError, IdealBasis
 from detschemes.linalg import echelon
 from detschemes.ring import (
+    Monomial,
     Polynomial,
     _check_degree,
     _masks,
@@ -223,3 +228,18 @@ def buchberger(gens, ring=None):
         reduced.append(reduce_full(p, others).monic())
     reduced.sort(key=lambda q: key_of(q.leading_monomial()), reverse=True)
     return IdealBasis(ring, tuple(reduced), True, ring.order)
+
+
+def lift(p, aux, tail=None):
+    """p in aux, times the monomial whose exponents in the appended variables
+    are `tail` (by default all zero)."""
+    tail = tail or (0,) * (aux.nvars - p.ring.nvars)
+    return aux.from_terms(
+        (Monomial(m.exponents + tail), c) for m, c in p.terms
+    )
+
+
+def project(p, ring):
+    return ring.from_terms(
+        (Monomial(m.exponents[:-1]), c) for m, c in p.terms
+    )

@@ -42,6 +42,7 @@ from detschemes import (
 from detschemes.determinantal import _verify_deletion
 from detschemes.grading import zero_matrix
 from detschemes.ring import random_homogeneous
+from linalg_reference import piece_multiply
 
 
 @contextmanager
@@ -243,7 +244,7 @@ def test_criterion_10_property_suites(ring, double_point, cubic_curve, generic_2
         )
         for d in range(5):
             assert matrix_piece(a.compose(b), d).cols == (
-                matrix_piece(a, d).multiply(matrix_piece(b, d)).cols
+                piece_multiply(matrix_piece(a, d), matrix_piece(b, d)).cols
             )
         # minor containment
         for pres in (double_point, generic_2x4):

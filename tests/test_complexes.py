@@ -22,7 +22,6 @@ from detschemes import (
     graded_exactness_check,
     hilbert_function,
     ideal,
-    image_membership,
     koszul,
     matrix_from_strings,
     minors,
@@ -38,8 +37,8 @@ from detschemes.determinantal import DeterminantalPresentation
 from detschemes.errors import InputError, VerificationError
 from detschemes.grading import Coker, matrix_piece, zero_matrix
 from detschemes.groebner import IdealBasis
-from detschemes.linalg import kernel_basis
 from detschemes.ring import random_homogeneous
+from linalg_reference import image_membership, kernel_basis
 
 
 def _flip_sign_of_column(cpx, position, col):

@@ -14,7 +14,6 @@ from detschemes import (
     graded_exactness_check,
     hilbert_function,
     ideal,
-    image_membership,
     koszul,
     matrix_from_strings,
     matrix_piece,
@@ -26,8 +25,8 @@ from detschemes import (
 )
 from detschemes.grading import _PIECE_RANK_CACHE, GradingError, zero_matrix
 from detschemes.groebner import ensure_gb
-from detschemes.linalg import Echelon, kernel_basis
 from detschemes.ring import random_homogeneous
+from linalg_reference import FieldEchelon, image_membership, kernel_basis, piece_multiply
 
 
 def test_degree_basis_sizes(ring):
@@ -106,7 +105,7 @@ def test_integer_route_matches_fraction_echelon_on_rational_pieces(ring):
         phi = _rational_matrix(ring, rng)
         for d in range(4):
             piece = matrix_piece(phi, d)
-            ech = Echelon(QQ)
+            ech = FieldEchelon(QQ)
             dependent = sum(ech.insert(col) is not None for col in piece.cols)
             assert piece.rank() == ech.rank
             assert len(kernel_basis(piece.cols, QQ)) == dependent == piece.ncols - ech.rank
@@ -155,7 +154,7 @@ def test_matrix_piece_functoriality(ring):
     comp = a.compose(b)
     for d in range(4):
         lhs = matrix_piece(comp, d)
-        rhs = matrix_piece(a, d).multiply(matrix_piece(b, d))
+        rhs = piece_multiply(matrix_piece(a, d), matrix_piece(b, d))
         assert lhs.cols == rhs.cols
 
 

@@ -21,8 +21,8 @@ from detschemes import (
     saturate,
 )
 from detschemes.groebner import GroebnerError, IdealBasis, spoly, reduce_full
-from detschemes.linalg import Echelon
 from detschemes.ring import random_homogeneous
+from linalg_reference import FieldEchelon
 
 
 def _linear_membership(p, gens):
@@ -36,7 +36,7 @@ def _linear_membership(p, gens):
     assert isinstance(d, int)
     monomials = ring.monomials_of_degree(d)
     index = {m: i for i, m in enumerate(monomials)}
-    ech = Echelon(ring.field)
+    ech = FieldEchelon(ring.field)
     for g in gens:
         dg = g.homogeneous_degree()
         if not isinstance(dg, int) or dg > d:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import groebner_reference as ref
-from detschemes import GF, PolyRing, buchsbaum_rim, eagon_northcott, groebner, ideal, minors
+from detschemes import GF, QQ, PolyRing, buchsbaum_rim, eagon_northcott, groebner, ideal, minors
 from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
 from detschemes.complexes import betti_table, buchsbaum_eisenbud, verify_complex
 from detschemes.field import RationalField
@@ -27,7 +27,7 @@ from detschemes.groebner import (
     spoly,
 )
 from detschemes.memo import Memo
-from detschemes.ring import MAX_DEGREE, RingError
+from detschemes.ring import MAX_DEGREE, Monomial, RingError
 
 VARS3 = ("x0", "x1", "x2")
 VARS4 = ("x0", "x1", "x2", "x3")
@@ -147,6 +147,55 @@ def test_elimination_ideals_match_the_reference(monkeypatch):
         assert any(r is not None and r.order == "elim_last" for _, r in seen)
         for gens, r in seen:
             _assert_same_basis(gens, r)
+
+
+def _random_exponents(n, d, rng):
+    cuts = sorted(rng.randint(0, d) for _ in range(n - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, d]))
+
+
+def test_packed_lift_and_project_match_the_exponent_tuples():
+    """Lifts by tails of 1-4 variables and projections, at degrees up to
+    the limit; a lift past it raises as Monomial() does."""
+    rng = random.Random(811)
+    raised = 0
+    for n in range(3, 8):
+        for field in (QQ, GF(32003)):
+            ring = PolyRing(tuple(f"x{i}" for i in range(n)), field)
+            coeff = _with_denominators if field is QQ else field.random
+            for _ in range(12):
+                extra = rng.randint(1, 4)
+                aux, _ = groebner._aux_ring(ring, extra, rng.choice(("grevlex", "elim_last")))
+                degrees = (0, 1, rng.randint(2, 40), MAX_DEGREE - 1, MAX_DEGREE)
+                p = ring.from_terms(
+                    (Monomial(_random_exponents(n, rng.choice(degrees), rng)), coeff(rng))
+                    for _ in range(rng.randint(1, 4))
+                )
+                entries = (0, 1, rng.randint(2, 9), rng.randint(0, MAX_DEGREE))
+                tail = rng.choice((None, tuple(rng.choice(entries) for _ in range(extra))))
+                try:
+                    want = ref.lift(p, aux, tail)
+                except RingError:
+                    raised += 1
+                    with pytest.raises(RingError):
+                        groebner._lift(p, aux, tail)
+                else:
+                    got = groebner._lift(p, aux, tail)
+                    assert got.ring == want.ring and _signature([got]) == _signature([want])
+            # projections drop the last variable; terms that differ only
+            # there add up, and may cancel
+            aux, _ = groebner._aux_ring(ring, 1, "elim_last")
+            for _ in range(12):
+                terms = []
+                for _ in range(rng.randint(1, 4)):
+                    exps, c = _random_exponents(n + 1, rng.choice(degrees), rng), coeff(rng)
+                    terms.append((Monomial(exps), c))
+                    if exps[-1] and rng.random() < 0.5:
+                        terms.append((Monomial(exps[:-1] + (exps[-1] - 1,)), -c))
+                q = aux.from_terms(terms)
+                got, want = groebner._project(q, ring), ref.project(q, ring)
+                assert got.ring == want.ring and _signature([got]) == _signature([want])
+    assert raised
 
 
 def _fixture(name, field=None):

@@ -6,15 +6,9 @@ import pytest
 
 from detschemes import GF, QQ, PolyRing, minors
 from detschemes.grading import matrix_from_polys
-from detschemes.linalg import (
-    Echelon,
-    IntEchelon,
-    kernel_basis,
-    poly_det,
-    rank_of_columns,
-    solve_columns,
-)
+from detschemes.linalg import Echelon, IntEchelon, poly_det, rank_of_columns
 from detschemes.ring import RingError
+from linalg_reference import FieldEchelon, TaggedIntEchelon, kernel_basis, solve_columns
 
 
 def _dense_to_cols(rows):
@@ -32,14 +26,14 @@ def _random_matrix(rng, nrows, ncols, lo=-4, hi=4):
 
 def _fraction_rank(cols):
     """Reference: the field echelon over QQ, on Fractions."""
-    ech = Echelon(QQ)
+    ech = FieldEchelon(QQ)
     for col in cols:
         ech.insert(col)
     return ech.rank
 
 
 def _fraction_kernel_dim(cols):
-    ech = Echelon(QQ)
+    ech = FieldEchelon(QQ)
     dim = 0
     for col in cols:
         if ech.insert(col) is not None:
@@ -160,13 +154,49 @@ def test_solve_columns_unsolvable():
 
 def test_augmented_echelon_dependency_combination():
     # rows 2, 3, 4 are bookkeeping coordinates: the augmented matrix [A | I]
-    for ech in (Echelon(QQ, tags=2), IntEchelon(tags=2)):
-        assert ech.insert({0: Fraction(1), 1: Fraction(2), 2: Fraction(1)}) is None
-        assert ech.insert({1: Fraction(1), 3: Fraction(1)}) is None
-        rel = ech.insert({0: Fraction(2), 1: Fraction(5), 4: Fraction(1)})
+    for field, ech in (
+        (QQ, FieldEchelon(QQ, tags=2)),
+        (QQ, TaggedIntEchelon(tags=2)),
+        (GF(7), FieldEchelon(GF(7), tags=2)),
+    ):
+        one, two, five = (field.from_int(c) for c in (1, 2, 5))
+        assert ech.insert({0: one, 1: two, 2: one}) is None
+        assert ech.insert({1: one, 3: one}) is None
+        rel = ech.insert({0: two, 1: five, 4: one})
         assert ech.rank == 2
         # c = 2a + b, up to the scale of the relation
-        assert {t: Fraction(c, rel[4]) for t, c in rel.items()} == {2: -2, 3: -1, 4: 1}
+        want = {2: field.from_int(-2), 3: field.from_int(-1), 4: one}
+        assert {t: field.div(c, rel[4]) for t, c in rel.items()} == want
+
+
+def test_fp_echelon_matches_field_echelon():
+    # entries at or above p and negative ones are reduced on the way in
+    rng = random.Random(43)
+    for p in (5, 7, 32003):
+        F = GF(p)
+
+        def entry():
+            return rng.choice((rng.randint(-3 * p, -1), rng.randint(p, 3 * p), rng.randrange(p)))
+
+        for _ in range(30):
+            nrows = rng.randint(1, 7)
+            ech, ref = Echelon(F), FieldEchelon(F)
+            for _ in range(rng.randint(1, 9)):
+                col = {i: entry() for i in range(nrows) if rng.random() < 0.5}
+                if ech.rank and rng.random() < 0.3:  # in the span, entries times p + 1
+                    col = {}
+                    for vec in ech.pivots.values():
+                        c = rng.randint(-p, p)
+                        for i, a in vec.items():
+                            col[i] = col.get(i, 0) + (p + 1) * c * a
+                reduced = ech.reduce(col)
+                assert reduced == {r: c % p for r, c in ref.reduce(col).items()}
+                assert all(0 < c < p for c in reduced.values())
+                # None for a new pivot, else the empty reduced vector
+                assert ech.insert(col) == ref.insert(col)
+                assert ech.pivots == ref.pivots
+                assert all(0 < a < p for v in ech.pivots.values() for a in v.values())
+            assert ech.rank == ref.rank
 
 
 def test_int_echelon_rank_known():
