@@ -16,11 +16,16 @@ The first EN differential is the list of maximal minors; the map of BR into
 F expands (g+1)-column index sets into signed maximal minors; all higher
 differentials are one contraction against Φ.  Acyclicity is certified by the
 Buchsbaum-Eisenbud rank/height criterion (grade equals height here: the
-ambient polynomial ring is Cohen-Macaulay).
+ambient polynomial ring is Cohen-Macaulay).  d∘d = 0 is checked once per
+complex, and the verdict is stored on it.  Ranks are proved from d∘d = 0:
+upper bounds come from the right end of the complex, a seeded evaluation
+gives a lower bound, and only when the two differ does the exact search
+of `rank_of_map` run, so no random step decides a verdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -51,6 +56,8 @@ class FreeComplex:
     modules: tuple
     differentials: tuple
     tag: str = "custom"
+    # verify_complex's verdict, computed on first use
+    _dd_zero: bool = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def length(self):
@@ -232,7 +239,18 @@ def koszul(polys, tag="Koszul"):
 
 
 def verify_complex(C):
-    """True iff consecutive differentials compose to zero as polynomials."""
+    """True iff consecutive differentials compose to zero as polynomials.
+
+    The verdict is stored on the (frozen) complex, so later calls, such as
+    the one `buchsbaum_eisenbud` makes, cost nothing; `replaced` builds a
+    new complex, which is checked afresh.
+    """
+    if C._dd_zero is None:
+        object.__setattr__(C, "_dd_zero", _composes_to_zero(C))
+    return C._dd_zero
+
+
+def _composes_to_zero(C):
     for k in range(len(C.differentials)):
         d = C.differentials[k]
         if d.target.twists != C.modules[k].twists:
@@ -249,13 +267,19 @@ def verify_complex(C):
 
 
 def rank_of_map(phi, seed=0):
-    """Largest s with a nonvanishing s x s minor.
+    """Largest s with a nonvanishing s x s minor."""
+    return _rank_below(phi, min(phi.nrows, phi.ncols), seed)
 
-    Seeded random evaluations give a certified lower bound (a nonzero scalar
-    minor lifts to a nonzero polynomial minor); exhaustive search over the
-    next sizes settles the exact value.
+
+def _rank_below(phi, upper, seed):
+    """The rank of phi, given a proof that it is at most `upper`.
+
+    Seeded evaluations give a certified lower bound (a nonzero scalar minor
+    lifts to a nonzero polynomial minor), up to three of them, stopping once
+    the bound meets `upper`; an exhaustive search over the next sizes, up to
+    `upper`, settles the exact value.
     """
-    if phi.nrows == 0 or phi.ncols == 0 or phi.is_zero():
+    if upper == 0 or phi.is_zero():
         return 0
     ring = phi.ring
     field = ring.field
@@ -272,12 +296,12 @@ def rank_of_map(phi, seed=0):
                     col[i] = v
             cols.append(col)
         best = max(best, rank_of_columns(cols, field))
-    s = best
-    limit = min(phi.nrows, phi.ncols)
+        if best >= upper:
+            return best
     laplace = Laplace(phi.entries, ring)
-    while s < limit and _has_nonzero_minor(phi, s + 1, laplace):
-        s += 1
-    return s
+    while best < upper and _has_nonzero_minor(phi, best + 1, laplace):
+        best += 1
+    return best
 
 
 def _has_nonzero_minor(phi, s, laplace):
@@ -321,8 +345,9 @@ def buchsbaum_eisenbud(C, seed=0):
     """Rank and height conditions per differential; pass iff acyclic.
 
     Expected ranks come from alternating sums against the left end; each
-    differential must attain its expected rank and the ideal of minors of
-    that size must have height at least the homological position.
+    differential must attain its expected rank (see `_certified_ranks`) and
+    the ideal of minors of that size must have height at least the
+    homological position.
     """
     if not verify_complex(C):
         raise InputError("buchsbaum_eisenbud requires a complex (d∘d = 0)")
@@ -330,11 +355,11 @@ def buchsbaum_eisenbud(C, seed=0):
     expected = [0] * (n + 2)
     for i in range(n, 0, -1):
         expected[i] = C.modules[i].rank - expected[i + 1]
+    ranks = _certified_ranks(C, seed)
     entries = []
     for i in range(1, n + 1):
         d = C.differentials[i - 1]
         r_i = expected[i]
-        computed = rank_of_map(d, seed)
         if r_i <= 0:
             ht = math.inf if r_i == 0 else 0
         elif r_i > min(d.nrows, d.ncols):
@@ -342,8 +367,27 @@ def buchsbaum_eisenbud(C, seed=0):
         else:
             ideal = minors(d, r_i)
             ht = height(ideal) if ideal.generators else 0
-        entries.append(AcyclicityEntry(i, r_i, computed, ht))
+        entries.append(AcyclicityEntry(i, r_i, ranks[i - 1], ht))
     return AcyclicityReport(tuple(entries))
+
+
+def _certified_ranks(C, seed):
+    """[rank d_1, ..., rank d_n] of a complex that passed verify_complex.
+
+    Ranks are proved from the right end.  Since d_i ∘ d_{i+1} = 0, the
+    image of d_{i+1} lies in the kernel of d_i, so rank d_i is at most
+    rank F_i - rank d_{i+1}.  One seeded evaluation of d_i gives a lower
+    bound; when it meets that upper bound the rank is proved, and otherwise
+    the exact search of `rank_of_map` finishes the job, stopping at the
+    upper bound.  No random step decides a rank.
+    """
+    ranks, previous = [], 0
+    for i in range(len(C.differentials), 0, -1):
+        d = C.differentials[i - 1]
+        upper = min(d.nrows, d.ncols, C.modules[i].rank - previous)
+        previous = _rank_below(d, upper, seed)
+        ranks.append(previous)
+    return ranks[::-1]
 
 
 # -- Betti numbers -------------------------------------------------------------------

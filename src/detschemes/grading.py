@@ -175,22 +175,30 @@ class HomogeneousMatrix:
         return all(p.is_zero() for row in self.entries for p in row)
 
     def compose(self, other):
-        """self ∘ other, valid when other.target equals self.source."""
+        """self ∘ other, valid when other.target equals self.source.
+
+        Each entry is summed on one {packed key: coefficient} dict and made a
+        Polynomial once, by `ring.from_keys`, which also raises RingError
+        when a nonzero entry's degree passes MAX_DEGREE.
+        """
         if other.target.twists != self.source.twists:
             raise GradingError("composition twist mismatch")
         ring = self.ring
+        right = [[[(m.key, c) for m, c in p.terms] for p in row] for row in other.entries]
         rows = []
-        for i in range(self.nrows):
+        for a_row in self.entries:
+            left = [(k, [(m.key, c) for m, c in a.terms]) for k, a in enumerate(a_row) if a.terms]
             row = []
             for j in range(other.ncols):
-                acc = ring.zero()
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
+                acc = {}
+                get = acc.get
+                for k, a in left:
+                    b = right[k][j]
+                    for k1, c1 in a:
+                        for k2, c2 in b:
+                            key = k1 + k2
+                            acc[key] = get(key, 0) + c1 * c2
+                row.append(ring.from_keys(acc))
             rows.append(row)
         return HomogeneousMatrix(self.target, other.source, rows)
 

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 import annihilator_reference
+import complexes_reference
 from detschemes import (
     GF,
     QQ,
@@ -129,8 +130,10 @@ def test_verify_complex_on_fixtures(
 
 def test_verify_complex_detects_sign_flip(double_point):
     cpx = eagon_northcott(double_point)
+    assert verify_complex(cpx)  # the stored verdict must not reach the copy
     broken = _flip_sign_of_column(cpx, 2, 0)
     assert not verify_complex(broken)
+    assert verify_complex(cpx)
 
 
 def test_rank_of_map_examples(ring, double_point):
@@ -520,3 +523,214 @@ def test_prime_field_characteristic_guard():
     cpx = eagon_northcott(Q)
     assert verify_complex(cpx)
     assert cpx.ranks == (1, 6, 8, 3)
+
+
+# -- ranks certified from d∘d = 0 against the reference -------------------------------
+
+
+def _change_coordinates(phi, a):
+    """phi with x_i replaced by sum_j a[i][j] x_j in every entry."""
+    ring = phi.ring
+    xs = ring.gens()
+    images = [
+        sum((xs[j].scale(ring.field.from_int(c)) for j, c in enumerate(row) if c), ring.zero())
+        for row in a
+    ]
+    rows = []
+    for row in phi.entries:
+        out = []
+        for f in row:
+            acc = ring.zero()
+            for mono, c in f.terms:
+                term = ring.constant(c)
+                for i, e in enumerate(mono.exponents):
+                    term = term * images[i] ** e
+                acc = acc + term
+            out.append(acc)
+        rows.append(out)
+    return HomogeneousMatrix(phi.target, phi.source, rows)
+
+
+def _invertible(rng, field, n):
+    """Seeded n x n integer matrix with entries in [-2, 2], invertible over field."""
+    while True:
+        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        cols = [{i: field.from_int(a[i][j]) for i in range(n) if a[i][j]} for j in range(n)]
+        if complexes.rank_of_columns(cols, field) == n:
+            return a
+
+
+def _reference_ranks(cpx, seed):
+    return [complexes_reference.rank_of_map(d, seed) for d in cpx.differentials]
+
+
+@pytest.fixture(scope="module")
+def fixture_matrices(double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4):
+    """Every fixture's matrix and two coordinate changes of each."""
+    rng = random.Random(20261019)
+    out = []
+    for pres in (double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4):
+        phi = pres.matrix
+        out.append(phi)
+        for _ in range(2):
+            out.append(_change_coordinates(phi, _invertible(rng, phi.ring.field, phi.ring.nvars)))
+    return out
+
+
+def test_certified_ranks_match_rank_of_map_on_fixtures(fixture_matrices):
+    for k, phi in enumerate(fixture_matrices):
+        for builder in (eagon_northcott, buchsbaum_rim):
+            cpx = builder(phi)
+            assert verify_complex(cpx)
+            for seed in (0, 42):
+                assert complexes._certified_ranks(cpx, seed) == _reference_ranks(cpx, seed), (k, builder)
+            if k % 3 == 0:  # the fixture itself: the whole report
+                assert buchsbaum_eisenbud(cpx, 42) == complexes_reference.buchsbaum_eisenbud(cpx, 42)
+
+
+def _seeded_cases(field, rng):
+    """Seeded linear matrices over field: generic ones and ones whose ranks fall short."""
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+    xs = ring.gens()
+
+    def form(nvars=4):
+        return sum((xs[i].scale(field.from_int(rng.randint(-3, 3))) for i in range(nvars)), ring.zero())
+
+    def matrix(rows):
+        return HomogeneousMatrix(
+            GradedFreeModule(ring, (0,) * len(rows)), GradedFreeModule(ring, (1,) * len(rows[0])), rows
+        )
+
+    cases = []
+    for g, f in ((1, 2), (1, 3), (2, 3), (2, 4)):
+        cases.append(("generic", matrix([[form() for _ in range(f)] for _ in range(g)])))
+    top = [form() for _ in range(3)]
+    two = ring.constant(field.from_int(2))
+    cases.append(("proportional rows", matrix([top, [two * p for p in top]])))
+    cases.append(("zero column", matrix([[form(), form(), ring.zero()], [form(), form(), ring.zero()]])))
+    cases.append(("two variables", matrix([[form(2) for _ in range(4)] for _ in range(2)])))
+    cases.append(("koszul, dependent forms", koszul([xs[0], xs[1], xs[0] + xs[1]])))
+    cases.append(("koszul", koszul([form() for _ in range(3)])))
+    return cases
+
+
+def test_certified_ranks_match_rank_of_map_on_seeded_complexes():
+    rng = random.Random(12)
+    short = 0
+    for field in (QQ, GF(5), GF(7), GF(32003)):
+        for label, case in _seeded_cases(field, rng):
+            if isinstance(case, HomogeneousMatrix):
+                cpxs = [eagon_northcott(case), buchsbaum_rim(case)]
+            else:
+                cpxs = [case]
+            for cpx in cpxs:
+                assert verify_complex(cpx)
+                for seed in (0, 3):
+                    got = buchsbaum_eisenbud(cpx, seed)
+                    assert got == complexes_reference.buchsbaum_eisenbud(cpx, seed), (field, label)
+                    short += not all(e.rank_ok for e in got.entries)
+    assert short  # some inputs have ranks that fall short of the expected ones
+
+
+def test_certified_ranks_fall_back_when_the_seeded_point_is_special():
+    """Over F_5 some seeds put the first point on a zero of the needed
+    minors (the origin, or a point where the rows agree); the exact search
+    then settles the rank, as the reference does."""
+    ring = PolyRing(("x0", "x1", "x2"), GF(5))
+    P = presentation_from_strings(ring, [["x0", "x1", "x2"], ["x1", "x2", "x0"]])
+    for cpx in (eagon_northcott(P), buchsbaum_rim(P)):
+        first_point_short = []
+        for seed in range(300):
+            rng = random.Random(seed)  # the first point the certificate evaluates at
+            point = [ring.field.random(rng, 37) for _ in range(ring.nvars)]
+            at_point = [
+                complexes.rank_of_columns(
+                    [
+                        {i: v for i in range(d.nrows) if (v := d.entries[i][j].evaluate(point))}
+                        for j in range(d.ncols)
+                    ],
+                    ring.field,
+                )
+                for d in cpx.differentials
+            ]
+            if at_point != _reference_ranks(cpx, seed):
+                first_point_short.append(seed)
+                want = complexes_reference.buchsbaum_eisenbud(cpx, seed)
+                assert buchsbaum_eisenbud(cpx, seed) == want
+                assert want.passed
+        assert len(first_point_short) >= 4
+
+
+def _short_evaluations(monkeypatch):
+    """Every seeded evaluation reports one less than its rank; returns the
+    (matrix, size) of every minor search that then runs."""
+    rank_of_columns = complexes.rank_of_columns
+    searched = []
+    has_nonzero_minor = complexes._has_nonzero_minor
+
+    def recorded(phi, s, laplace):
+        searched.append((phi, s))
+        return has_nonzero_minor(phi, s, laplace)
+
+    monkeypatch.setattr(complexes, "rank_of_columns", lambda cols, field: max(0, rank_of_columns(cols, field) - 1))
+    monkeypatch.setattr(complexes, "_has_nonzero_minor", recorded)
+    return searched
+
+
+def test_forced_fallback_reports_match_reference(monkeypatch, double_point, cubic_curve, ci_codim3):
+    searched = _short_evaluations(monkeypatch)
+    for pres in (double_point, cubic_curve, ci_codim3):
+        for builder in (eagon_northcott, buchsbaum_rim):
+            cpx = builder(pres)
+            want = complexes_reference.buchsbaum_eisenbud(cpx, 42)
+            del searched[:]
+            assert buchsbaum_eisenbud(cpx, 42) == want
+            assert want.passed
+            # every differential took the fallback, which never tried a
+            # minor larger than the upper bound d∘d = 0 certifies (here the
+            # expected rank, the complexes being acyclic)
+            sizes = {}
+            for phi, s in searched:
+                sizes[phi] = max(sizes.get(phi, 0), s)
+            for d, e in zip(cpx.differentials, want.entries):
+                assert sizes.get(d, 0) <= e.expected_rank
+                assert (d in sizes) == (e.expected_rank > 0)
+
+
+def test_rank_of_map_stops_evaluating_at_full_rank(monkeypatch, ring, double_point):
+    rank_of_columns = complexes.rank_of_columns
+    calls = []
+
+    def counted(cols, field):
+        calls.append(1)
+        return rank_of_columns(cols, field)
+
+    monkeypatch.setattr(complexes, "rank_of_columns", counted)
+    assert rank_of_map(double_point.matrix) == 2
+    assert len(calls) == 1
+    del calls[:]
+    deficient = matrix_from_strings(ring, [["x0", "x1", "x2"], ["x0", "x1", "x2"]])
+    assert rank_of_map(deficient) == 1 == complexes_reference.rank_of_map(deficient)
+    assert len(calls) == 3
+
+
+def test_dd_verdict_is_stored_once_per_complex(monkeypatch, double_point):
+    compose = HomogeneousMatrix.compose
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(HomogeneousMatrix, "compose", counted)
+    cpx = eagon_northcott(double_point)
+    assert verify_complex(cpx) and verify_complex(cpx)
+    assert len(calls) == len(cpx.differentials) - 1
+    assert buchsbaum_eisenbud(cpx).passed
+    assert len(calls) == len(cpx.differentials) - 1
+    # an equal complex is another object and checks afresh; the stored
+    # verdict takes no part in equality or hashing
+    twin = complexes.FreeComplex(cpx.modules, cpx.differentials, cpx.tag)
+    assert twin == cpx and hash(twin) == hash(cpx)
+    assert verify_complex(twin)
+    assert len(calls) == 2 * (len(cpx.differentials) - 1)

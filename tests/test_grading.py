@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import complexes_reference
 from detschemes import (
+    GF,
     QQ,
     Coker,
     GradedFreeModule,
@@ -25,7 +27,7 @@ from detschemes import (
 )
 from detschemes.grading import _PIECE_RANK_CACHE, GradingError, zero_matrix
 from detschemes.groebner import ensure_gb
-from detschemes.ring import random_homogeneous
+from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
 from linalg_reference import FieldEchelon, image_membership, kernel_basis, piece_multiply
 
 
@@ -271,3 +273,64 @@ def test_shifted_module_dims(ring):
 def test_describe(ring):
     assert GradedFreeModule(ring, (2, 2, 0)).describe() == "R + R(-2)^2"
     assert GradedFreeModule(ring, ()).describe() == "0"
+
+
+def _random_map(rng, target, source, scale):
+    """Seeded map with homogeneous entries (about a quarter of them zero),
+    each multiplied by scale()."""
+    ring = target.ring
+    rows = []
+    for a in target.twists:
+        row = []
+        for b in source.twists:
+            if b < a or rng.random() < 0.25:
+                row.append(ring.zero())
+            else:
+                row.append(random_homogeneous(ring, b - a, rng, bound=5, allow_zero=True).scale(scale()))
+        rows.append(row)
+    return HomogeneousMatrix(target, source, rows)
+
+
+def test_keyed_compose_matches_polynomial_product():
+    rng = random.Random(20261019)
+    nonzero = 0
+    for field in (QQ, GF(7), GF(32003)):
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        if field is QQ:  # Fraction entries, so the sums carry denominators
+            def scale():
+                return Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+        else:
+            def scale():
+                return field.from_int(rng.randint(1, field.characteristic - 1))
+        for _ in range(6):
+            F = GradedFreeModule(ring, [rng.randint(0, 1) for _ in range(rng.randint(1, 3))])
+            G = GradedFreeModule(ring, [rng.randint(1, 2) for _ in range(rng.randint(1, 4))])
+            H = GradedFreeModule(ring, [rng.randint(2, 4) for _ in range(rng.randint(1, 3))])
+            a, b = _random_map(rng, F, G, scale), _random_map(rng, G, H, scale)
+            got = a.compose(b)
+            assert got == complexes_reference.compose(a, b)
+            nonzero += not got.is_zero()
+    assert nonzero >= 15
+    # consecutive differentials compose to zero both ways
+    cpx = eagon_northcott(matrix_from_strings(PolyRing(("x0", "x1", "x2", "x3")), [["x0", "x1", "x2"], ["x1", "x2", "x3"]]))
+    for d, e in zip(cpx.differentials, cpx.differentials[1:]):
+        assert d.compose(e) == complexes_reference.compose(d, e)
+        assert d.compose(e).is_zero()
+    with pytest.raises(GradingError):
+        cpx.differentials[0].compose(cpx.differentials[0])
+
+
+def test_keyed_compose_raises_above_max_degree():
+    half = MAX_DEGREE // 2 + 1
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(("x0", "x1", "x2"), field)
+        a = matrix_from_strings(ring, [[f"x0^{half}", f"x1^{half}"]])
+        b = matrix_from_strings(ring, [[f"x1^{half}"], [f"x0^{half}"]], row_twists=[half, half], col_twists=[2 * half])
+        for compose in (HomogeneousMatrix.compose, complexes_reference.compose):
+            with pytest.raises(RingError):
+                compose(a, b)
+        # at the limit itself both still compose
+        c = matrix_from_strings(ring, [[f"x1^{MAX_DEGREE - half}"]], row_twists=[half], col_twists=[MAX_DEGREE])
+        one = matrix_from_strings(ring, [[f"x0^{half}"]])
+        assert one.compose(c) == complexes_reference.compose(one, c)
+        assert one.compose(c).entries[0][0].homogeneous_degree() == MAX_DEGREE
