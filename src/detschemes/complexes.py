@@ -41,7 +41,7 @@ from .grading import (
     hilbert_function,
     matrix_truncation_bound,
 )
-from .groebner import ColumnModuleGB, ensure_gb, height, quotient_hilbert_function
+from .groebner import ColumnModuleGB, height, hilbert_basis, quotient_hilbert_function
 from .linalg import Laplace, echelon, rank_of_columns
 
 
@@ -484,7 +484,7 @@ def verify_annihilator(P, d_max=8):
     that live there, so the lowest failing degree is reported.
     """
     ideal = minors(P, P.t)
-    gb = ensure_gb(ideal)  # before classify, which reads but does not store it
+    gb = hilbert_basis(ideal)  # before classify, which reads but does not store it
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
     ring, t = P.ring, P.t

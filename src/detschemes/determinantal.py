@@ -26,7 +26,7 @@ from .grading import (
     matrix_truncation_bound,
 )
 from .field import GF
-from .groebner import _GB_CACHE, IdealBasis, ensure_gb, height, normal_form
+from .groebner import _GB_CACHE, IdealBasis, ensure_gb, height, hilbert_basis, normal_form
 from .linalg import Laplace, rank_of_columns
 from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
 from .ring import PolyRing, random_homogeneous
@@ -96,7 +96,7 @@ def minors(mat_or_pres, s, memo=True):
             det = laplace.det(rows, cols)
             if not det.is_zero():
                 gens.append(det)
-    result = IdealBasis(ring, tuple(gens), False, ring.order)
+    result = IdealBasis(ring, tuple(gens))
     return _MINORS_CACHE.put((m, s), result) if memo else result
 
 
@@ -520,10 +520,12 @@ def section_sequence(psi, deleted_row, d_max=None):
             f"{rep_s.expected_codim + 1} (got {rep_x})"
         )
     ideal_x = minors(phi, phi.t)
+    # one basis of the throwaway I_S for every degree, stored in no table
+    basis_s = hilbert_basis(ideal_s, memo=False)
     rows = []
     for d in range(d_max + 1):
         hs = hilbert_function(Coker(m), d)
-        hq = hilbert_function(ideal_s, d - twist)
+        hq = hilbert_function(basis_s, d - twist)
         hx = hilbert_function(Coker(deleted), d)
         rows.append((d, hs, hq, hx))
         if hs != hq + hx:

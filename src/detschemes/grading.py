@@ -6,14 +6,15 @@ degree d - twist_j).  A matrix between twisted modules is homogeneous when
 entry (i, j) is zero or of degree source.twist(j) - target.twist(i); that is
 checked at construction time, so every HomogeneousMatrix in flight is valid.
 
-Degree-piece ranks drive Hilbert functions and exactness checks.  Two exact
-engines are available and cross-checked by the test suite: incremental
-sparse echelon on the assembled scalar piece (fine while pieces are small)
-and standard-monomial counting against the reduced Groebner basis of the
-column module's idealization, computed once per matrix by the ideal
-Buchberger (`groebner.ColumnModuleGB`; fast at any degree).  `piece_rank`
-is the one place that picks an engine:
-"auto" switches on piece size, and every caller in the package takes it.
+Degree-piece ranks drive cokernel and kernel Hilbert functions and
+exactness checks; R/I only counts the standard monomials of one grevlex
+basis (`groebner.quotient_hilbert_function`).  Two exact rank engines are
+cross-checked by the test suite: sparse echelon on the assembled scalar
+piece (fine while pieces are small) and standard-monomial counting against
+the reduced Groebner basis of the column module's idealization
+(`groebner.ColumnModuleGB`, once per matrix; fast at any degree).
+`piece_rank` is the one place that picks an engine: "auto" switches on
+piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on integers
 (`linalg.IntEchelon`), over F_p on residues (`linalg.Echelon`).  A rank is
 all that any certificate reads from a piece, so nothing here solves in a
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import ColumnModuleGB, IdealBasis
+from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
 from .linalg import rank_of_columns
 from .memo import MATRIX_BUDGET, Memo, terms
+from .ring import NOT_HOMOGENEOUS
 
 #: columns-times-rows bound below which the echelon engine is used by "auto"
 _PIECE_AUTO_LIMIT = 20000
@@ -401,42 +403,18 @@ class Ker:
 def hilbert_function(subject, d):
     """dim_k of the degree-d piece of R/I, coker Φ, or ker Φ.
 
-    Values come from rank-nullity on the degree piece; piece_rank picks the
-    exact engine that computes the rank.
+    R/I counts standard monomials; coker Φ and ker Φ come from rank-nullity
+    on the degree piece, whose rank piece_rank computes.
     """
     if isinstance(subject, IdealBasis):
-        return _hf_quotient(subject, d)
-    if isinstance(subject, Coker):
-        m = subject.matrix
-        return m.target.dim(d) - piece_rank(m, d)
-    if isinstance(subject, Ker):
-        m = subject.matrix
-        return m.source.dim(d) - piece_rank(m, d)
-    raise GradingError(f"unsupported Hilbert subject {subject!r}")
-
-
-def _ideal_as_matrix(I):
-    ring = I.ring
-    gens = [g for g in I.generators if not g.is_zero()]
-    twists = []
-    for g in gens:
-        dg = g.homogeneous_degree()
-        if not isinstance(dg, int):
+        if any(g.homogeneous_degree() is NOT_HOMOGENEOUS for g in subject):
             raise GradingError("Hilbert function needs homogeneous generators")
-        twists.append(dg)
-    target = GradedFreeModule(ring, (0,))
-    source = GradedFreeModule(ring, tuple(twists))
-    return HomogeneousMatrix(target, source, [gens])
-
-
-def _hf_quotient(I, d):
-    ring = I.ring
-    if d < 0:
-        return 0
-    gens = [g for g in I.generators if not g.is_zero()]
-    if not gens:
-        return ring.dim_of_degree(d)
-    return hilbert_function(Coker(_ideal_as_matrix(I)), d)
+        return quotient_hilbert_function(subject, d)
+    if isinstance(subject, Coker):
+        return subject.matrix.target.dim(d) - piece_rank(subject.matrix, d)
+    if isinstance(subject, Ker):
+        return subject.matrix.source.dim(d) - piece_rank(subject.matrix, d)
+    raise GradingError(f"unsupported Hilbert subject {subject!r}")
 
 
 # -- exactness -------------------------------------------------------------------

@@ -22,7 +22,8 @@ idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
 the standard monomials of its reduced basis in e-degree 1 count the cokernel
 degree by degree.  The grading layer uses those counts as the rank engine
 for large degree pieces, and the test suite pins them against the echelon.
-Normal forms of p e_j against that basis certify the annihilator.
+Normal forms of p e_j against that basis certify the annihilator.  R/I is
+counted by the same counter, on one grevlex basis in every ring order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .linalg import echelon
 from .memo import GB_BUDGET, Memo, terms
 from .ring import (
     FIELD_BITS,
-    Monomial,
     Polynomial,
     PolyRing,
     _check_degree,
@@ -60,18 +60,19 @@ class IdealBasis:
     ring: PolyRing
     generators: tuple
     is_reduced_gb: bool = False
-    order: str = "grevlex"
     # computed on first use: ideals key the Groebner table
     _hash: int = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(
-                self,
-                "_hash",
-                hash((self.ring, self.generators, self.is_reduced_gb, self.order)),
+                self, "_hash", hash((self.ring, self.generators, self.is_reduced_gb))
             )
         return self._hash
+
+    @property
+    def order(self):
+        return self.ring.order
 
     def __iter__(self):
         return iter(self.generators)
@@ -79,16 +80,11 @@ class IdealBasis:
     def __len__(self):
         return len(self.generators)
 
-    def contains_unit(self):
-        return any(
-            not g.is_zero() and g.leading_monomial().is_one() for g in self.generators
-        )
-
 
 def ideal(ring, *gens):
     """Convenience constructor accepting polynomials or strings."""
     polys = tuple(ring.parse(g) if isinstance(g, str) else g for g in gens)
-    return IdealBasis(ring, polys, False, ring.order)
+    return IdealBasis(ring, polys)
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -306,7 +302,7 @@ def buchberger(gens, ring=None):
             ring = polys[0].ring
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
-        return IdealBasis(ring, (), True, ring.order)
+        return IdealBasis(ring, (), True)
 
     okey = ring._okey
     order = okey or int  # sort key of a packed key; grevlex: the key itself
@@ -370,7 +366,7 @@ def buchberger(gens, ring=None):
         reduced.append(_normalized(r, mod))
     reduced.sort(key=lambda poly: order(poly[0][0]), reverse=True)
     monic = tuple(_polynomial(ring, poly, poly[0][1]) for poly in reduced)
-    return IdealBasis(ring, monic, True, ring.order)
+    return IdealBasis(ring, monic, True)
 
 
 #: an entry pins its ideal and its basis; both are weighed by their terms
@@ -424,7 +420,7 @@ def dimension_report(I):
     gb = ensure_gb(I)
     ring = I.ring
     nvars = ring.nvars
-    if gb.contains_unit():
+    if any(g.leading_monomial().is_one() for g in gb):
         return DimensionReport(-1, math.inf)
     lms = [g.leading_monomial() for g in gb.generators]
     supports = [
@@ -506,7 +502,7 @@ def intersect(I, J):
     gens = [_lift(f, aux, (1,)) for f in I.generators if not f.is_zero()]
     gens += [_lift(g, aux) - _lift(g, aux, (1,)) for g in J.generators if not g.is_zero()]
     if not gens:
-        return IdealBasis(ring, (), True, ring.order)
+        return IdealBasis(ring, (), True)
     gb = buchberger(gens, aux)
     kept = [
         _project(g, ring)
@@ -515,18 +511,18 @@ def intersect(I, J):
     ]
     kept.sort(key=lambda q: ring.monomial_key(q.leading_monomial()), reverse=True)
     certified = ring.order == "grevlex"
-    return IdealBasis(ring, tuple(kept), certified, ring.order)
+    return IdealBasis(ring, tuple(kept), certified)
 
 
 def _quotient_by_poly(I, g):
     ring = I.ring
     if g.is_zero():
-        return IdealBasis(ring, (ring.one(),), False, ring.order)
+        return IdealBasis(ring, (ring.one(),))
     if g.leading_monomial().is_one():
         return I  # unit divisor: (I : c) = I
-    meet = intersect(I, IdealBasis(ring, (g,), False, ring.order))
+    meet = intersect(I, IdealBasis(ring, (g,)))
     gens = tuple(h.exact_div(g) for h in meet.generators)
-    return IdealBasis(ring, gens, False, ring.order)
+    return IdealBasis(ring, gens)
 
 
 def ideal_quotient(I, J):
@@ -534,7 +530,7 @@ def ideal_quotient(I, J):
     ring = I.ring
     nonzero = [g for g in J.generators if not g.is_zero()]
     if not nonzero:
-        return IdealBasis(ring, (ring.one(),), True, ring.order)
+        return IdealBasis(ring, (ring.one(),), True)
     result = None
     for g in nonzero:
         q = _quotient_by_poly(I, g)
@@ -585,17 +581,38 @@ def minimal_generator_count(I):
     return counts
 
 
+def hilbert_basis(I, memo=True):
+    """I when it is a reduced Groebner basis, else the grevlex one (`memo` as
+    in `ensure_gb`).  By Macaulay's theorem in(I) has the Hilbert function of
+    I under every order; a lex basis can take minutes where grevlex takes
+    milliseconds."""
+    if I.is_reduced_gb:
+        return I
+    if I.order != "grevlex":
+        ring = I.ring.with_order("grevlex")
+        I = IdealBasis(ring, tuple(_lift(g, ring) for g in I))
+    return ensure_gb(I, memo)
+
+
 def quotient_hilbert_function(I, d):
-    """dim_k (R/I)_d by counting standard monomials of the reduced GB."""
-    if d < 0:
-        return 0
-    gb = ensure_gb(I)
-    if gb.contains_unit():
-        return 0
-    lms = [g.leading_monomial() for g in gb.generators]
+    """dim_k (R/I)_d by counting standard monomials of `hilbert_basis(I)`."""
+    gb = hilbert_basis(I)
+    return _standard_count(gb.ring, [g.leading_monomial().key for g in gb], d)
+
+
+def _standard_count(ring, leads, d):
+    """Degree-d monomials of `ring` that no lead key divides (0 divides all)."""
+    if not leads:
+        return ring.dim_of_degree(d)
+    n, guard = ring.nvars, _masks(ring.nvars)[1]
+    lead_exps = [_unpack(k, n) for k in leads]
     count = 0
-    for m in I.ring.monomials_of_degree(d):
-        if not any(lm.divides(m) for lm in lms):
+    for m in ring.monomials_of_degree(d):
+        exps = _unpack(m.key, n)
+        for le in lead_exps:
+            if not (exps - le) & guard:
+                break
+        else:
             count += 1
     return count
 
@@ -633,12 +650,14 @@ class ColumnModuleGB:
         # aux ideal would only crowd the basis table
         self.basis = buchberger(gens, aux)
         self._table = None  # reducer entries of the basis, for normal_form
-        # a reduced basis is minimal: no lead x^m e_i divides another one
+        # a reduced basis is minimal: no lead x^m e_i divides another one;
+        # the first `first` fields of its key are the packed key of x^m
+        mask = _masks(first)[0]
         self._leads = [[] for _ in range(g)]
         for b in self.basis:
-            exps = b.leading_monomial().exponents
-            if sum(exps[first:]) == 1:
-                self._leads[exps.index(1, first) - first].append(Monomial(exps[:first]))
+            lm = b.leading_monomial()
+            if sum(lm.exponents[first:]) == 1:
+                self._leads[lm.exponents.index(1, first) - first].append(lm.key & mask)
 
     def normal_form(self, p, j):
         """Normal form of p e_j modulo the column span, in the auxiliary
@@ -650,15 +669,10 @@ class ColumnModuleGB:
 
     def coker_dim(self, d):
         """dim_k of degree-d piece of (free module)/(column span)."""
-        total = 0
-        for tw, leads in zip(self.twists, self._leads):
-            if not leads:
-                total += self.ring.dim_of_degree(d - tw)
-                continue
-            for m in self.ring.monomials_of_degree(d - tw):
-                if not any(lm.divides(m) for lm in leads):
-                    total += 1
-        return total
+        return sum(
+            _standard_count(self.ring, leads, d - tw)
+            for tw, leads in zip(self.twists, self._leads)
+        )
 
     def image_dim(self, d):
         full = sum(self.ring.dim_of_degree(d - tw) for tw in self.twists)

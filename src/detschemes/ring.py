@@ -13,7 +13,7 @@ monomials adds their keys, and the exponents come back as
 key - ((key << FIELD_BITS) & mask), on which divisibility is one test of the
 fields' guard bits.  Arithmetic keys dicts by these ints and builds Monomial
 objects only for a finished polynomial; the lex and elimination orders sort
-by a key computed from the packed one.
+by an int key computed from the packed one.
 
 A total degree above MAX_DEGREE raises RingError wherever degrees are made
 or grow: Monomial(), parsing, `from_keys` (and so products, powers and
@@ -191,7 +191,12 @@ def lcm_key(a, b, n):
 
 
 def _lex_key(key, n):
-    return _monomial(key, n).exponents
+    # fields reversed, e_0 on top: prefix sums compare in lex as exponents do
+    out = 0
+    for _ in range(n):
+        out = (out << FIELD_BITS) | (key & _FIELD)
+        key >>= FIELD_BITS
+    return out
 
 
 def _elim_last_key(key, n):
@@ -200,7 +205,7 @@ def _elim_last_key(key, n):
     return key - (((key >> (FIELD_BITS * (n - 2))) & _FIELD) << (FIELD_BITS * (n - 1)))
 
 
-#: order key of a packed key; None for grevlex, where it is the key itself
+#: int order key of a packed key; None for grevlex, where it is the key itself
 _ORDER_KEYS = {
     "grevlex": None,
     "lex": _lex_key,
@@ -244,7 +249,7 @@ class PolyRing:
         return hash((self.variables, self.field, self.order))
 
     def monomial_key(self, m):
-        """Sort key of a monomial in the ring order (an int for grevlex)."""
+        """Int sort key of a monomial in the ring order."""
         return m.key if self._okey is None else self._okey(m.key)
 
     def with_order(self, order):

@@ -157,7 +157,7 @@ def buchberger(gens, ring=None):
             ring = polys[0].ring
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
-        return IdealBasis(ring, (), True, ring.order)
+        return IdealBasis(ring, (), True)
 
     polys = _linear_preprocess(polys)
     polys = [p.monic() for p in polys]
@@ -227,7 +227,7 @@ def buchberger(gens, ring=None):
         others = minimal[:idx] + minimal[idx + 1 :]
         reduced.append(reduce_full(p, others).monic())
     reduced.sort(key=lambda q: key_of(q.leading_monomial()), reverse=True)
-    return IdealBasis(ring, tuple(reduced), True, ring.order)
+    return IdealBasis(ring, tuple(reduced), True)
 
 
 def lift(p, aux, tail=None):

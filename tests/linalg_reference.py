@@ -17,6 +17,9 @@ they used to do besides is kept here for the tests:
   coordinates.
 - `image_membership`, one solve in the degree piece of Φ.
 - `piece_multiply`, the product of two degree pieces.
+- `quotient_piece_hilbert`, HF(R/I) by rank-nullity on the degree pieces
+  of the 1 x g matrix of generators, the route the package replaced by
+  standard-monomial counts.
 
 The tests compare the package's echelons against `FieldEchelon`, and use
 the solves as oracles for kernels, images and compositions.
@@ -27,7 +30,13 @@ from __future__ import annotations
 import heapq
 import math
 
-from detschemes.grading import GradingError, PieceMatrix, matrix_piece
+from detschemes.grading import (
+    GradedFreeModule,
+    GradingError,
+    HomogeneousMatrix,
+    PieceMatrix,
+    matrix_piece,
+)
 from detschemes.linalg import IntEchelon
 
 
@@ -204,3 +213,24 @@ def piece_multiply(a, b):
                     acc[i] = v
         cols.append(acc)
     return PieceMatrix(field, a.row_basis, b.col_basis, cols)
+
+
+def quotient_piece_hilbert(I, d):
+    """dim_k (R/I)_d as dim R_d minus the rank of the degree-d piece of the
+    1 x g matrix of I's nonzero generators."""
+    ring = I.ring
+    if d < 0:
+        return 0
+    gens = [g for g in I.generators if not g.is_zero()]
+    if not gens:
+        return ring.dim_of_degree(d)
+    twists = []
+    for g in gens:
+        dg = g.homogeneous_degree()
+        if not isinstance(dg, int):
+            raise GradingError("Hilbert function needs homogeneous generators")
+        twists.append(dg)
+    row = HomogeneousMatrix(
+        GradedFreeModule(ring, (0,)), GradedFreeModule(ring, tuple(twists)), [gens]
+    )
+    return ring.dim_of_degree(d) - matrix_piece(row, d).rank()

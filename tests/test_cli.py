@@ -132,6 +132,24 @@ def test_cli_section_and_hilbert(tmp_path, capsys):
     assert hf["results"]["quotient"][0] == 1
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_cli_hilbert_of_a_lex_copy_equals_grevlex(tmp_path, capsys, name):
+    text = fixture_path(name).read_text()
+    assert "ring.order: grevlex" in text
+    results = []
+    for order in ("grevlex", "lex"):
+        lexed = text.replace("ring.order: grevlex", f"ring.order: {order}")
+        assert run(["hilbert", _write(tmp_path, lexed, f"{order}.problem"), "--json"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
+
+
+def test_cli_hilbert_of_an_inhomogeneous_entry_exits_2(tmp_path, capsys):
+    bad = GOOD_TEXT.replace("x1 | x2 | x3 | 0", "x1 + x2^2 | x2 | x3 | 0")
+    assert run(["hilbert", _write(tmp_path, bad), "--json"]) == 2
+    assert "homogeneous" in capsys.readouterr().err
+
+
 def test_cli_annihilator_generic_2x4(capsys):
     path = str(fixture_path("generic_2x4"))
     assert run(["annihilator", path, "--max-degree", "5", "--json"]) == 0

@@ -335,7 +335,7 @@ def _on_p3(cases):
 
 
 def _with_minor_ideal(monkeypatch, P, gens):
-    mutated = IdealBasis(P.ring, tuple(gens), False, P.ring.order)
+    mutated = IdealBasis(P.ring, tuple(gens))
     monkeypatch.setattr(complexes, "minors", lambda *_: mutated)
 
 

@@ -22,13 +22,18 @@ from detschemes import (
     minors,
     normal_form,
     piece_rank,
-    quotient_hilbert_function,
     verify_complex,
 )
 from detschemes.grading import _PIECE_RANK_CACHE, GradingError, zero_matrix
 from detschemes.groebner import ensure_gb
 from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
-from linalg_reference import FieldEchelon, image_membership, kernel_basis, piece_multiply
+from linalg_reference import (
+    FieldEchelon,
+    image_membership,
+    kernel_basis,
+    piece_multiply,
+    quotient_piece_hilbert,
+)
 
 
 def test_degree_basis_sizes(ring):
@@ -169,13 +174,59 @@ def test_hilbert_function_quotient_examples(ring_p2, ring):
     assert values == [1, 4, 4, 4, 4, 4, 4, 4]
 
 
-def test_hilbert_function_matches_standard_monomial_oracle(
-    ring, double_point, cubic_curve, coordinate_axes
+def _assert_matches_piece_oracle(I, degrees=range(-2, 8)):
+    for d in degrees:
+        assert hilbert_function(I, d) == quotient_piece_hilbert(I, d), (I, d)
+
+
+def test_hilbert_function_matches_the_matrix_piece_oracle(
+    ring, double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4
 ):
-    for pres in (double_point, cubic_curve, coordinate_axes):
-        I = minors(pres, 2)
-        for d in range(7):
-            assert hilbert_function(I, d) == quotient_hilbert_function(I, d)
+    """R/I by standard monomials against the rank of the 1 x g matrix piece,
+    on the fixtures' minor ideals in grevlex and in lex."""
+    for pres in (double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4):
+        for s in range(1, pres.t + 1):
+            I = minors(pres, s)
+            _assert_matches_piece_oracle(I)
+            lex = I.ring.with_order("lex")
+            _assert_matches_piece_oracle(
+                ideal(lex, *(lex.from_keys({m.key: c for m, c in g.terms}) for g in I))
+            )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003), GF(7)], ids=["QQ", "F32003", "F7"])
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_hilbert_function_of_seeded_ideals_matches_the_oracle(field, order):
+    rng = random.Random(1301)
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field, order)
+    for _ in range(6):
+        gens = [
+            random_homogeneous(ring, rng.choice((1, 2, 3)), rng, bound=5)
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_matches_piece_oracle(ideal(ring, *gens))
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_hilbert_function_of_the_zero_and_unit_ideals(order):
+    ring = PolyRing(("x0", "x1", "x2", "x3"), QQ, order)
+    zero, unit = ideal(ring), ideal(ring, "0", "3/2")
+    _assert_matches_piece_oracle(zero)
+    _assert_matches_piece_oracle(unit)
+    assert [hilbert_function(zero, d) for d in range(-1, 4)] == [0, 1, 4, 10, 20]
+    assert [hilbert_function(unit, d) for d in range(-1, 4)] == [0] * 5
+    # a unit among other generators: its lead key 0 divides every monomial
+    mixed = ideal(ring, "x0*x1", "x2 - x3", "5")
+    assert [hilbert_function(mixed, d) for d in range(4)] == [0] * 4
+
+
+def test_hilbert_function_rejects_inhomogeneous_generators(ring):
+    I = ideal(ring, "x0^2", "x1 + x2^2")
+    for d in (0, 3):
+        with pytest.raises(GradingError):
+            hilbert_function(I, d)
+        with pytest.raises(GradingError):
+            quotient_piece_hilbert(I, d)
 
 
 def test_hilbert_function_coker_and_ker(ring):

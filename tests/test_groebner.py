@@ -263,7 +263,16 @@ def test_equal_ideals_hash_equal_and_share_memo_entries(ring):
     gb = ensure_gb(a)
     assert b in _GB_CACHE and ensure_gb(b) is gb
     # the cached hash takes no part in equality, which still sees every field
-    assert IdealBasis(ring, a.generators, True, ring.order) != a
+    assert IdealBasis(ring, a.generators, True) != a
+
+
+def test_ideal_basis_order_is_its_rings(ring):
+    lex = ring.with_order("lex")
+    I = ideal(lex, "x0*x1 - x2^2", "x3")
+    assert I.order == "lex" and ensure_gb(I).order == "lex"
+    assert ideal(ring, "x0").order == "grevlex"
+    with pytest.raises(TypeError):
+        IdealBasis(ring, (), False, "lex")
 
 
 def test_equal_matrices_share_their_minors_entry(ring):

@@ -14,7 +14,8 @@ import pytest
 import groebner_reference as ref
 from detschemes import GF, QQ, PolyRing, buchsbaum_rim, eagon_northcott, groebner, ideal, minors
 from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
-from detschemes.complexes import betti_table, buchsbaum_eisenbud, verify_complex
+from detschemes.complexes import betti_table, buchsbaum_eisenbud, verify_annihilator, verify_complex
+from detschemes.determinantal import DeterminantalPresentation, section_sequence
 from detschemes.field import RationalField
 from detschemes.groebner import (
     ColumnModuleGB,
@@ -26,8 +27,10 @@ from detschemes.groebner import (
     saturate,
     spoly,
 )
+from detschemes.grading import hilbert_function, matrix_from_polys
 from detschemes.memo import Memo
-from detschemes.ring import MAX_DEGREE, Monomial, RingError
+from detschemes.ring import MAX_DEGREE, Monomial, RingError, random_homogeneous
+from linalg_reference import quotient_piece_hilbert
 
 VARS3 = ("x0", "x1", "x2")
 VARS4 = ("x0", "x1", "x2", "x3")
@@ -68,13 +71,16 @@ def _fresh_gb_cache(patch):
     patch.setattr(groebner, "_GB_CACHE", Memo(table.budget, table.weight))
 
 
-def _recorded(monkeypatch, action):
-    """Every generator list `action` hands to buchberger, with its ring."""
+def _recorded(monkeypatch, action, check=None):
+    """Every generator list `action` hands to buchberger, with its ring;
+    `check(gens, ring)` runs on each before the basis is built."""
     seen = []
     original = groebner.buchberger
 
     def record(gens, ring=None):
         seen.append((list(gens.generators) if hasattr(gens, "generators") else list(gens), ring))
+        if check is not None:
+            check(*seen[-1])
         return original(gens, ring)
 
     with monkeypatch.context() as patch:
@@ -313,3 +319,61 @@ def test_degree_growth_in_a_tail_term_is_rejected():
     for basis in (buchberger, ref.buchberger):
         with pytest.raises(RingError):
             basis([f, g], lex)
+
+
+def _seeded_lex_2x3():
+    """A seeded 2x3 QQ matrix in lex order, row twists (0, 0) and column
+    twists (1, 2, 2).  A lex basis of its 2x2 minors takes more than 20 s,
+    the grevlex one milliseconds."""
+    lex = PolyRing(VARS4).with_order("lex")
+    rng = random.Random(1)
+    rows = [[random_homogeneous(lex, tw, rng) for tw in (1, 2, 2)] for _ in range(2)]
+    return DeterminantalPresentation(matrix_from_polys(lex, rows, (0, 0), (1, 2, 2)))
+
+
+def _rings(seen):
+    return [ring or gens[0].ring for gens, ring in seen]
+
+
+def _no_lex(gens, ring):
+    # fail at once: the lex basis itself may take minutes
+    assert (ring or gens[0].ring).order != "lex", "a lex basis was started"
+
+
+def test_hilbert_functions_in_lex_build_no_lex_basis(monkeypatch):
+    I = minors(_seeded_lex_2x3(), 2)
+    values = []
+    seen = _recorded(
+        monkeypatch, lambda: values.extend(hilbert_function(I, d) for d in range(8)), _no_lex
+    )
+    assert seen and {ring.order for ring in _rings(seen)} == {"grevlex"}
+    assert values == [quotient_piece_hilbert(I, d) for d in range(8)]
+    assert values == [1, 4, 10, 18, 26, 34, 42, 50]
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_section_sequences_in_lex_build_no_lex_basis_and_store_none(monkeypatch, row):
+    P = _seeded_lex_2x3()
+    seqs = []
+
+    def action():
+        seqs.append(section_sequence(P, row))
+        # the basis of I_S is stored nowhere, nor is any other
+        assert len(groebner._GB_CACHE) == 0
+
+    seen = _recorded(monkeypatch, action, _no_lex)
+    assert {ring.order for ring in _rings(seen)} == {"grevlex"}
+    # I_S's own basis: once per call, in the grevlex copy of the ring
+    assert _rings(seen).count(P.ring.with_order("grevlex")) == 1
+    seq = seqs[0]
+    assert seq.additivity_ok
+    assert all(
+        hq == quotient_piece_hilbert(seq.ideal_s, d - seq.twist) for d, _, hq, _ in seq.hf_rows
+    )
+
+
+def test_annihilator_in_lex_builds_no_lex_basis(monkeypatch):
+    P = _seeded_lex_2x3()
+    reports = []
+    seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
+    assert seen and reports[0].passed

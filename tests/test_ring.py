@@ -270,6 +270,7 @@ def test_order_keys_match_tuple_reference():
             for _ in range(200):
                 a, b = _exponent_pair(rng, n)
                 ka, kb = ring.monomial_key(Monomial(a)), ring.monomial_key(Monomial(b))
+                assert type(ka) is int and type(kb) is int
                 assert _sign(ka, kb) == _sign(ref(a), ref(b))
 
 
