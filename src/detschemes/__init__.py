@@ -38,7 +38,6 @@ from .grading import (
     HomogeneousMatrix,
     Ker,
     degree_basis,
-    graded_exactness_check,
     hilbert_function,
     matrix_from_polys,
     matrix_from_strings,
@@ -74,6 +73,7 @@ from .complexes import (
     canonical_module,
     cm_type,
     eagon_northcott,
+    graded_exactness_check,
     koszul,
     rank_of_map,
     verify_annihilator,

@@ -20,7 +20,9 @@ ambient polynomial ring is Cohen-Macaulay).  d∘d = 0 is checked once per
 complex, and the verdict is stored on it.  Ranks are proved from d∘d = 0:
 upper bounds come from the right end of the complex, a seeded evaluation
 gives a lower bound, and only when the two differ does the exact search
-of `rank_of_map` run, so no random step decides a verdict.
+of `rank_of_map` run, so no random step decides a verdict.  The
+acyclicity verdict is stored on the complex too, and the degreewise
+exactness check and the Betti table of a certified complex read it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
+from . import grading
 from .determinantal import _unwrap, classify, minors
 from .errors import InputError, VerificationError
 from .grading import (
@@ -58,6 +61,8 @@ class FreeComplex:
     tag: str = "custom"
     # verify_complex's verdict, computed on first use
     _dd_zero: bool = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # buchsbaum_eisenbud's verdict, stored when it runs
+    _acyclic: bool = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @property
     def length(self):
@@ -71,10 +76,65 @@ class FreeComplex:
         return sum((-1) ** i * m.rank for i, m in enumerate(self.modules))
 
     def replaced(self, position, differential):
-        """Copy with d_position swapped out (used by mutation tests)."""
+        """Copy with d_position swapped out and no verdict (mutation tests)."""
         diffs = list(self.differentials)
         diffs[position - 1] = differential
         return FreeComplex(self.modules, tuple(diffs), self.tag)
+
+
+@dataclass(frozen=True)
+class ExactnessEntry:
+    position: int
+    degree: int
+    kernel_dim: int
+    image_dim: int
+
+    @property
+    def exact(self):
+        return self.kernel_dim == self.image_dim
+
+
+@dataclass(frozen=True)
+class ExactnessReport:
+    entries: tuple
+
+    @property
+    def all_exact(self):
+        return all(e.exact for e in self.entries)
+
+    def failures(self):
+        return [e for e in self.entries if not e.exact]
+
+
+def graded_exactness_check(complex_, degrees):
+    """Degreewise exactness of a free complex at its interior positions.
+
+    For each position i >= 1 and degree d: dim ker((d_i)_d) must equal
+    dim im((d_{i+1})_d); the composition of consecutive differentials must
+    already vanish (verify separately) for the report to certify acyclicity.
+
+    A complex that `buchsbaum_eisenbud` certified acyclic is exact in every
+    degree, so its piece ranks follow from module dimensions, from the right
+    end: rank (d_n)_d = dim (F_n)_d and rank (d_i)_d = dim (F_i)_d -
+    rank (d_{i+1})_d.  Any other complex has every piece ranked.
+    """
+    modules = complex_.modules
+    diffs = complex_.differentials
+    entries = []
+    for d in degrees:
+        if complex_._acyclic:
+            ranks = [0] * (len(diffs) + 1)
+            for i in range(len(diffs), 0, -1):
+                ranks[i - 1] = modules[i].dim(d) - ranks[i]
+        else:
+            # looked up on the module, so a wrapper set there sees every piece
+            ranks = [grading.piece_rank(diff, d) for diff in diffs]
+        for i in range(1, len(modules)):
+            dim_fi = modules[i].dim(d)
+            ker_dim = dim_fi - ranks[i - 1]
+            im_dim = ranks[i] if i < len(diffs) else 0
+            entries.append(ExactnessEntry(i, d, ker_dim, im_dim))
+    return ExactnessReport(tuple(entries))
 
 
 def _compositions(total, parts):
@@ -347,7 +407,8 @@ def buchsbaum_eisenbud(C, seed=0):
     Expected ranks come from alternating sums against the left end; each
     differential must attain its expected rank (see `_certified_ranks`) and
     the ideal of minors of that size must have height at least the
-    homological position.
+    homological position.  The verdict is stored on the (frozen) complex,
+    where `graded_exactness_check` and `betti_table` read it.
     """
     if not verify_complex(C):
         raise InputError("buchsbaum_eisenbud requires a complex (d∘d = 0)")
@@ -368,7 +429,9 @@ def buchsbaum_eisenbud(C, seed=0):
             ideal = minors(d, r_i)
             ht = height(ideal) if ideal.generators else 0
         entries.append(AcyclicityEntry(i, r_i, ranks[i - 1], ht))
-    return AcyclicityReport(tuple(entries))
+    report = AcyclicityReport(tuple(entries))
+    object.__setattr__(C, "_acyclic", report.passed)
+    return report
 
 
 def _certified_ranks(C, seed):
@@ -413,10 +476,18 @@ class BettiTable:
 
 
 def betti_table(C, acyclicity=None, seed=0):
-    """Graded Betti numbers read off a minimal acyclic complex."""
-    if acyclicity is None:
-        acyclicity = buchsbaum_eisenbud(C, seed)
-    if not acyclicity.passed:
+    """Graded Betti numbers read off a minimal acyclic complex.
+
+    Acyclicity is read from `acyclicity` when given, else from the verdict
+    stored on C, and `buchsbaum_eisenbud` runs only when there is none.
+    """
+    if acyclicity is not None:
+        acyclic = acyclicity.passed
+    elif C._acyclic is not None:
+        acyclic = C._acyclic
+    else:
+        acyclic = buchsbaum_eisenbud(C, seed).passed
+    if not acyclic:
         raise VerificationError("betti_table needs an acyclic complex")
     for d in C.differentials:
         for row in d.entries:

@@ -108,7 +108,9 @@ def _minors_height(P, s):
     """Height of I_s(Φ), leaving no minors or basis in the memo tables.
 
     Cheapest route first: a basis already in the memo tables; over QQ, the
-    mod-p certificate of `_certified_height`; else the full Groebner basis.
+    mod-p certificate of `_certified_height`; else the full Groebner basis,
+    in grevlex whatever the ring's order (`hilbert_basis`): a height depends
+    only on the Hilbert function.
     """
     m = _unwrap(P)
     stored = _MINORS_CACHE.get((m, s))
@@ -117,7 +119,7 @@ def _minors_height(P, s):
         ht = _certified_height(m, s)
         if ht is not None:
             return ht
-        gb = ensure_gb(minors(m, s, memo=False), memo=False)
+        gb = hilbert_basis(minors(m, s, memo=False), memo=False)
     return height(gb)
 
 

@@ -6,13 +6,15 @@ degree d - twist_j).  A matrix between twisted modules is homogeneous when
 entry (i, j) is zero or of degree source.twist(j) - target.twist(i); that is
 checked at construction time, so every HomogeneousMatrix in flight is valid.
 
-Degree-piece ranks drive cokernel and kernel Hilbert functions and
-exactness checks; R/I only counts the standard monomials of one grevlex
-basis (`groebner.quotient_hilbert_function`).  Two exact rank engines are
-cross-checked by the test suite: sparse echelon on the assembled scalar
-piece (fine while pieces are small) and standard-monomial counting against
-the reduced Groebner basis of the column module's idealization
-(`groebner.ColumnModuleGB`, once per matrix; fast at any degree).
+Degree-piece ranks drive cokernel and kernel Hilbert functions and the
+exactness check of a complex with no acyclicity certificate
+(`complexes.graded_exactness_check`); R/I only counts the standard
+monomials of one grevlex basis (`groebner.quotient_hilbert_function`).
+Two exact rank engines are cross-checked by the test suite: sparse
+echelon on the assembled scalar piece (fine while pieces are small) and
+standard-monomial counting against the reduced Groebner basis of the
+column module's idealization (`groebner.ColumnModuleGB`, once per matrix;
+fast at any degree).
 `piece_rank` is the one place that picks an engine: "auto" switches on
 piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on integers
@@ -415,50 +417,3 @@ def hilbert_function(subject, d):
     if isinstance(subject, Ker):
         return subject.matrix.source.dim(d) - piece_rank(subject.matrix, d)
     raise GradingError(f"unsupported Hilbert subject {subject!r}")
-
-
-# -- exactness -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExactnessEntry:
-    position: int
-    degree: int
-    kernel_dim: int
-    image_dim: int
-
-    @property
-    def exact(self):
-        return self.kernel_dim == self.image_dim
-
-
-@dataclass(frozen=True)
-class ExactnessReport:
-    entries: tuple
-
-    @property
-    def all_exact(self):
-        return all(e.exact for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e.exact]
-
-
-def graded_exactness_check(complex_, degrees):
-    """Degreewise exactness of a free complex at its interior positions.
-
-    For each position i >= 1 and degree d: dim ker((d_i)_d) must equal
-    dim im((d_{i+1})_d); the composition of consecutive differentials must
-    already vanish (verify separately) for the report to certify acyclicity.
-    """
-    modules = complex_.modules
-    diffs = complex_.differentials
-    entries = []
-    for d in degrees:
-        ranks = [piece_rank(diff, d) for diff in diffs]
-        for i in range(1, len(modules)):
-            dim_fi = modules[i].dim(d)
-            ker_dim = dim_fi - ranks[i - 1]
-            im_dim = ranks[i] if i < len(diffs) else 0
-            entries.append(ExactnessEntry(i, d, ker_dim, im_dim))
-    return ExactnessReport(tuple(entries))

@@ -417,7 +417,9 @@ class DimensionReport:
 
 
 def dimension_report(I):
-    gb = ensure_gb(I)
+    """Krull dimension and height of R/I, read off the leading monomials of
+    `hilbert_basis(I)`: both depend only on the Hilbert function."""
+    gb = hilbert_basis(I)
     ring = I.ring
     nvars = ring.nvars
     if any(g.leading_monomial().is_one() for g in gb):

@@ -7,7 +7,8 @@ at a time.  There is one exact echelon per kind of coefficient:
 - `IntEchelon` for QQ.  Each vector is first scaled by the lcm of its
   denominators (which changes neither its span nor a rank), then eliminated
   fraction-free on integers, as in Bareiss (Math. Comp. 22, 1968) but with
-  content removal in place of the exact division by the previous pivot.  No
+  content removal in place of the exact division by the previous pivot:
+  once per reduced vector, at the end, so every pivot is content-free.  No
   `Fraction` arithmetic runs inside the elimination.
 - `Echelon` for residues in F_p, on plain ints with one `% p` per entry
   and a pivot inverted as c^(p-2) mod p.
@@ -92,8 +93,9 @@ class IntEchelon:
     """Fraction-free echelon span over QQ, computed on integer vectors.
 
     Vectors may hold ints or Fractions; each is scaled to integers by the
-    lcm of its denominators.  Cross-multiplication elimination with content
-    removal keeps entries integral and small; pivot rows are minimal indices
+    lcm of its denominators.  Cross-multiplication elimination keeps entries
+    integral, and the content of the reduced vector is divided out once, at
+    the end, so every pivot is content-free; pivot rows are minimal indices
     as in Echelon, and `insert` answers as Echelon's does.
     """
 
@@ -107,8 +109,8 @@ class IntEchelon:
     def reduce(self, vec):
         """The vector, scaled to integers, reduced against the span.
 
-        The result has integer entries and is a nonzero multiple of the
-        exact reduction.
+        The result has integer entries, no common content, and is a nonzero
+        multiple of the exact reduction.
         """
         den = math.lcm(*[c.denominator for c in vec.values()])
         v = {r: c.numerator * (den // c.denominator) for r, c in vec.items() if c}
@@ -132,9 +134,9 @@ class IntEchelon:
                         heapq.heappush(heap, r)
                 else:
                     v.pop(r, None)
-            g = math.gcd(*v.values())
-            if g > 1:
-                v = {r: a // g for r, a in v.items()}
+        g = math.gcd(*v.values())
+        if g > 1:
+            v = {r: a // g for r, a in v.items()}
         return v
 
     def insert(self, vec):

@@ -21,6 +21,7 @@ from detschemes import (
     eagon_northcott,
     ensure_gb,
     graded_exactness_check,
+    grading,
     hilbert_function,
     ideal,
     koszul,
@@ -482,9 +483,9 @@ def test_exactness_agrees_with_buchsbaum_eisenbud(
 ):
     for pres in (double_point, cubic_curve, ci_codim2):
         for builder in (eagon_northcott, buchsbaum_rim):
-            cpx = builder(pres)
-            be = buchsbaum_eisenbud(cpx)
-            graded = graded_exactness_check(cpx, range(11))
+            be = buchsbaum_eisenbud(builder(pres))
+            # a fresh complex carries no verdict, so its pieces are ranked
+            graded = graded_exactness_check(builder(pres), range(11))
             assert be.passed == graded.all_exact
 
 
@@ -734,3 +735,117 @@ def test_dd_verdict_is_stored_once_per_complex(monkeypatch, double_point):
     assert twin == cpx and hash(twin) == hash(cpx)
     assert verify_complex(twin)
     assert len(calls) == 2 * (len(cpx.differentials) - 1)
+
+
+# -- exactness read from the stored acyclicity verdict ---------------------------------
+
+
+def _piece_calls(monkeypatch):
+    """Every (matrix, degree) that grading.piece_rank is asked for."""
+    calls = []
+    piece_rank = grading.piece_rank
+
+    def recorded(phi, d, engine="auto"):
+        calls.append((phi, d))
+        return piece_rank(phi, d, engine)
+
+    monkeypatch.setattr(grading, "piece_rank", recorded)
+    return calls
+
+
+def _fresh(cpx):
+    """An equal complex built anew: no verdict is stored on it."""
+    return complexes.FreeComplex(cpx.modules, cpx.differentials, cpx.tag)
+
+
+def _assert_certified_report_matches_pieces(cpx, calls, degrees=range(11)):
+    """The report after buchsbaum_eisenbud equals the piece route's on a fresh
+    copy; only a complex that failed its certificate ranks pieces."""
+    passed = buchsbaum_eisenbud(cpx).passed
+    del calls[:]
+    got = graded_exactness_check(cpx, degrees)
+    assert bool(calls) != passed
+    fresh = _fresh(cpx)
+    del calls[:]
+    want = graded_exactness_check(fresh, degrees)
+    assert len(calls) == len(fresh.differentials) * len(degrees)
+    assert got == want
+    assert got.all_exact == passed
+    return passed
+
+
+def test_certified_exactness_matches_the_piece_route_on_fixtures(monkeypatch, fixture_matrices):
+    calls = _piece_calls(monkeypatch)
+    verdicts = []
+    for phi in fixture_matrices:
+        for builder in (eagon_northcott, buchsbaum_rim):
+            verdicts.append(_assert_certified_report_matches_pieces(builder(phi), calls))
+    assert len(verdicts) == 36 and all(verdicts)
+
+
+def test_certified_exactness_matches_the_piece_route_on_seeded_complexes(monkeypatch):
+    calls = _piece_calls(monkeypatch)
+    rng = random.Random(14)
+    verdicts = []
+    for field in (QQ, GF(32003)):
+        for label, case in _seeded_cases(field, rng):
+            if isinstance(case, HomogeneousMatrix):
+                cpxs = [eagon_northcott(case), buchsbaum_rim(case)]
+            else:
+                cpxs = [case]
+            for cpx in cpxs:
+                verdicts.append(_assert_certified_report_matches_pieces(cpx, calls, range(8)))
+    assert True in verdicts and False in verdicts
+
+
+def test_failed_certificate_keeps_the_piece_route(monkeypatch, ring):
+    calls = _piece_calls(monkeypatch)
+    equal_rows = matrix_from_strings(ring, [["x0", "x1", "x2"], ["x0", "x1", "x2"]])
+    cpx = eagon_northcott(equal_rows)
+    assert not buchsbaum_eisenbud(cpx).passed
+    report = graded_exactness_check(cpx, range(6))
+    assert len(calls) == len(cpx.differentials) * 6
+    assert report == graded_exactness_check(eagon_northcott(equal_rows), range(6))
+    # the minors vanish, so d_1 = 0: (position, degree, kernel, image)
+    assert [(e.position, e.degree, e.kernel_dim, e.image_dim) for e in report.failures()] == [
+        (1, 2, 3, 0), (1, 3, 12, 1), (2, 3, 1, 0), (1, 4, 30, 4), (2, 4, 4, 0),
+        (1, 5, 60, 10), (2, 5, 10, 0),
+    ]
+
+
+def test_replaced_copy_keeps_the_piece_route(monkeypatch, double_point):
+    calls = _piece_calls(monkeypatch)
+    cpx = eagon_northcott(double_point)
+    assert buchsbaum_eisenbud(cpx).passed
+    same = cpx.replaced(2, cpx.differentials[1])
+    assert same == cpx and same._acyclic is None and same._dd_zero is None
+    zeroed = cpx.replaced(2, zero_matrix(cpx.modules[1], cpx.modules[2]))
+    del calls[:]
+    report = graded_exactness_check(zeroed, range(6))
+    assert len(calls) == len(zeroed.differentials) * 6
+    assert not report.all_exact
+    assert {e.position for e in report.failures()} == {1, 2}
+    assert not buchsbaum_eisenbud(zeroed).passed
+    del calls[:]
+    assert graded_exactness_check(zeroed, range(6)) == report
+    assert calls
+
+
+def test_betti_table_reads_the_stored_verdict(monkeypatch, double_point, ring):
+    runs = []
+    certify = complexes.buchsbaum_eisenbud
+
+    def counted(C, seed=0):
+        runs.append(C)
+        return certify(C, seed)
+
+    monkeypatch.setattr(complexes, "buchsbaum_eisenbud", counted)
+    cpx = eagon_northcott(double_point)
+    table = betti_table(cpx)  # no verdict stored: the certificate runs once
+    assert runs == [cpx] and cpx._acyclic is True
+    assert betti_table(cpx) == table and len(runs) == 1
+    failed = eagon_northcott(matrix_from_strings(ring, [["x0", "x1", "x2"], ["x0", "x1", "x2"]]))
+    assert not counted(failed).passed
+    with pytest.raises(VerificationError):
+        betti_table(failed)
+    assert len(runs) == 2

@@ -12,7 +12,17 @@ from fractions import Fraction
 import pytest
 
 import groebner_reference as ref
-from detschemes import GF, QQ, PolyRing, buchsbaum_rim, eagon_northcott, groebner, ideal, minors
+from detschemes import (
+    GF,
+    QQ,
+    PolyRing,
+    buchsbaum_rim,
+    classify,
+    eagon_northcott,
+    groebner,
+    ideal,
+    minors,
+)
 from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
 from detschemes.complexes import betti_table, buchsbaum_eisenbud, verify_annihilator, verify_complex
 from detschemes.determinantal import DeterminantalPresentation, section_sequence
@@ -370,6 +380,43 @@ def test_section_sequences_in_lex_build_no_lex_basis_and_store_none(monkeypatch,
     assert all(
         hq == quotient_piece_hilbert(seq.ideal_s, d - seq.twist) for d, _, hq, _ in seq.hf_rows
     )
+
+
+def _seeded_lex_fp_2x3():
+    """A seeded 2x3 matrix over F_32003 in lex order, row twists (1, 0) and
+    column twists (2, 2, 3).  Heights read off lex bases kept `classify`
+    on it running past 60 s; in grevlex it takes milliseconds."""
+    lex = PolyRing(VARS4, GF(32003), "lex")
+    rng = random.Random(5)
+    rows = [[random_homogeneous(lex, b - a, rng) for b in (2, 2, 3)] for a in (1, 0)]
+    return DeterminantalPresentation(matrix_from_polys(lex, rows, (1, 0), (2, 2, 3)))
+
+
+def test_heights_in_lex_build_no_lex_basis(monkeypatch):
+    P = _seeded_lex_fp_2x3()
+    grevlex = P.ring.with_order("grevlex")
+    Q = DeterminantalPresentation(matrix_from_polys(
+        grevlex,
+        [[grevlex.from_keys({m.key: c for m, c in f.terms}) for f in row] for row in P.matrix.entries],
+        P.matrix.target.twists,
+        P.matrix.source.twists,
+    ))
+
+    def reports(pres):
+        out = [classify(pres)]
+        for builder in (eagon_northcott, buchsbaum_rim):
+            cpx = builder(pres)
+            assert verify_complex(cpx)
+            out.append(buchsbaum_eisenbud(cpx))
+        return out
+
+    got = []
+    seen = _recorded(monkeypatch, lambda: got.extend(reports(P)), _no_lex)
+    assert seen and {ring.order for ring in _rings(seen)} == {"grevlex"}
+    verdict = got[0]
+    assert (verdict.actual_height, verdict.submaximal_height, verdict.is_good) == (2, 4, True)
+    assert all(be.passed for be in got[1:])
+    assert got == reports(Q)
 
 
 def test_annihilator_in_lex_builds_no_lex_basis(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -197,6 +198,49 @@ def test_fp_echelon_matches_field_echelon():
                 assert ech.pivots == ref.pivots
                 assert all(0 < a < p for v in ech.pivots.values() for a in v.values())
             assert ech.rank == ref.rank
+
+
+def _proportional(int_vec, field_vec):
+    """True iff int_vec is a nonzero multiple of field_vec (same support)."""
+    if int_vec.keys() != field_vec.keys():
+        return False
+    if not int_vec:
+        return True
+    row = min(int_vec)
+    ratio = Fraction(int_vec[row]) / field_vec[row]
+    return all(int_vec[r] == ratio * field_vec[r] for r in int_vec)
+
+
+def test_int_echelon_matches_field_echelon_on_large_entries():
+    """Entries up to 10^6, many with denominators: each reduction is a
+    nonzero multiple of the Fraction echelon's, and every reduced vector and
+    pivot is content-free."""
+    rng = random.Random(1406)
+    for _ in range(40):
+        nrows = rng.randint(1, 8)
+        ech, ref = IntEchelon(), FieldEchelon(QQ)
+        for _ in range(rng.randint(1, 10)):
+            col = {}
+            for i in range(nrows):
+                c = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 1, 3, 7, 999983)))
+                if c and rng.random() < 0.6:
+                    col[i] = c
+            if ref.rank and rng.random() < 0.3:  # in the span, with new denominators
+                col = {}
+                for vec in ref.pivots.values():
+                    c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 9))
+                    for i, a in vec.items():
+                        col[i] = col.get(i, 0) + c * a
+                col = {i: a for i, a in col.items() if a}
+            got = ech.reduce(col)
+            assert _proportional(got, ref.reduce(col))
+            assert not got or math.gcd(*got.values()) == 1
+            assert (ech.insert(col) is None) == (ref.insert(col) is None)
+            assert ech.pivots.keys() == ref.pivots.keys()
+            for row, vec in ech.pivots.items():
+                assert math.gcd(*vec.values()) == 1
+                assert _proportional(vec, ref.pivots[row])
+        assert ech.rank == ref.rank
 
 
 def test_int_echelon_rank_known():
