@@ -26,7 +26,7 @@ from .grading import (
     matrix_truncation_bound,
 )
 from .field import GF
-from .groebner import _GB_CACHE, IdealBasis, ensure_gb, height, hilbert_basis, normal_form
+from .groebner import IdealBasis, ensure_gb, height, hilbert_basis, normal_form, stored_basis
 from .linalg import Laplace, rank_of_columns
 from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
 from .ring import PolyRing, random_homogeneous
@@ -74,7 +74,7 @@ def _unwrap(mat_or_pres):
 
 
 #: an entry of the minors table weighs its ideal's terms
-_MINORS_CACHE = Memo(MINORS_BUDGET, lambda key, ideal: terms(ideal))
+_MINORS_CACHE = Memo(MINORS_BUDGET)
 
 
 def minors(mat_or_pres, s, memo=True):
@@ -97,7 +97,7 @@ def minors(mat_or_pres, s, memo=True):
             if not det.is_zero():
                 gens.append(det)
     result = IdealBasis(ring, tuple(gens))
-    return _MINORS_CACHE.put((m, s), result) if memo else result
+    return _MINORS_CACHE.put((m, s), result, terms(result)) if memo else result
 
 
 #: the field of the mod-p lower bound on heights over QQ
@@ -114,7 +114,7 @@ def _minors_height(P, s):
     """
     m = _unwrap(P)
     stored = _MINORS_CACHE.get((m, s))
-    gb = None if stored is None else _GB_CACHE.get(stored)
+    gb = None if stored is None else stored_basis(stored)
     if gb is None:
         ht = _certified_height(m, s)
         if ht is not None:
@@ -181,7 +181,8 @@ class ClassificationReport:
     witness: object = None
 
 
-_CLASSIFY_CACHE = Memo(MATRIX_BUDGET, lambda P, report: terms(*P.matrix.entries))
+#: a verdict weighs the terms of the matrix that keys it
+_CLASSIFY_CACHE = Memo(MATRIX_BUDGET)
 
 
 def classify(P):
@@ -205,7 +206,7 @@ def classify(P):
     report = ClassificationReport(
         expected, ht, sub_ht, is_standard, is_good, empty, P.t, P.r
     )
-    return _CLASSIFY_CACHE.put(P, report)
+    return _CLASSIFY_CACHE.put(P, report, terms(*P.matrix.entries))
 
 
 # -- generalized rows ------------------------------------------------------------------

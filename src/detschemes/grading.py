@@ -351,20 +351,20 @@ def matrix_piece(phi, d):
     return PieceMatrix(phi.ring.field, rows.items, cols.items, piece_cols)
 
 
-_COLUMN_GB_CACHE = Memo(MATRIX_BUDGET, lambda phi, gb: terms(*phi.entries, gb.basis))
+#: a column-module basis weighs its matrix's terms and its own
+_COLUMN_GB_CACHE = Memo(MATRIX_BUDGET)
 #: A piece rank is reused within one certificate (a Hilbert table, section
 #: sequence and canonical module rank the same pieces), not across inputs,
 #: and its key pins a whole matrix for one int; an entry weighs that
 #: matrix's terms, even when other entries share the matrix.
-_PIECE_RANK_CACHE = Memo(MATRIX_BUDGET, lambda key, rank: terms(*key[0].entries))
+_PIECE_RANK_CACHE = Memo(MATRIX_BUDGET)
 
 
 def column_module_gb(phi):
     hit = _COLUMN_GB_CACHE.get(phi)
     if hit is None:
-        hit = _COLUMN_GB_CACHE.put(
-            phi, ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
-        )
+        gb = ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
+        hit = _COLUMN_GB_CACHE.put(phi, gb, terms(*phi.entries, gb.basis))
     return hit
 
 
@@ -386,7 +386,7 @@ def piece_rank(phi, d, engine="auto"):
         rank = column_module_gb(phi).image_dim(d)
     else:
         raise GradingError(f"unknown rank engine {engine!r}")
-    return _PIECE_RANK_CACHE.put(key, rank)
+    return _PIECE_RANK_CACHE.put(key, rank, terms(*phi.entries))
 
 
 # -- Hilbert functions ----------------------------------------------------------------

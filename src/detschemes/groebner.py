@@ -17,6 +17,15 @@ minimalized and interreduced basis is made monic as Polynomials; no
 `Fraction` arithmetic runs before that.  `reduce_full`, `spoly` and
 `normal_form` are thin wrappers over the same kernel.
 
+Buchberger starts from the generators' canonical span: in each degree the
+reduced row echelon form of the homogeneous generators' span, by exact
+echelon and back-substitution, each row normalized as a basis element is.
+That form depends only on the span, and its bytes key the one Groebner
+table (`ensure_gb`), so an ideal reached through other generators with the
+same span in each degree (other signs, order, scale or redundant
+combinations) reuses its basis.  The key is exact: it decodes back to the
+span, which is what Buchberger runs on after a miss.
+
 Column modules of homogeneous matrices run on the same Buchberger: Nagata's
 idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
 the standard monomials of its reduced basis in e-degree 1 count the cokernel
@@ -60,8 +69,12 @@ class IdealBasis:
     ring: PolyRing
     generators: tuple
     is_reduced_gb: bool = False
-    # computed on first use: ideals key the Groebner table
+    # computed on first use: ideals key the minors table, and their spans
+    # (`_span_key`) the Groebner table
     _hash: int = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    _span: bytes = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    # the ideal in the grevlex copy of a non-grevlex ring (`hilbert_basis`)
+    _grevlex: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
         if self._hash is None:
@@ -69,6 +82,15 @@ class IdealBasis:
                 self, "_hash", hash((self.ring, self.generators, self.is_reduced_gb))
             )
         return self._hash
+
+    def _span_key(self):
+        """(ring, bytes of `_canonical_span`): equal for generator lists that
+        span the same space in each degree, and exact, since the bytes decode
+        back to the span (`_decode_span`)."""
+        if self._span is None:
+            span = _canonical_span(self.generators, self.ring)
+            object.__setattr__(self, "_span", _encode_span(span, self.ring))
+        return self.ring, self._span
 
     @property
     def order(self):
@@ -247,27 +269,31 @@ def _reduce_poly(p, table):
     return _polynomial(p.ring, remainder, den * scale)
 
 
-def _linear_preprocess(polys):
-    """Normalized kernel polynomials of the generators, the same-degree
-    homogeneous ones interreduced by exact echelon.
+def _canonical_span(polys, ring):
+    """The span of the generators as normalized kernel polynomials, in
+    the order Buchberger adds them: in each degree the reduced row echelon
+    form of the homogeneous generators' span, and each inhomogeneous
+    generator once.
 
-    Large minor sets are linearly very redundant; row-reducing them first
-    gives distinct leading monomials and shrinks Buchberger's pair queue.
-    Over QQ the elimination runs fraction-free on the integer terms.
+    The echelon form depends only on the span, so generator lists that span
+    the same space in each degree give the same list, which keys the
+    Groebner table.  Large minor sets are linearly very redundant; the
+    distinct leading monomials also shrink Buchberger's pair queue.  Over QQ
+    the elimination runs fraction-free on the integer terms.
     """
-    ring = polys[0].ring
     mod, top = ring._modulus, ring._top
     by_degree = {}
     out = []  # inhomogeneous generators pass through
     for p in polys:
+        if p.is_zero():
+            continue
         poly = _basis_poly(p)
         d = poly[0][0] >> top
         if all(k >> top == d for k, _ in poly):
             by_degree.setdefault(d, []).append(poly)
         else:
             out.append(poly)
-    for d in sorted(by_degree):
-        group = by_degree[d]
+    for group in by_degree.values():
         if len(group) == 1:
             out.extend(group)
             continue
@@ -277,31 +303,74 @@ def _linear_preprocess(polys):
         ech = echelon(ring.field)
         for poly in group:
             ech.insert({index[k]: c for k, c in poly})
-        # a pivot's smallest index is its leading monomial
-        for vec in ech.pivots.values():
+        # back-substitution: each pivot, from the last one up, is reduced
+        # against those below it; a pivot's smallest index is its leading
+        # monomial
+        rref = echelon(ring.field)
+        for row in sorted(ech.pivots, reverse=True):
+            rref.insert(ech.pivots[row])
+        for vec in rref.pivots.values():
             out.append(_normalized([(keys[i], c) for i, c in sorted(vec.items())], mod))
-    return out
+    order = ring._okey or int  # sort key of a packed key; grevlex: the key itself
+    out.sort(key=lambda poly: [(order(k), c) for k, c in poly])
+    return [poly for i, poly in enumerate(out) if not i or out[i - 1] != poly]
+
+
+def _encode_span(span, ring):
+    """Bytes of a list of kernel polynomials: the width of a coefficient,
+    then per polynomial its length and its (key, coefficient) terms."""
+    kw = FIELD_BITS // 8 * ring.nvars
+    cw = 1 + max((abs(c).bit_length() for poly in span for _, c in poly), default=0) // 8
+    out = [cw.to_bytes(4, "little")]
+    for poly in span:
+        out.append(len(poly).to_bytes(4, "little"))
+        for k, c in poly:
+            out.append(k.to_bytes(kw, "little"))
+            out.append(c.to_bytes(cw, "little", signed=True))
+    return b"".join(out)
+
+
+def _decode_span(data, ring):
+    """The list of kernel polynomials that `_encode_span` wrote as data."""
+    kw = FIELD_BITS // 8 * ring.nvars
+    cw = int.from_bytes(data[:4], "little")
+    span, i = [], 4
+    while i < len(data):
+        i, end = i + 4, i + 4 + int.from_bytes(data[i : i + 4], "little") * (kw + cw)
+        span.append([
+            (int.from_bytes(data[j : j + kw], "little"),
+             int.from_bytes(data[j + kw : j + kw + cw], "little", signed=True))
+            for j in range(i, end, kw + cw)
+        ])
+        i = end
+    return span
 
 
 def buchberger(gens, ring=None):
     """Reduced Groebner basis generating the same ideal as `gens`.
 
-    Deterministic for a fixed monomial order: generators are sorted
-    canonically, pairs are selected by smallest lcm (normal strategy), and
-    the result is minimalized, interreduced and made monic.  Everything up
-    to that last step runs on the integer kernel.
+    Deterministic for a fixed monomial order: see `_buchberger`, which runs
+    on the generators' `_canonical_span`.
     """
+    polys = list(gens)
     if isinstance(gens, IdealBasis):
         ring = gens.ring
-        polys = list(gens.generators)
-    else:
-        polys = list(gens)
-        if ring is None:
-            if not polys:
-                raise GroebnerError("cannot infer ring from an empty generator list")
-            ring = polys[0].ring
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
+    elif ring is None:
+        if not polys:
+            raise GroebnerError("cannot infer ring from an empty generator list")
+        ring = polys[0].ring
+    return _buchberger(_canonical_span(polys, ring), ring)
+
+
+def _buchberger(span, ring):
+    """Reduced Groebner basis of the ideal of a `_canonical_span`; every
+    basis the package computes is computed here.
+
+    Pairs are selected by smallest lcm (normal strategy), and the result is
+    minimalized, interreduced and made monic.  Everything up to that last
+    step runs on the integer kernel.
+    """
+    if not span:
         return IdealBasis(ring, (), True)
 
     okey = ring._okey
@@ -321,12 +390,8 @@ def buchberger(gens, ring=None):
             pending.add((i, j))
             heapq.heappush(heap, (order(lcm_key(table[i][1], kj, n)), i, j))
 
-    # canonical order, so that equal generators meet and the run is deterministic
-    for poly in sorted(
-        _linear_preprocess(polys), key=lambda poly: [(order(k), c) for k, c in poly]
-    ):
-        if not table or table[-1][3] != poly:
-            add(poly)
+    for poly in span:
+        add(poly)
 
     while heap:
         _, i, j = heapq.heappop(heap)
@@ -369,23 +434,29 @@ def buchberger(gens, ring=None):
     return IdealBasis(ring, monic, True)
 
 
-#: an entry pins its ideal and its basis; both are weighed by their terms
-_GB_CACHE = Memo(GB_BUDGET, lambda ideal, gb: terms(ideal, gb))
+#: an entry pins the span of the generator list that stored it and its
+#: basis; it weighs the terms of that list and of the basis
+_GB_CACHE = Memo(GB_BUDGET)
+
+
+def stored_basis(I):
+    """The reduced GB of I if the Groebner table holds its span, else None."""
+    return I if I.is_reduced_gb else _GB_CACHE.get(I._span_key())
 
 
 def ensure_gb(I, memo=True):
-    """Reduced GB of I, memoized: IdealBasis values are immutable.
+    """Reduced GB of I, memoized by the span of its generators in each degree:
+    the basis depends only on the ideal.
 
     With memo=False the table is read but not written, for callers that
     need the basis only on the way to a result memoized elsewhere.
     """
-    if I.is_reduced_gb:
-        return I
-    hit = _GB_CACHE.get(I)
+    hit = stored_basis(I)
     if hit is None:
-        hit = buchberger(I)
+        key = I._span_key()
+        hit = _buchberger(_decode_span(key[1], I.ring), I.ring)
         if memo:
-            _GB_CACHE.put(I, hit)
+            _GB_CACHE.put(key, hit, terms(I, hit))
     return hit
 
 
@@ -587,12 +658,14 @@ def hilbert_basis(I, memo=True):
     """I when it is a reduced Groebner basis, else the grevlex one (`memo` as
     in `ensure_gb`).  By Macaulay's theorem in(I) has the Hilbert function of
     I under every order; a lex basis can take minutes where grevlex takes
-    milliseconds."""
+    milliseconds.  The grevlex copy of I is built once and kept on I."""
     if I.is_reduced_gb:
         return I
     if I.order != "grevlex":
-        ring = I.ring.with_order("grevlex")
-        I = IdealBasis(ring, tuple(_lift(g, ring) for g in I))
+        if I._grevlex is None:
+            ring = I.ring.with_order("grevlex")
+            object.__setattr__(I, "_grevlex", IdealBasis(ring, tuple(_lift(g, ring) for g in I)))
+        I = I._grevlex
     return ensure_gb(I, memo)
 
 

@@ -8,7 +8,7 @@ still hit.
 
 Every table's keys or values pin polynomials of any size, so an entry count
 would not bound bytes: the budget is on the polynomial terms the entries
-hold (`terms`), counted by a weight function per table.
+hold (`terms`), weighed as each entry is stored.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ from collections import OrderedDict
 #: bounds left in them at the end of a 20 s benchmark run (perfbench, seed
 #: 20261017): minor ideals reached 149k terms (resolution-certify), Groebner
 #: inputs with their bases 180k (classify-stream), and the matrices keying
-#: verdicts 24k (classify-stream and row-surgery).  Piece ranks and
+#: verdicts 24k (classify-stream and row-surgery).  The Groebner table is
+#: keyed by canonical spans but still weighs the generator list that stored
+#: an entry with its basis, so its budget bounds what it did before spans
+#: shared entries: classify-stream fills it (180k terms in 1,774 entries
+#: after 4,800 problems in one process), and a span weight would let it pin
+#: more bases.  Piece ranks and
 #: column-module bases, also keyed by matrices, share the verdicts' budget:
 #: piece ranks are reused only within one certificate, and row-surgery hits
 #: them as often under it as with no bound; column-module bases (a matrix
@@ -37,18 +42,19 @@ def terms(*collections):
 class Memo:
     """Mapping with a weight budget and least-recently-used eviction.
 
-    `weight(key, value)` is an entry's weight.  The entry just stored is
-    never evicted by its own `put`, even when it alone is over the budget.
+    Each `put` passes the entry's weight: the Groebner table, keyed by
+    spans, weighs a generator list that its key does not show.  The entry
+    just stored is never evicted by its own `put`, even when it alone is
+    over the budget.
     Stored values must not be None, which `get` returns on a miss;
     test it with `is None`, since some values (the zero ideal's basis, a
     rank of 0) are falsy.
     """
 
-    __slots__ = ("budget", "weight", "load", "_table")
+    __slots__ = ("budget", "load", "_table")
 
-    def __init__(self, budget, weight):
+    def __init__(self, budget):
         self.budget = budget
-        self.weight = weight
         self.load = 0  # total weight of the entries held
         self._table = OrderedDict()  # key -> (value, weight)
 
@@ -66,15 +72,15 @@ class Memo:
         self._table.move_to_end(key)
         return hit[0]
 
-    def put(self, key, value):
-        """Store value for key, evict down to the budget, and return value."""
+    def put(self, key, value, weight):
+        """Store value for key with its weight, evict down to the budget, and
+        return value."""
         table = self._table
         old = table.pop(key, None)
         if old is not None:
             self.load -= old[1]
-        w = self.weight(key, value)
-        table[key] = (value, w)
-        self.load += w
+        table[key] = (value, weight)
+        self.load += weight
         while self.load > self.budget and len(table) > 1:
             _, (_, evicted) = table.popitem(last=False)
             self.load -= evicted

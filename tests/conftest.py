@@ -1,6 +1,16 @@
 import pytest
 
-from detschemes import PolyRing, presentation_from_strings
+from detschemes import PolyRing, groebner, presentation_from_strings
+from detschemes.memo import Memo
+
+
+@pytest.fixture
+def fresh_gb_table(monkeypatch):
+    """An empty Groebner table for one test: it is keyed by spans, so a basis
+    another test stored could answer for an ideal of this one."""
+    table = Memo(groebner._GB_CACHE.budget)
+    monkeypatch.setattr(groebner, "_GB_CACHE", table)
+    return table
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ from detschemes.determinantal import (
     extends_by_one_row,
 )
 from detschemes.grading import GradedFreeModule, HomogeneousMatrix
-from detschemes.groebner import _GB_CACHE, ensure_gb, height
+from detschemes.groebner import ensure_gb, height, stored_basis
 from detschemes.linalg import rank_of_columns
 from detschemes.ring import PolyRing
 from detschemes.errors import InputError, VerificationError
@@ -182,7 +182,7 @@ def test_flag_cubic_curve(cubic_curve):
     assert flag.all_good and flag.containments_ok
 
 
-def test_flag_complete_intersection(ci_codim3):
+def test_flag_complete_intersection(ci_codim3, fresh_gb_table):
     flag = build_flag(ci_codim3, seed=5)
     assert flag.codims == (3, 2, 1)
     assert flag.all_good and flag.containments_ok
@@ -191,7 +191,7 @@ def test_flag_complete_intersection(ci_codim3):
         # seeded stages do not recur: their ideals and bases are not memoized
         m = stage.presentation.matrix
         assert (m, m.nrows) not in _MINORS_CACHE
-        assert minors(m, m.nrows, memo=False) not in _GB_CACHE
+        assert stored_basis(minors(m, m.nrows, memo=False)) is None
 
 
 def test_flag_containment_certificate_matches_normal_forms(cubic_curve, ci_codim3):
@@ -293,14 +293,14 @@ def test_twisted_cubic_classifies_good(ring):
         assert quotient_hilbert_function(I, d) == 3 * d + 1
 
 
-def test_classify_memoizes_only_the_verdict(ring):
+def test_classify_memoizes_only_the_verdict(ring, fresh_gb_table):
     fresh = presentation_from_strings(
         ring, [["x0", "x1 + x3", "x2"], ["x1", "x2", "x3 - x0"]]
     )
     rep = classify(fresh)
     ideals = [minors(fresh, s, memo=False) for s in (1, 2)]
     assert (fresh.matrix, 1) not in _MINORS_CACHE and (fresh.matrix, 2) not in _MINORS_CACHE
-    assert all(ideal not in _GB_CACHE for ideal in ideals)
+    assert len(fresh_gb_table) == 0 and all(stored_basis(I) is None for I in ideals)
     assert classify(fresh) is rep
     # the same report as from minors and bases computed through the tables
     want = (2, 2, 4, True, True, False, 2, 1)
@@ -452,14 +452,13 @@ def test_special_fixtures_fall_back_for_their_submaximal_height(double_point, co
 
 def test_augmentation_and_flags_run_no_buchberger_over_qq(monkeypatch):
     calls = []
-    original = groebner.buchberger
+    original = groebner._buchberger
 
-    def counted(gens, ring=None):
-        out = original(gens, ring)
-        calls.append(out.ring.field.characteristic)
-        return out
+    def counted(span, ring):
+        calls.append(ring.field.characteristic)
+        return original(span, ring)
 
-    monkeypatch.setattr(groebner, "buchberger", counted)
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     P = _generic_block(random.Random(3), 4, (0, 0), (1, 1, 1))
     psi = augment_general_row(P, seed=4)
     flag = build_flag(P, seed=5)

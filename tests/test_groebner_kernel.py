@@ -30,6 +30,7 @@ from detschemes.field import RationalField
 from detschemes.groebner import (
     ColumnModuleGB,
     buchberger,
+    ensure_gb,
     ideal_quotient,
     intersect,
     normal_form,
@@ -39,7 +40,7 @@ from detschemes.groebner import (
 )
 from detschemes.grading import hilbert_function, matrix_from_polys
 from detschemes.memo import Memo
-from detschemes.ring import MAX_DEGREE, Monomial, RingError, random_homogeneous
+from detschemes.ring import MAX_DEGREE, NOT_HOMOGENEOUS, Monomial, RingError, random_homogeneous
 from linalg_reference import quotient_piece_hilbert
 
 VARS3 = ("x0", "x1", "x2")
@@ -78,23 +79,24 @@ def _system(ring, rng, coeff, count, degrees=(1, 2, 3)):
 def _fresh_gb_cache(patch):
     """An empty Groebner table for the patch's lifetime, so no basis is read."""
     table = groebner._GB_CACHE
-    patch.setattr(groebner, "_GB_CACHE", Memo(table.budget, table.weight))
+    patch.setattr(groebner, "_GB_CACHE", Memo(table.budget))
 
 
 def _recorded(monkeypatch, action, check=None):
-    """Every generator list `action` hands to buchberger, with its ring;
-    `check(gens, ring)` runs on each before the basis is built."""
+    """The generators of every canonical span `action` hands to
+    `_buchberger`, which computes every basis, with its ring; `check(gens,
+    ring)` runs on each before the basis is built."""
     seen = []
-    original = groebner.buchberger
+    original = groebner._buchberger
 
-    def record(gens, ring=None):
-        seen.append((list(gens.generators) if hasattr(gens, "generators") else list(gens), ring))
+    def record(span, ring):
+        seen.append(([groebner._polynomial(ring, poly, 1) for poly in span], ring))
         if check is not None:
             check(*seen[-1])
-        return original(gens, ring)
+        return original(span, ring)
 
     with monkeypatch.context() as patch:
-        patch.setattr(groebner, "buchberger", record)
+        patch.setattr(groebner, "_buchberger", record)
         _fresh_gb_cache(patch)
         action()
     return seen
@@ -342,12 +344,12 @@ def _seeded_lex_2x3():
 
 
 def _rings(seen):
-    return [ring or gens[0].ring for gens, ring in seen]
+    return [ring for _, ring in seen]
 
 
 def _no_lex(gens, ring):
     # fail at once: the lex basis itself may take minutes
-    assert (ring or gens[0].ring).order != "lex", "a lex basis was started"
+    assert ring.order != "lex", "a lex basis was started"
 
 
 def test_hilbert_functions_in_lex_build_no_lex_basis(monkeypatch):
@@ -424,3 +426,139 @@ def test_annihilator_in_lex_builds_no_lex_basis(monkeypatch):
     reports = []
     seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
     assert seen and reports[0].passed
+
+
+# -- the Groebner table's span keys --------------------------------------------------
+
+
+def _unit(ring, rng):
+    """A random nonzero scalar of the ring's field."""
+    p = ring.field.characteristic
+    return rng.randint(1, p - 1) if p else _with_denominators(rng)
+
+
+def _same_span(gens, rng):
+    """Lists whose homogeneous generators span what those of `gens` span in
+    each degree, with the same inhomogeneous generators up to scale:
+    permuted, rescaled and padded with zeros, and with a combination of the
+    homogeneous generators of each degree appended."""
+    ring = gens[0].ring
+    rescaled = [g.scale(_unit(ring, rng)) for g in gens]
+    padded = rng.sample(gens + [ring.zero()] * 2, len(gens) + 2)
+    combined = list(gens)
+    for d in {g.homogeneous_degree() for g in gens}:
+        if isinstance(d, int):
+            same = [g for g in gens if g.homogeneous_degree() == d]
+            combined.append(sum((g.scale(_unit(ring, rng)) for g in same), ring.zero()))
+    return [rng.sample(gens, len(gens)), rescaled, padded, combined]
+
+
+def _counted_runs(patch):
+    """The rings of every basis `_buchberger` computes for the patch's lifetime."""
+    runs = []
+    original = groebner._buchberger
+
+    def counted(span, ring):
+        runs.append(ring)
+        return original(span, ring)
+
+    patch.setattr(groebner, "_buchberger", counted)
+    return runs
+
+
+def _span_cases(ring, rng, coeff):
+    """Seeded generator lists: homogeneous forms, the zero and unit ideals,
+    and inhomogeneous generators."""
+    cases = [_system(ring, rng, coeff, rng.randint(2, 5), (1, 2)) for _ in range(3)]
+    # two forms of degree 2 and their sum: a degree with a dependent generator
+    f, g = _form(ring, 2, rng, coeff), _form(ring, 2, rng, coeff)
+    cases.append([f, g, f + g, _form(ring, 1, rng, coeff)])
+    cases.append([ring.zero()])
+    cases.append([ring.constant(_unit(ring, rng)), ring.constant(_unit(ring, rng))])
+    x = [ring.variable(i) for i in range(ring.nvars)]
+    cases.append([x[0] * x[1] - x[2], x[1] * x[1] - ring.one(), x[2] * x[2]])
+    return cases
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", "elim_last"])
+@pytest.mark.parametrize("field", [None, GF(32003)], ids=["QQ", "F32003"])
+def test_lists_with_one_span_share_one_table_entry(order, field, monkeypatch, fresh_gb_table):
+    """ensure_gb against the reference on seeded lists and their variants:
+    one basis run and one table entry per span."""
+    rng = random.Random(901)
+    base = PolyRing(VARS3) if field is None else PolyRing(VARS3, field)
+    ring = base.with_order(order)
+    coeff = _with_denominators if field is None else ring.field.random
+    entries = 0
+    for gens in _span_cases(ring, rng, coeff):
+        want = _signature(ref.buchberger(gens, ring).generators)
+        lists = [gens] + _same_span(gens, rng)
+        inhomogeneous = [g for g in gens if g.homogeneous_degree() is NOT_HOMOGENEOUS]
+        if inhomogeneous:
+            # inhomogeneous generators pass through: a combination of them
+            # is another key for the same ideal
+            combination = sum((g.scale(_unit(ring, rng)) for g in inhomogeneous), ring.zero())
+            lists.append(gens + [combination])
+        with monkeypatch.context() as patch:
+            runs = _counted_runs(patch)
+            for variant in lists:
+                I = ideal(ring, *variant)
+                assert _signature(ensure_gb(I).generators) == want
+                assert groebner.stored_basis(I) is not None
+        assert runs == [ring] * (1 + bool(inhomogeneous))
+        entries += len(runs)
+        assert len(fresh_gb_table) == entries
+
+
+def test_span_keys_are_exact_and_decode_to_the_span():
+    rng = random.Random(902)
+    for field, coeff in ((QQ, _near_2_64), (QQ, _with_denominators), (GF(7), None)):
+        ring = PolyRing(VARS4, field)
+        coeff = coeff or field.random
+        for _ in range(6):
+            gens = _system(ring, rng, coeff, rng.randint(1, 6), (0, 1, 2))
+            I = ideal(ring, *gens)
+            span = groebner._canonical_span([g for g in gens if not g.is_zero()], ring)
+            key = I._span_key()
+            assert key == (ring, groebner._encode_span(span, ring))
+            assert groebner._decode_span(key[1], ring) == span
+            # a generator outside the span of the others changes the key
+            extra = _form(ring, 3, rng, coeff)
+            assert ideal(ring, *gens, extra)._span_key() != key
+            assert ideal(ring, *gens, extra.scale(_unit(ring, rng)) + gens[0])._span_key() != key
+    assert ideal(PolyRing(VARS4))._span_key() != ideal(PolyRing(VARS4, GF(7)))._span_key()
+
+
+def test_memo_false_reads_the_table_and_writes_no_entry(ring, fresh_gb_table):
+    gens = [ring.parse(g) for g in ("x0^2 - 3/2*x1*x2", "x1*x3 + x2^2", "x0*x3")]
+    I = ideal(ring, *gens)
+    gb = ensure_gb(I, memo=False)
+    assert len(fresh_gb_table) == 0 and groebner.stored_basis(I) is None
+    J = ideal(ring, *reversed(gens), gens[0] + gens[1])
+    assert ensure_gb(J) == gb and len(fresh_gb_table) == 1
+    assert ensure_gb(I, memo=False) is ensure_gb(J) and len(fresh_gb_table) == 1
+    # the entry weighs the generator list that stored it, and its basis
+    assert fresh_gb_table.load == sum(len(p.terms) for p in (*J, *gb))
+
+
+def test_a_lex_hilbert_table_lifts_each_ideal_once(monkeypatch, fresh_gb_table):
+    P = _fixture("generic_2x4")
+    lex = P.ring.with_order("lex")
+    I = ideal(lex, *(lex.from_keys({m.key: c for m, c in g.terms}) for g in minors(P, P.t)))
+    lifts, spans = [], []
+    lift, canonical = groebner._lift, groebner._canonical_span
+
+    def counted_lift(*args):
+        lifts.append(args[0])
+        return lift(*args)
+
+    def counted_span(*args):
+        spans.append(args)
+        return canonical(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_lift", counted_lift)
+        patch.setattr(groebner, "_canonical_span", counted_span)
+        values = [hilbert_function(I, d) for d in range(11)]
+    assert len(lifts) == len(I.generators) and len(spans) == 1
+    assert values == [hilbert_function(minors(P, P.t), d) for d in range(11)]
