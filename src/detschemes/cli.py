@@ -50,7 +50,7 @@ from .errors import InputError, VerificationError
 from .field import FieldError, field_from_descriptor
 from .grading import Coker, GradingError, hilbert_function, matrix_from_strings
 from .groebner import minimal_generator_count
-from .ring import ParseError, PolyRing, RingError
+from .ring import MAX_DEGREE, ParseError, PolyRing, RingError
 
 SCHEMA_VERSION = 1
 
@@ -137,18 +137,21 @@ def parse_problem_text(text, path="<string>"):
         raise InputError(f"{path}: {e}")
 
     seed = _bounded_int(fields.get("seed", "0"), 0, f"{path}: seed")
-    d_max = _bounded_int(fields.get("d_max", "10"), 1, f"{path}: d_max")
+    d_max = _bounded_int(fields.get("d_max", "10"), 1, f"{path}: d_max", MAX_DEGREE)
     return ProblemSpec(path, ring, pres, seed, d_max)
 
 
-def _bounded_int(value, low, name):
-    """int(value) if it is at least low (0 or 1), else an InputError."""
+def _bounded_int(value, low, name, high=None):
+    """int(value) if it is at least low (0 or 1) and at most high (when
+    given), else an InputError."""
     message = f"{name} must be {'an unsigned' if low == 0 else 'a positive'} integer"
+    if high is not None:
+        message += f" at most {high}"
     try:
         number = int(value)
     except ValueError:
         raise InputError(message) from None
-    if number < low:
+    if number < low or (high is not None and number > high):
         raise InputError(message)
     return number
 
@@ -471,7 +474,7 @@ def run(argv=None):
             if args.seed is not None:
                 spec.seed = seed
             if getattr(args, "max_degree", None) is not None:
-                spec.d_max = _bounded_int(args.max_degree, 1, "--max-degree")
+                spec.d_max = _bounded_int(args.max_degree, 1, "--max-degree", MAX_DEGREE)
             seed = spec.seed
         results, code = _COMMANDS[command](spec, args)
     except InputError as e:

@@ -12,9 +12,11 @@ Term shapes:
     BR:  0 -> ∧^f F ⊗ (S^{f-g-1}G)^∨ ⊗ ∧^g G^∨ -> ... -> ∧^{g+1}F ⊗ ∧^g G^∨
             -> F -> G
 
-The first EN differential is the list of maximal minors; the map of BR into
-F expands (g+1)-column index sets into signed maximal minors; all higher
-differentials are one contraction against Φ.  Acyclicity is certified by the
+The terms and their index sets come from `determinantal.en_terms` and
+`br_terms`, which section sequences and canonical modules also read Hilbert
+functions off.  The first EN differential is the list of maximal minors;
+the map of BR into F expands (g+1)-column index sets into signed maximal
+minors; all higher differentials are one contraction against Φ.  Acyclicity is certified by the
 Buchsbaum-Eisenbud rank/height criterion (grade equals height here: the
 ambient polynomial ring is Cohen-Macaulay).  d∘d = 0 is checked once per
 complex, and the verdict is stored on it.  Ranks are proved from d∘d = 0:
@@ -31,19 +33,22 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from . import grading
-from .determinantal import _unwrap, classify, minors
-from .errors import InputError, VerificationError
-from .grading import (
-    Coker,
-    GradedFreeModule,
-    HomogeneousMatrix,
-    hilbert_function,
-    matrix_truncation_bound,
+from .determinantal import (
+    _compositions,
+    _unwrap,
+    br_terms,
+    characteristic_ok,
+    classify,
+    en_terms,
+    minors,
+    resolution_hilbert_function,
 )
+from .errors import InputError, VerificationError
+from .grading import GradedFreeModule, HomogeneousMatrix, matrix_truncation_bound
 from .groebner import ColumnModuleGB, height, hilbert_basis, quotient_hilbert_function
 from .linalg import Laplace, echelon, rank_of_columns
 
@@ -137,46 +142,12 @@ def graded_exactness_check(complex_, degrees):
     return ExactnessReport(tuple(entries))
 
 
-def _compositions(total, parts):
-    """Exponent multisets: all tuples of `parts` nonnegatives summing to total."""
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slot):
-        if slot == parts - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slot + 1)
-
-    rec([], total, 0)
-    return out
-
-
 def _check_characteristic(phi):
-    p = phi.ring.field.characteristic
-    codim = phi.ncols - phi.nrows + 1
-    if p and p <= codim:
+    if not characteristic_ok(phi):
         raise InputError(
-            f"characteristic {p} too small for a reliable duality of symmetric "
-            f"powers here (need p > {codim - 1})"
+            f"characteristic {phi.ring.field.characteristic} too small for a reliable "
+            f"duality of symmetric powers here (need p > {phi.ncols - phi.nrows})"
         )
-
-
-def _sum_target_twists(phi):
-    return sum(phi.target.twists)
-
-
-def _item_twist(phi, item):
-    S, beta = item
-    tw = sum(phi.source.twists[l] for l in S) - _sum_target_twists(phi)
-    tw -= sum(b * t for b, t in zip(beta, phi.target.twists))
-    return tw
-
-
-def _module_for(phi, items):
-    return GradedFreeModule(phi.ring, tuple(_item_twist(phi, it) for it in items))
 
 
 def _contraction_matrix(phi, tgt_items, src_items):
@@ -211,20 +182,7 @@ def eagon_northcott(pres_or_matrix, tag="EN"):
         raise InputError("needs at least as many columns as rows")
     _check_characteristic(phi)
     ring = phi.ring
-    zero_beta = (0,) * g
-
-    levels = [[(S, zero_beta) for S in combinations(range(f), g)]]
-    for i in range(1, f - g + 1):
-        levels.append(
-            [
-                (S, beta)
-                for S in combinations(range(f), g + i)
-                for beta in _compositions(i, g)
-            ]
-        )
-
-    modules = [GradedFreeModule(ring, (0,))]
-    modules += [_module_for(phi, items) for items in levels]
+    levels, modules = en_terms(phi)
 
     diffs = []
     laplace = Laplace(phi.entries, ring)
@@ -249,37 +207,22 @@ def buchsbaum_rim(pres_or_matrix, tag="BR"):
         raise InputError("needs at least as many columns as rows")
     _check_characteristic(phi)
     ring = phi.ring
-    zero_beta = (0,) * g
-
-    modules = [phi.target, phi.source]
+    levels, modules = br_terms(phi)
     diffs = [phi]
-
-    level2 = [(S, zero_beta) for S in combinations(range(f), g + 1)]
-    if level2:
-        modules.append(_module_for(phi, level2))
+    if levels:
         zero = ring.zero()
         laplace = Laplace(phi.entries, ring)
-        entries = [[zero] * len(level2) for _ in range(f)]
-        for col, (S, _) in enumerate(level2):
+        entries = [[zero] * len(levels[0]) for _ in range(f)]
+        for col, (S, _) in enumerate(levels[0]):
             for pos, l in enumerate(S):
                 det = laplace.det(range(g), S[:pos] + S[pos + 1 :])
                 if det.is_zero():
                     continue
                 entries[l][col] = -det if pos % 2 == 1 else det
         diffs.append(HomogeneousMatrix(modules[1], modules[2], entries))
-        prev_items = level2
-        for j in range(1, f - g):
-            items = [
-                (S, beta)
-                for S in combinations(range(f), g + 1 + j)
-                for beta in _compositions(j, g)
-            ]
-            if not items:
-                break
-            modules.append(_module_for(phi, items))
-            entries = _contraction_matrix(phi, prev_items, items)
-            diffs.append(HomogeneousMatrix(modules[-2], modules[-1], entries))
-            prev_items = items
+    for j in range(1, len(levels)):
+        entries = _contraction_matrix(phi, levels[j - 1], levels[j])
+        diffs.append(HomogeneousMatrix(modules[j + 1], modules[j + 2], entries))
     return FreeComplex(tuple(modules), tuple(diffs), tag)
 
 
@@ -566,7 +509,7 @@ def verify_annihilator(P, d_max=8):
         if not g.is_zero():
             by_degree.setdefault(g.homogeneous_degree(), []).append(g)
 
-    for d in sorted(set(range(d_max + 1)).union(by_degree)):
+    for d in chain(range(d_max + 1), sorted(k for k in by_degree if k > d_max)):
         for g in by_degree.get(d, ()):
             if any(not module.normal_form(g, j).is_zero() for j in range(t)):
                 return AnnihilatorReport(False, d_max, d, "minors-annihilate")
@@ -600,6 +543,14 @@ class CanonicalModule:
 
 
 def canonical_module(P, d_max=None):
+    """Present ω of a standard codimension-2 presentation and align it with
+    coker Φ.
+
+    ω is the cokernel of the dual of the last Eagon-Northcott differential,
+    twisted by nvars.  The verdict certifies ht I_t = 2, so R/I_t is perfect
+    and the dual Eagon-Northcott complex resolves ω, while Buchsbaum-Rim
+    resolves coker Φ: both Hilbert functions are read off those terms.
+    """
     report = classify(P)
     if not report.is_standard or P.r != 1:
         raise InputError("canonical_module needs a standard codimension-2 presentation")
@@ -609,22 +560,22 @@ def canonical_module(P, d_max=None):
     en = eagon_northcott(P)
     last = en.differentials[-1]
     omega = last.transpose_dual().shifted(ring.nvars)
+    coker_terms = br_terms(P.matrix)[1]
+    omega_terms = [F.dual().shifted(ring.nvars) for F in reversed(en.modules)]
 
-    def first_nonzero(subject, start):
+    def first_nonzero(modules, start):
         for d in range(start, start + 64):
-            if hilbert_function(subject, d) > 0:
+            if resolution_hilbert_function(modules, d) > 0:
                 return d
         raise VerificationError("module appears to vanish; no aligning twist")
 
-    mx = Coker(P.matrix)
-    om = Coker(omega)
-    d0_x = first_nonzero(mx, min(P.matrix.target.twists))
-    d0_w = first_nonzero(om, min(omega.target.twists))
+    d0_x = first_nonzero(coker_terms, min(P.matrix.target.twists))
+    d0_w = first_nonzero(omega_terms, min(omega.target.twists))
     e = d0_x - d0_w
     degrees = []
     for k in range(d_max + 1):
-        hx = hilbert_function(mx, k)
-        hw = hilbert_function(om, k - e)
+        hx = resolution_hilbert_function(coker_terms, k)
+        hw = resolution_hilbert_function(omega_terms, k - e)
         if hx != hw:
             raise VerificationError(
                 f"canonical-module Hilbert functions disagree in degree {k}: "

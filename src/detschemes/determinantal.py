@@ -100,6 +100,76 @@ def minors(mat_or_pres, s, memo=True):
     return _MINORS_CACHE.put((m, s), result, terms(result)) if memo else result
 
 
+# -- Eagon-Northcott and Buchsbaum-Rim terms -------------------------------------------
+
+
+def _compositions(total, parts):
+    """Exponent multisets: all tuples of `parts` nonnegatives summing to total,
+    first exponents descending."""
+    if parts <= 1:
+        return [(total,)] if parts else [()] if total == 0 else []
+    return [
+        (e,) + rest
+        for e in range(total, -1, -1)
+        for rest in _compositions(total - e, parts - 1)
+    ]
+
+
+def _term_levels(m, first, count):
+    """Levels i < count of ∧^{first+i} F ⊗ (S^i G)^∨ ⊗ ∧^g G^∨ for m: F -> G.
+
+    Level i indexes its basis by pairs (S, β): S a sorted (first+i)-subset of
+    the columns, β a composition of i into g parts (the basis dual to
+    monomials).  Returns the levels, empty ones dropped (g = 0), and their
+    twisted free modules.
+    """
+    g, f = m.nrows, m.ncols
+    base = sum(m.target.twists)
+    levels, modules = [], []
+    for i in range(count):
+        items = [
+            (S, beta)
+            for S in combinations(range(f), first + i)
+            for beta in _compositions(i, g)
+        ]
+        if not items:
+            continue
+        levels.append(items)
+        modules.append(GradedFreeModule(m.ring, tuple(
+            sum(m.source.twists[l] for l in S) - base
+            - sum(b * tw for b, tw in zip(beta, m.target.twists))
+            for S, beta in items
+        )))
+    return levels, modules
+
+
+def en_terms(m):
+    """Index levels of the Eagon-Northcott terms F_1, ..., F_{f-g+1} of m, and
+    all of its modules R = F_0, F_1, ..., F_{f-g+1}."""
+    levels, modules = _term_levels(m, m.nrows, m.ncols - m.nrows + 1)
+    return levels, [GradedFreeModule(m.ring, (0,))] + modules
+
+
+def br_terms(m):
+    """Index levels of the Buchsbaum-Rim terms F_2, ..., F_{f-g+1} of m, and
+    all of its modules G = F_0, F = F_1, F_2, ..., F_{f-g+1}."""
+    levels, modules = _term_levels(m, m.nrows + 1, m.ncols - m.nrows)
+    return levels, [m.target, m.source] + modules
+
+
+def resolution_hilbert_function(modules, d):
+    """HF(M, d) for a graded free resolution F_0 <- F_1 <- ... of M with these
+    modules: the alternating sum of dim (F_i)_d."""
+    return sum((-1) ** i * F.dim(d) for i, F in enumerate(modules))
+
+
+def characteristic_ok(m):
+    """Is the characteristic 0 or above the codimension f - g + 1 of m?  The
+    package builds Eagon-Northcott and Buchsbaum-Rim complexes only there."""
+    p = m.ring.field.characteristic
+    return not p or p > m.ncols - m.nrows + 1
+
+
 #: the field of the mod-p lower bound on heights over QQ
 _HEIGHT_FIELD = GF(32003)
 
@@ -493,7 +563,13 @@ class SectionSequence:
 
 def section_sequence(psi, deleted_row, d_max=None):
     """Delete a (generalized) row of a good presentation and certify the
-    degreewise Hilbert-function additivity of the induced section sequence."""
+    degreewise Hilbert-function additivity of the induced section sequence.
+
+    Both verdicts certify the expected heights, so the three Hilbert
+    functions are read off the Buchsbaum-Rim and Eagon-Northcott terms
+    (`resolution_hilbert_function`); in a characteristic that the complexes
+    refuse, pieces are ranked and standard monomials counted instead.
+    """
     ideal_s = minors(psi, psi.t, memo=False)
     rep_s = classify(psi)
     if not rep_s.is_good:
@@ -522,14 +598,28 @@ def section_sequence(psi, deleted_row, d_max=None):
             "row deletion does not produce a standard presentation of codimension "
             f"{rep_s.expected_codim + 1} (got {rep_x})"
         )
-    ideal_x = minors(phi, phi.t)
-    # one basis of the throwaway I_S for every degree, stored in no table
-    basis_s = hilbert_basis(ideal_s, memo=False)
+    # a seeded generalized deletion will not recur, so its minors pin no entry
+    ideal_x = minors(phi, phi.t, memo=False)
+    if characteristic_ok(deleted):  # then also for psi, of smaller codimension
+        # both presentations are certified standard, so Buchsbaum-Rim resolves
+        # both cokernels and Eagon-Northcott resolves R/I_S
+        br_s, en_s, br_x = br_terms(m)[1], en_terms(m)[1], br_terms(deleted)[1]
+        columns = (
+            lambda d: resolution_hilbert_function(br_s, d),
+            lambda d: resolution_hilbert_function(en_s, d - twist),
+            lambda d: resolution_hilbert_function(br_x, d),
+        )
+    else:
+        # one basis of the throwaway I_S for every degree, stored in no table
+        basis_s = hilbert_basis(ideal_s, memo=False)
+        columns = (
+            lambda d: hilbert_function(Coker(m), d),
+            lambda d: hilbert_function(basis_s, d - twist),
+            lambda d: hilbert_function(Coker(deleted), d),
+        )
     rows = []
     for d in range(d_max + 1):
-        hs = hilbert_function(Coker(m), d)
-        hq = hilbert_function(basis_s, d - twist)
-        hx = hilbert_function(Coker(deleted), d)
+        hs, hq, hx = (column(d) for column in columns)
         rows.append((d, hs, hq, hx))
         if hs != hq + hx:
             raise VerificationError(

@@ -20,9 +20,10 @@ piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on integers
 (`linalg.IntEchelon`), over F_p on residues (`linalg.Echelon`).  A rank is
 all that any certificate reads from a piece, so nothing here solves in a
-piece or multiplies two.  Piece ranks are memoized per
-(matrix, degree, engine) in a bounded table (`memo.Memo`), since Hilbert
-tables, section sequences and canonical modules rank the same pieces again.
+piece or multiplies two.  Piece ranks are not memoized: section sequences
+and canonical modules of certified presentations read their Hilbert
+functions off resolution terms (`determinantal.resolution_hilbert_function`)
+and rank no piece, and every other caller ranks a piece once.
 """
 
 from __future__ import annotations
@@ -353,11 +354,6 @@ def matrix_piece(phi, d):
 
 #: a column-module basis weighs its matrix's terms and its own
 _COLUMN_GB_CACHE = Memo(MATRIX_BUDGET)
-#: A piece rank is reused within one certificate (a Hilbert table, section
-#: sequence and canonical module rank the same pieces), not across inputs,
-#: and its key pins a whole matrix for one int; an entry weighs that
-#: matrix's terms, even when other entries share the matrix.
-_PIECE_RANK_CACHE = Memo(MATRIX_BUDGET)
 
 
 def column_module_gb(phi):
@@ -371,22 +367,16 @@ def column_module_gb(phi):
 def piece_rank(phi, d, engine="auto"):
     """Exact rank of the degree-d piece of a homogeneous matrix.
 
-    Memoized per engine, so an explicit engine always runs that engine.
+    An explicit engine always runs that engine; "auto" picks one by size.
     """
     if engine == "auto":
         size = phi.source.dim(d) * phi.target.dim(d)
         engine = "echelon" if size <= _PIECE_AUTO_LIMIT else "groebner"
-    key = (phi, d, engine)
-    hit = _PIECE_RANK_CACHE.get(key)
-    if hit is not None:
-        return hit
     if engine == "echelon":
-        rank = matrix_piece(phi, d).rank()
-    elif engine == "groebner":
-        rank = column_module_gb(phi).image_dim(d)
-    else:
-        raise GradingError(f"unknown rank engine {engine!r}")
-    return _PIECE_RANK_CACHE.put(key, rank, terms(*phi.entries))
+        return matrix_piece(phi, d).rank()
+    if engine == "groebner":
+        return column_module_gb(phi).image_dim(d)
+    raise GradingError(f"unknown rank engine {engine!r}")
 
 
 # -- Hilbert functions ----------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Bounded memo tables.
 
 The package memoizes results per immutable input (minor ideals, reduced
-Groebner bases, verdicts, column-module bases and degree-piece ranks).  Each
+Groebner bases, verdicts and column-module bases).  Each
 table is a `Memo`: past a budget it evicts least recently used entries, so a
 long-lived process stays bounded while inputs that repeat among recent ones
 still hit.
@@ -15,21 +15,26 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-#: Term budgets of the package's tables, sized from the loads that entry
-#: bounds left in them at the end of a 20 s benchmark run (perfbench, seed
-#: 20261017): minor ideals reached 149k terms (resolution-certify), Groebner
-#: inputs with their bases 180k (classify-stream), and the matrices keying
-#: verdicts 24k (classify-stream and row-surgery).  The Groebner table is
-#: keyed by canonical spans but still weighs the generator list that stored
-#: an entry with its basis, so its budget bounds what it did before spans
-#: shared entries: classify-stream fills it (180k terms in 1,774 entries
-#: after 4,800 problems in one process), and a span weight would let it pin
-#: more bases.  Piece ranks and
-#: column-module bases, also keyed by matrices, share the verdicts' budget:
-#: piece ranks are reused only within one certificate, and row-surgery hits
-#: them as often under it as with no bound; column-module bases (a matrix
-#: with the reduced basis of its idealization) stay under 1,300 terms.
-MINORS_BUDGET = 150_000
+#: Term budgets of the package's tables, sized from the hits each table
+#: gets on the benchmark workloads (perfbench, seed 20261017, in one
+#: process: 4,800 classify-stream, 1,100 resolution-certify and 1,300
+#: row-surgery problems, about a 20 s run each).
+#: - Minor ideals: 25k terms.  Their hits come within a problem or from
+#:   verbatim repeats soon after it: resolution-certify (8,698 hits) and
+#:   row-surgery (5,655) hit exactly as often under 25k as under 150k, and
+#:   classify-stream keeps 7,705 of 8,987; an ideal recomputed after its
+#:   eviction still finds its basis in the Groebner table.  A row-surgery
+#:   problem re-reads no earlier one's minors, so at 150k terms its load
+#:   grew with every problem (44.7k after 1,300), and peak RSS with
+#:   throughput.
+#: - Groebner bases: 180k terms.  The table is keyed by canonical spans but
+#:   weighs the generator list that stored an entry with its basis;
+#:   classify-stream fills it (1,774 entries, 12,706 hits), and under 40k
+#:   it would lose 996 of those hits, each a Buchberger run.
+#: - Verdicts and column-module bases share 24k: the matrices keying
+#:   verdicts reach it on every workload, while column-module bases (a
+#:   matrix with the reduced basis of its idealization) stay under 1k terms.
+MINORS_BUDGET = 25_000
 GB_BUDGET = 180_000
 MATRIX_BUDGET = 24_000
 

@@ -331,3 +331,48 @@ def test_a_200_term_entry_parses_and_malformed_ones_exit_2(tmp_path, ring, capsy
         path = _write(tmp_path, text.replace(entry, bad), "bad.problem")
         assert run(["classify", path, "--json"]) == 2
         capsys.readouterr()
+
+
+CURVE_TEXT = GOOD_TEXT.replace("  x1 | x2 | x3 | 0", "  x0 | x1 | x2").replace(
+    "  0  | x1 | x2 | x3", "  0  | x0 | x3"
+)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a degree bound past MAX_DEGREE reached the computation")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["section", "--row", "1"], None),
+        (["canonical"], None),
+        (["hilbert"], None),
+        (["annihilator"], None),
+        (["hilbert", "--max-degree", "32768"], "--max-degree"),
+        (["annihilator", "--max-degree", "99999999"], "--max-degree"),
+    ],
+)
+def test_degree_bounds_past_max_degree_exit_2_before_any_work(
+    argv, flag, tmp_path, capsys, monkeypatch
+):
+    from detschemes import cli
+    from detschemes.ring import MAX_DEGREE
+
+    for name in ("section_sequence", "canonical_module", "hilbert_function", "verify_annihilator"):
+        monkeypatch.setattr(cli, name, _refuse)
+    text = CURVE_TEXT if flag else CURVE_TEXT.replace("d_max: 10", "d_max: 99999999")
+    path = _write(tmp_path, text)
+    assert run([argv[0], path, *argv[1:], "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag or 'd_max'} must be a positive integer at most {MAX_DEGREE}" in captured.err
+
+
+def test_d_max_at_max_degree_parses():
+    from detschemes.ring import MAX_DEGREE
+
+    spec = parse_problem_text(CURVE_TEXT.replace("d_max: 10", f"d_max: {MAX_DEGREE}"))
+    assert spec.d_max == MAX_DEGREE == 32767
+    with pytest.raises(InputError):
+        parse_problem_text(CURVE_TEXT.replace("d_max: 10", f"d_max: {MAX_DEGREE + 1}"))

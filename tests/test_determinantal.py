@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from detschemes import (
-    QQ,
     Coker,
     DeterminantalPresentation,
     augment_general_row,
@@ -34,9 +33,10 @@ from detschemes.determinantal import (
 )
 from detschemes.grading import GradedFreeModule, HomogeneousMatrix
 from detschemes.groebner import ensure_gb, height, stored_basis
-from detschemes.linalg import rank_of_columns
 from detschemes.ring import PolyRing
 from detschemes.errors import InputError, VerificationError
+from hilbert_reference import coordinate_change as _coordinate_change
+from hilbert_reference import substitute as _substitute
 from math import comb
 
 
@@ -343,36 +343,6 @@ def _assert_certified_heights_exact(P):
         certified += got is not None
         assert _minors_height(P, s) == want
     return certified
-
-
-def _substitute(P, a):
-    """P with x_i replaced by sum_j a[i][j] x_j in every entry."""
-    ring = P.ring
-    xs = ring.gens()
-    images = [sum((xs[j].scale(ring.field.from_int(c)) for j, c in enumerate(row) if c),
-                  ring.zero()) for row in a]
-    rows = []
-    for row in P.matrix.entries:
-        out = []
-        for f in row:
-            acc = ring.zero()
-            for mono, c in f.terms:
-                term = ring.constant(c)
-                for i, e in enumerate(mono.exponents):
-                    term = term * images[i] ** e
-                acc = acc + term
-            out.append(acc)
-        rows.append(out)
-    return DeterminantalPresentation(HomogeneousMatrix(P.matrix.target, P.matrix.source, rows))
-
-
-def _coordinate_change(rng, n=4):
-    """Seeded invertible integer n x n matrix with entries in [-2, 2]."""
-    while True:
-        a = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        cols = [{i: QQ.from_int(a[i][j]) for i in range(n) if a[i][j]} for j in range(n)]
-        if rank_of_columns(cols, QQ) == n:
-            return a
 
 
 def _generic_block(rng, nvars, row_twists, col_twists, denominators=False):

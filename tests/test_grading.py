@@ -24,7 +24,7 @@ from detschemes import (
     piece_rank,
     verify_complex,
 )
-from detschemes.grading import _PIECE_RANK_CACHE, GradingError, zero_matrix
+from detschemes.grading import GradingError, zero_matrix
 from detschemes.groebner import ensure_gb
 from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
 from linalg_reference import (
@@ -136,15 +136,11 @@ def test_image_membership_witness_with_denominators(ring):
         assert applied == v
 
 
-def test_piece_rank_memo_keys_the_engine(ring):
+def test_piece_rank_engines_agree(ring):
     phi = matrix_from_strings(ring, [["1/3*x0^2 + x1*x3", "5/7*x2^2", "x0*x3 - x1^2"]])
     for d in range(2, 5):
-        assert (phi, d, "echelon") not in _PIECE_RANK_CACHE
         rank = piece_rank(phi, d, "echelon")
-        assert (phi, d, "echelon") in _PIECE_RANK_CACHE
-        assert (phi, d, "groebner") not in _PIECE_RANK_CACHE
         assert piece_rank(phi, d, "groebner") == rank
-        assert (phi, d, "groebner") in _PIECE_RANK_CACHE
         assert piece_rank(phi, d) == rank
 
 

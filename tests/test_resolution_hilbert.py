@@ -1,0 +1,169 @@
+"""Hilbert functions read off Eagon-Northcott and Buchsbaum-Rim terms.
+
+Once a verdict certifies ht I_t(Φ) = r + 1, EN(Φ) resolves R/I_t, BR(Φ)
+resolves coker Φ and the dual EN complex resolves ω, so each Hilbert
+function is an alternating sum over term twists.  These tests compare the
+sums, and the section sequences and canonical modules built on them, with
+the piece-rank and standard-monomial oracles of `hilbert_reference`.
+"""
+
+import random
+
+import pytest
+
+from detschemes import GF, QQ, determinantal
+from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
+from detschemes.complexes import canonical_module, eagon_northcott
+from detschemes.determinantal import (
+    augment_general_row,
+    br_terms,
+    characteristic_ok,
+    classify,
+    delete_row,
+    en_terms,
+    find_generalized_row,
+    minors,
+    resolution_hilbert_function,
+    section_sequence,
+)
+from detschemes.errors import InputError
+from detschemes.grading import Coker, hilbert_function
+from detschemes.groebner import quotient_hilbert_function
+from detschemes.memo import Memo
+
+import hilbert_reference as ref
+
+
+def _fixture(name):
+    spec = parse_problem_text(fixture_path(name).read_text(), name)
+    return spec.presentation, spec.d_max
+
+
+def _assert_sums_match(P, d_max):
+    """The twist sums of a certified presentation equal the oracles."""
+    assert classify(P).is_standard and characteristic_ok(P.matrix)
+    m = P.matrix
+    ideal = minors(P, P.t, memo=False)
+    br, en = br_terms(m)[1], en_terms(m)[1]
+    for d in range(-1, d_max + 1):
+        assert resolution_hilbert_function(br, d) == hilbert_function(Coker(m), d), d
+        assert resolution_hilbert_function(en, d) == quotient_hilbert_function(ideal, d), d
+    if P.r == 1:
+        omega, *_ = ref.canonical(P, 0)
+        dual = [F.dual().shifted(P.ring.nvars) for F in reversed(eagon_northcott(P).modules)]
+        for d in range(d_max + 1):
+            assert resolution_hilbert_function(dual, d) == hilbert_function(Coker(omega), d), d
+
+
+def _assert_certificates_match(P, d_max, seed=42, every_row=False):
+    """section_sequence and canonical_module equal the oracle routes.
+
+    The section sequence deletes the appended row, or with `every_row` each
+    row in turn, so that rows of other twists are deleted too.
+    """
+    psi = augment_general_row(P, seed=seed)
+    for row in range(psi.t) if every_row else [psi.t - 1]:
+        seq = section_sequence(psi, row, d_max=d_max)
+        twist = psi.matrix.target.twists[row]
+        assert seq.twist == twist and seq.additivity_ok
+        assert seq.hf_rows == ref.section_rows(psi, delete_row(psi, row), twist, d_max)
+    if P.r == 1:
+        got = canonical_module(P, d_max=d_max)
+        omega, shift, cyclic, degrees = ref.canonical(P, d_max)
+        assert (got.presentation, got.shift, got.cyclic, got.degrees) == (
+            omega, shift, cyclic, degrees
+        )
+
+
+def _variants(P, rng):
+    """P, its lex copy and two seeded coordinate changes."""
+    return [P, ref.with_order(P, "lex")] + [
+        ref.substitute(P, ref.coordinate_change(rng)) for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_sums_match_the_oracles(name):
+    P, d_max = _fixture(name)
+    for Q in _variants(P, random.Random(name)):
+        _assert_sums_match(Q, d_max)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_section_sequences_and_canonical_modules_match_the_oracles(name):
+    P, d_max = _fixture(name)
+    for Q in _variants(P, random.Random(name)):
+        _assert_certificates_match(Q, d_max)
+
+
+#: (nvars, row twists, column twists, d_max), row-surgery's shapes among them
+_SEEDED_SHAPES = (
+    (4, (0,), (1, 3, 3), 3),
+    (4, (0, 0), (1, 1, 1), 7),
+    (4, (0, 0), (2, 2, 2), 4),
+    (5, (0, 0), (1, 1, 1), 4),
+    (4, (0, 0, 0), (1, 1, 1, 1), 3),
+    (4, (0, 0), (1, 1, 2), 3),
+    (5, (0, 0), (1, 1, 1, 1), 3),
+    (4, (0, 1), (2, 2, 2), 4),
+    (4, (0, 1), (1, 2, 2), 4),
+    (5, (0, 2), (2, 3, 3, 3), 3),
+)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_seeded_standard_inputs_match_the_oracles(field):
+    rng = random.Random(20261017)
+    for nvars, rows, cols, d_max in _SEEDED_SHAPES:
+        P = ref.generic_block(rng, field, nvars, rows, cols)
+        _assert_sums_match(P, d_max)
+        _assert_certificates_match(P, d_max, seed=rng.randrange(2**32), every_row=True)
+
+
+def _refuse(*args):
+    raise AssertionError("a twist sum in a refused characteristic")
+
+
+def test_a_refused_characteristic_keeps_the_piece_route(monkeypatch):
+    # over F_3 the 1x4 deleted matrix has codimension 4 >= 3, which the
+    # complexes refuse, so the section sequence ranks pieces instead
+    rng = random.Random(4)
+    P = ref.generic_block(rng, GF(3), 4, (0, 0), (1, 1, 1, 1))
+    assert classify(P).is_good
+    assert not characteristic_ok(delete_row(P, 1))
+    monkeypatch.setattr(determinantal, "resolution_hilbert_function", _refuse)
+    seq = section_sequence(P, 1, d_max=5)
+    assert seq.additivity_ok
+    assert seq.hf_rows == ref.section_rows(P, delete_row(P, 1), 0, 5)
+    # ω needs the Eagon-Northcott complex, which is refused as before
+    Q = ref.generic_block(rng, GF(2), 4, (0, 0), (1, 1, 1))
+    with pytest.raises(InputError):
+        canonical_module(Q)
+
+
+def test_an_allowed_small_characteristic_takes_the_twist_route(monkeypatch):
+    rng = random.Random(5)
+    P = ref.generic_block(rng, GF(5), 4, (0, 0), (1, 1, 1, 1))
+    assert classify(P).is_good and characteristic_ok(delete_row(P, 1))
+    calls = []
+
+    def counted(modules, d):
+        calls.append(d)
+        return resolution_hilbert_function(modules, d)
+
+    monkeypatch.setattr(determinantal, "resolution_hilbert_function", counted)
+    seq = section_sequence(P, 1, d_max=5)
+    assert len(calls) == 3 * 6
+    assert seq.hf_rows == ref.section_rows(P, delete_row(P, 1), 0, 5)
+
+
+def test_a_generalized_row_section_sequence_pins_no_minors(monkeypatch, coordinate_axes):
+    witness = find_generalized_row(coordinate_axes)
+    assert witness.literal_row is None
+    # the witness search stored the deleted matrix's minors; start empty, so
+    # a lookup that stores shows
+    table = Memo(determinantal._MINORS_CACHE.budget)
+    monkeypatch.setattr(determinantal, "_MINORS_CACHE", table)
+    seq = section_sequence(coordinate_axes, witness, d_max=6)
+    assert seq.additivity_ok
+    assert len(table) == 0 and table.load == 0
