@@ -4,9 +4,11 @@ A t x (t+r) homogeneous matrix presents a determinantal scheme through its
 ideal of maximal minors.  The scheme is *standard* when that ideal has the
 expected height r+1 and *good* when moreover some generalized row (a row
 after an invertible change of row basis) can be deleted leaving maximal
-minors of height r+2.  Goodness is decided deterministically from the height
-of the submaximal-minor ideal; the randomized witness search only produces
-certificates and can never misclassify.
+minors of height r+2.  Goodness is decided deterministically: from the
+height of the submaximal-minor ideal, or, for a matrix that extends by one
+row a matrix certified standard, by containment, since the t-minors of that
+matrix are submaximal minors of this one.  The randomized witness search
+only produces certificates and can never misclassify.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InputError, VerificationError
@@ -238,44 +241,94 @@ def submaximal_height(P):
     return _minors_height(P, P.t - 1)
 
 
-@dataclass(frozen=True)
+#: the fields of a report, in the order of its repr
+_REPORT_FIELDS = ("expected_codim", "actual_height", "submaximal_height", "is_standard",
+                  "is_good", "empty_scheme", "t", "r", "witness")
+
+
 class ClassificationReport:
-    expected_codim: int
-    actual_height: float
-    submaximal_height: float
-    is_standard: bool
-    is_good: bool
-    empty_scheme: bool
-    t: int
-    r: int
-    witness: object = None
+    """The verdict of `classify` on a presentation P.
+
+    `submaximal_height` is computed on first read and then kept.  `is_good`
+    reads it only when P is standard and its goodness is not certified by
+    containment.  Equality, hash and repr read every field, and fields
+    cannot be assigned, as on a frozen dataclass of them.
+    """
+
+    def __init__(self, P, actual_height, contained):
+        expected = P.r + 1
+        vars(self).update(
+            _presentation=P,
+            _contained=contained,  # I_{t-1}(P) contains an ideal of height r+2
+            expected_codim=expected,
+            actual_height=actual_height,
+            is_standard=actual_height == expected,
+            empty_scheme=actual_height >= P.ring.nvars,
+            t=P.t,
+            r=P.r,
+            witness=None,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a verdict")
+
+    @cached_property
+    def submaximal_height(self):
+        return submaximal_height(self._presentation)
+
+    @property
+    def is_good(self):
+        return self.is_standard and (
+            self._contained or self.submaximal_height >= self.r + 2
+        )
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "ClassificationReport({})".format(", ".join(
+            f"{name}={value!r}" for name, value in zip(_REPORT_FIELDS, self._fields())
+        ))
 
 
 #: a verdict weighs the terms of the matrix that keys it
 _CLASSIFY_CACHE = Memo(MATRIX_BUDGET)
 
 
-def classify(P):
-    """Deterministic standard/good verdict from two exact heights.
+def classify(P, _parent=None):
+    """Deterministic standard/good verdict.
 
-    Each height is certified or computed by `_minors_height`.  Only the
-    verdict is memoized.  The minors and bases it needs are read
+    Standardness is ht I_t(P) = r+1, an exact height certified or computed
+    by `_minors_height`.  Goodness of a standard P needs ht I_{t-1}(P) >=
+    r+2 (always true for t = 1), which the report computes on first read.
+    Augmentation and flags pass as `_parent` the verdict of the matrix Φ
+    they extend.  When P extends Φ by one row (`extends_by_one_row`) and
+    that verdict certifies Φ standard, I_{t-1}(P) contains I_t(Φ), of
+    height r(Φ)+1 = r+2, so P is good exactly when it is standard and its
+    submaximal height is never computed unless read (Bruns and Vetter,
+    *Determinantal Rings*, LNM 1327, section 2).
+
+    Only the verdict is memoized.  The minors and bases it needs are read
     from their tables when present but not added to them, so verdicts on
     throwaway candidates (augmentation retries, flag stages) pin no ideals.
     """
     hit = _CLASSIFY_CACHE.get(P)
     if hit is not None:
         return hit
-    expected = P.r + 1
-    ht = _minors_height(P, P.t)
-    sub_ht = submaximal_height(P)
-    nvars = P.ring.nvars
-    is_standard = ht == expected
-    is_good = is_standard and (P.t == 1 or sub_ht >= P.r + 2)
-    empty = ht >= nvars
-    report = ClassificationReport(
-        expected, ht, sub_ht, is_standard, is_good, empty, P.t, P.r
+    contained = (
+        _parent is not None
+        and _parent.is_standard
+        and extends_by_one_row(P, _parent._presentation)
     )
+    report = ClassificationReport(P, _minors_height(P, P.t), contained)
     return _CLASSIFY_CACHE.put(P, report, terms(*P.matrix.entries))
 
 
@@ -450,6 +503,12 @@ def augment_general_row(P, row_twist=None, seed=0, retries=8, bound=10):
     by one; generic rows achieve it, and the construction retries with fresh
     randomness before giving up.
     """
+    return _augment(P, classify(P), row_twist, seed, retries, bound)[0]
+
+
+def _augment(P, report, row_twist=None, seed=0, retries=8, bound=10):
+    """`augment_general_row` given P's verdict; returns the candidate and its
+    verdict, which is certified good by containment when P is standard."""
     if P.r < 1:
         raise InputError("cannot augment a square presentation (codimension 1)")
     m = _unwrap(P)
@@ -466,10 +525,9 @@ def augment_general_row(P, row_twist=None, seed=0, retries=8, bound=10):
         target = GradedFreeModule(ring, m.target.twists + (row_twist,))
         psi = HomogeneousMatrix(target, m.source, list(m.entries) + [new_row])
         candidate = DeterminantalPresentation(psi)
-        report = classify(candidate)
-        last_report = report
-        if report.is_good:
-            return candidate
+        last_report = classify(candidate, report)
+        if last_report.is_good:
+            return candidate, last_report
     raise VerificationError(
         f"augmentation failed after {retries} attempts (last report: {last_report})"
     )
@@ -528,9 +586,11 @@ def build_flag(P, seed=0):
     """Augment repeatedly down to codimension one, verifying every stage.
 
     Each stage's containment in the previous one is certified by
-    `extends_by_one_row`, which needs no Groebner basis.  The stages after P
-    are seeded random matrices that will not recur, so classify leaves
-    their minors and bases out of the memo tables.
+    `extends_by_one_row`, which needs no Groebner basis, and so is its
+    goodness (`classify`): every stage is standard, so no stage's
+    submaximal height is computed.  The stages after P are seeded random
+    matrices that will not recur, so classify leaves their minors and bases
+    out of the memo tables.
     """
     report = classify(P)
     if not report.is_good:
@@ -539,8 +599,8 @@ def build_flag(P, seed=0):
     stages = [FlagStage(P, report, True)]
     current = P
     while current.r > 0:
-        nxt = augment_general_row(current, seed=rng.randrange(2**32))
-        stages.append(FlagStage(nxt, classify(nxt), extends_by_one_row(nxt, current)))
+        nxt, report = _augment(current, report, seed=rng.randrange(2**32))
+        stages.append(FlagStage(nxt, report, extends_by_one_row(nxt, current)))
         current = nxt
     return FlagResult(tuple(stages), seed)
 
@@ -570,10 +630,10 @@ def section_sequence(psi, deleted_row, d_max=None):
     (`resolution_hilbert_function`); in a characteristic that the complexes
     refuse, pieces are ranked and standard monomials counted instead.
     """
-    ideal_s = minors(psi, psi.t, memo=False)
     rep_s = classify(psi)
     if not rep_s.is_good:
         raise InputError("section_sequence requires a good presentation")
+    ideal_s = minors(psi, psi.t, memo=False)
     m = psi.matrix
     if d_max is None:
         d_max = matrix_truncation_bound(m)

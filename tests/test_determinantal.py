@@ -23,7 +23,8 @@ from detschemes import (
     quotient_hilbert_function,
     section_sequence,
 )
-from detschemes import groebner
+from detschemes import determinantal, groebner
+from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
 from detschemes.determinantal import (
     _MINORS_CACHE,
     _certified_height,
@@ -33,7 +34,9 @@ from detschemes.determinantal import (
 )
 from detschemes.grading import GradedFreeModule, HomogeneousMatrix
 from detschemes.groebner import ensure_gb, height, stored_basis
-from detschemes.ring import PolyRing
+from detschemes.field import GF, QQ
+from detschemes.memo import Memo
+from detschemes.ring import PolyRing, random_homogeneous
 from detschemes.errors import InputError, VerificationError
 from hilbert_reference import coordinate_change as _coordinate_change
 from hilbert_reference import substitute as _substitute
@@ -434,3 +437,114 @@ def test_augmentation_and_flags_run_no_buchberger_over_qq(monkeypatch):
     flag = build_flag(P, seed=5)
     assert classify(psi).is_good and flag.all_good and flag.containments_ok
     assert calls and 0 not in calls  # only Buchberger runs mod p
+
+
+# -- goodness by containment ----------------------------------------------------------------
+
+
+def _full_verdict(P):
+    """classify(P) from an empty verdict table: no parent, so no containment."""
+    saved = determinantal._CLASSIFY_CACHE
+    determinantal._CLASSIFY_CACHE = Memo(saved.budget)
+    try:
+        return classify(P)
+    finally:
+        determinantal._CLASSIFY_CACHE = saved
+
+
+def _assert_certified_like_full(psi, report):
+    """A containment-certified report equals the full verdict field for field,
+    read lazily, and its full submaximal height meets r + 2."""
+    assert report._contained and report.is_good
+    assert "submaximal_height" not in vars(report)  # not computed yet
+    full = _full_verdict(psi)
+    assert not full._contained
+    fields = [(getattr(report, f), getattr(full, f)) for f in determinantal._REPORT_FIELDS]
+    assert all(a == b for a, b in fields), fields
+    assert report == full and hash(report) == hash(full) and repr(report) == repr(full)
+    assert full.submaximal_height >= psi.r + 2
+
+
+def _random_presentation(rng, field, t, r):
+    """A seeded t x (t+r) matrix of linear forms in r + 2 variables."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(r + 2)), field)
+    rows = [[random_homogeneous(ring, 1, rng) for _ in range(t + r)] for _ in range(t)]
+    return DeterminantalPresentation(HomogeneousMatrix(
+        GradedFreeModule(ring, (0,) * t), GradedFreeModule(ring, (1,) * (t + r)), rows
+    ))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(32003)), ids=("QQ", "F32003"))
+def test_containment_certified_verdicts_equal_the_full_verdict(field):
+    rng = random.Random(20261017)
+    for t in (1, 2, 3):
+        for r in (1, 2, 3):
+            P = _random_presentation(rng, field, t, r)
+            assert classify(P).is_standard, (t, r)
+            psi, report = determinantal._augment(P, classify(P), seed=rng.randrange(2**32))
+            _assert_certified_like_full(psi, report)
+            assert classify(psi) is report
+            for stage in build_flag(P, seed=rng.randrange(2**32)).stages[1:]:
+                _assert_certified_like_full(stage.presentation, stage.report)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_containment_certified_verdicts_of_fixtures_and_their_flags(name):
+    spec = parse_problem_text(fixture_path(name).read_text(), name)
+    P = spec.presentation
+    if P.r >= 1:
+        _assert_certified_like_full(*determinantal._augment(P, classify(P), seed=spec.seed))
+    if classify(P).is_good:
+        for stage in build_flag(P, seed=spec.seed).stages[1:]:
+            _assert_certified_like_full(stage.presentation, stage.report)
+
+
+def test_augmenting_a_non_standard_parent_gets_the_full_verdict(ring, monkeypatch):
+    # two equal linear columns: ht I_1 = 2, not the expected 3
+    P = presentation_from_strings(ring, [["x0", "x0", "x1"]])
+    parent = classify(P)
+    assert not parent.is_standard and parent.actual_height == 2
+    heights = []
+    original = determinantal._minors_height
+    monkeypatch.setattr(determinantal, "_minors_height",
+                        lambda Q, s: heights.append((Q.t, s)) or original(Q, s))
+    psi, report = determinantal._augment(P, parent, seed=3)
+    assert not report._contained and report.is_good
+    assert (2, 1) in heights  # goodness read the candidate's submaximal height
+    assert "submaximal_height" in vars(report)
+    assert report == _full_verdict(psi)
+    assert augment_general_row(P, seed=3) == psi
+
+
+class _ForgetfulMemo(Memo):
+    def get(self, key):
+        return None
+
+
+def test_augmentation_and_flags_of_a_standard_parent_read_no_candidate_submaximal_height(
+    monkeypatch,
+):
+    P = _random_presentation(random.Random(5), QQ, 2, 2)
+    assert classify(P).is_good
+    calls = []
+    original = determinantal._minors_height
+    monkeypatch.setattr(determinantal, "_minors_height",
+                        lambda Q, s: calls.append((Q, s)) or original(Q, s))
+    # a verdict table that has evicted every entry: each stage's verdict must
+    # come from the augmentation that built it, not from a second lookup
+    monkeypatch.setattr(determinantal, "_CLASSIFY_CACHE", _ForgetfulMemo(0))
+    psi = augment_general_row(P, seed=4)
+    flag = build_flag(P, seed=6)
+    assert flag.all_good and flag.containments_ok and flag.codims == (3, 2, 1)
+    candidates = [(Q, s) for Q, s in calls if Q.t > P.t]
+    assert candidates and all(s == Q.t for Q, s in candidates)
+    assert classify(psi).is_good
+
+
+def test_section_sequence_refusal_builds_no_minors(double_point, monkeypatch):
+    built = []
+    original = determinantal.minors
+    monkeypatch.setattr(determinantal, "minors", lambda *a, **k: built.append(a) or original(*a, **k))
+    with pytest.raises(InputError):
+        section_sequence(double_point, deleted_row=0, d_max=3)
+    assert built == []
