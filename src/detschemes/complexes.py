@@ -3,8 +3,8 @@
 For a homogeneous map Φ: F -> G with rank F = f, rank G = g <= f, bases are
 indexed explicitly: exterior powers by sorted index tuples, dual symmetric
 powers by exponent multisets (the basis dual to monomials, so contraction
-carries no multinomial coefficients and the construction is exact over any
-coefficient field with characteristic 0 or > f - g).
+carries no multinomial coefficients).  The builders accept coefficient
+fields of characteristic 0 or p > f - g + 1 and refuse the others.
 
 Term shapes:
 
@@ -41,7 +41,6 @@ from .determinantal import (
     _compositions,
     _unwrap,
     br_terms,
-    characteristic_ok,
     classify,
     en_terms,
     minors,
@@ -143,10 +142,12 @@ def graded_exactness_check(complex_, degrees):
 
 
 def _check_characteristic(phi):
-    if not characteristic_ok(phi):
+    """Build complexes of phi: F -> G only in characteristic 0 or p > f - g + 1."""
+    p, bound = phi.ring.field.characteristic, phi.ncols - phi.nrows + 1
+    if p and p <= bound:
         raise InputError(
-            f"characteristic {phi.ring.field.characteristic} too small for a reliable "
-            f"duality of symmetric powers here (need p > {phi.ncols - phi.nrows})"
+            f"characteristic {p} too small for a reliable "
+            f"duality of symmetric powers here (need p > {bound})"
         )
 
 

@@ -21,15 +21,21 @@ from itertools import combinations
 
 from .errors import InputError, VerificationError
 from .grading import (
-    Coker,
     GradedFreeModule,
     HomogeneousMatrix,
-    hilbert_function,
     matrix_from_strings,
     matrix_truncation_bound,
 )
 from .field import GF
-from .groebner import IdealBasis, ensure_gb, height, hilbert_basis, normal_form, stored_basis
+from .groebner import (
+    IdealBasis,
+    buchberger,
+    ensure_gb,
+    grevlex_ideal,
+    height,
+    normal_form,
+    stored_basis,
+)
 from .linalg import Laplace, rank_of_columns
 from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
 from .ring import PolyRing, random_homogeneous
@@ -80,27 +86,28 @@ def _unwrap(mat_or_pres):
 _MINORS_CACHE = Memo(MINORS_BUDGET)
 
 
-def minors(mat_or_pres, s, memo=True):
-    """IdealBasis of all s x s minors (zero determinants dropped).
-
-    With memo=False the table is read but not written (see ensure_gb).
-    """
+def minors(mat_or_pres, s):
+    """IdealBasis of all s x s minors (zero determinants dropped), memoized."""
     m = _unwrap(mat_or_pres)
+    hit = _MINORS_CACHE.get((m, s))
+    if hit is None:
+        hit = _laplace_minors(m, s)
+        _MINORS_CACHE.put((m, s), hit, terms(hit))
+    return hit
+
+
+def _laplace_minors(m, s):
+    """The s x s minors of the matrix m by Laplace expansion, stored nowhere."""
     if s < 1 or s > min(m.nrows, m.ncols):
         raise InputError(f"minor size {s} out of range for {m.nrows}x{m.ncols}")
-    hit = _MINORS_CACHE.get((m, s))
-    if hit is not None:
-        return hit
-    ring = m.ring
-    laplace = Laplace(m.entries, ring)
+    laplace = Laplace(m.entries, m.ring)
     gens = []
     for rows in combinations(range(m.nrows), s):
         for cols in combinations(range(m.ncols), s):
             det = laplace.det(rows, cols)
             if not det.is_zero():
                 gens.append(det)
-    result = IdealBasis(ring, tuple(gens))
-    return _MINORS_CACHE.put((m, s), result, terms(result)) if memo else result
+    return IdealBasis(m.ring, tuple(gens))
 
 
 # -- Eagon-Northcott and Buchsbaum-Rim terms -------------------------------------------
@@ -166,13 +173,6 @@ def resolution_hilbert_function(modules, d):
     return sum((-1) ** i * F.dim(d) for i, F in enumerate(modules))
 
 
-def characteristic_ok(m):
-    """Is the characteristic 0 or above the codimension f - g + 1 of m?  The
-    package builds Eagon-Northcott and Buchsbaum-Rim complexes only there."""
-    p = m.ring.field.characteristic
-    return not p or p > m.ncols - m.nrows + 1
-
-
 #: the field of the mod-p lower bound on heights over QQ
 _HEIGHT_FIELD = GF(32003)
 
@@ -182,7 +182,7 @@ def _minors_height(P, s):
 
     Cheapest route first: a basis already in the memo tables; over QQ, the
     mod-p certificate of `_certified_height`; else the full Groebner basis,
-    in grevlex whatever the ring's order (`hilbert_basis`): a height depends
+    in grevlex whatever the ring's order (`grevlex_ideal`): a height depends
     only on the Hilbert function.
     """
     m = _unwrap(P)
@@ -192,8 +192,20 @@ def _minors_height(P, s):
         ht = _certified_height(m, s)
         if ht is not None:
             return ht
-        gb = hilbert_basis(minors(m, s, memo=False), memo=False)
+        gb = _unpinned_basis(grevlex_ideal(_unpinned_minors(m, s)))
     return height(gb)
+
+
+def _unpinned_minors(m, s):
+    """The s-minors of m from the minors table, else computed and not stored."""
+    hit = _MINORS_CACHE.get((m, s))
+    return _laplace_minors(m, s) if hit is None else hit
+
+
+def _unpinned_basis(I):
+    """The reduced GB of I from the Groebner table, else computed and not stored."""
+    gb = stored_basis(I)
+    return buchberger(I) if gb is None else gb
 
 
 def _certified_height(m, s):
@@ -230,7 +242,7 @@ def _certified_height(m, s):
         GradedFreeModule(ring_p, m.source.twists),
         grid,
     )
-    lower = height(ensure_gb(minors(m_p, s, memo=False), memo=False))
+    lower = height(_unpinned_basis(_unpinned_minors(m_p, s)))
     return upper if lower == upper else None
 
 
@@ -243,7 +255,7 @@ def submaximal_height(P):
 
 #: the fields of a report, in the order of its repr
 _REPORT_FIELDS = ("expected_codim", "actual_height", "submaximal_height", "is_standard",
-                  "is_good", "empty_scheme", "t", "r", "witness")
+                  "is_good", "empty_scheme", "t", "r")
 
 
 class ClassificationReport:
@@ -266,7 +278,6 @@ class ClassificationReport:
             empty_scheme=actual_height >= P.ring.nvars,
             t=P.t,
             r=P.r,
-            witness=None,
         )
 
     def __setattr__(self, name, value):
@@ -334,6 +345,14 @@ def classify(P, _parent=None):
 
 # -- generalized rows ------------------------------------------------------------------
 
+#: seeded random row combinations, and over QQ the coefficients of random
+#: rows and completions, have integer entries in [-_COEFF_BOUND, _COEFF_BOUND]
+_COEFF_BOUND = 10
+#: seeded random combinations `find_generalized_row` tries after the literal rows
+_WITNESS_TRIALS = 32
+#: seeded random rows `augment_general_row` tries before it gives up
+_AUGMENT_RETRIES = 8
+
 
 @dataclass(frozen=True)
 class GeneralizedRowWitness:
@@ -374,7 +393,7 @@ def _twist_block(P, combination):
     return block, tw
 
 
-def generalized_deletion(P, combination, seed=0, bound=10):
+def generalized_deletion(P, combination, seed=0):
     """Delete the generalized row `combination` of Φ.
 
     Rows outside the combination's twist block are kept verbatim; inside the
@@ -391,7 +410,7 @@ def generalized_deletion(P, combination, seed=0, bound=10):
     rng = random.Random(seed)
     for _ in range(64):
         top = [
-            [field.random(rng, bound) for _ in range(b)] for _ in range(b - 1)
+            [field.random(rng, _COEFF_BOUND) for _ in range(b)] for _ in range(b - 1)
         ]
         rows_t = top + [list(c_block)]
         if _invertible(rows_t, field):
@@ -433,12 +452,12 @@ def _verify_deletion(P, deleted):
     return ht >= P.r + 2, ht
 
 
-def find_generalized_row(P, seed=0, trials=32, bound=10):
+def find_generalized_row(P, seed=0):
     """Search for a verified generalized-row witness on a good presentation.
 
     Literal rows are tried first, then seeded random combinations.  This is
-    Monte Carlo: returning None after `trials` failures does not refute
-    goodness (the deterministic verdict belongs to classify).
+    Monte Carlo: returning None after `_WITNESS_TRIALS` failures does not
+    refute goodness (the deterministic verdict belongs to classify).
     """
     report = classify(P)
     if not report.is_good:
@@ -455,10 +474,10 @@ def find_generalized_row(P, seed=0, trials=32, bound=10):
     for tw in _unwrap(P).target.twists:
         if tw not in twist_values:
             twist_values.append(tw)
-    for trial in range(trials):
+    for trial in range(_WITNESS_TRIALS):
         tw = twist_values[trial % len(twist_values)]
         combo = [
-            rng.randint(-bound, bound) if w == tw else 0
+            rng.randint(-_COEFF_BOUND, _COEFF_BOUND) if w == tw else 0
             for w in _unwrap(P).target.twists
         ]
         support = sum(1 for c in combo if c)
@@ -467,7 +486,7 @@ def find_generalized_row(P, seed=0, trials=32, bound=10):
             continue  # prefer combinations that genuinely mix rows
         deletion_seed = rng.randrange(2**32)
         try:
-            deleted = generalized_deletion(P, tuple(combo), deletion_seed, bound)
+            deleted = generalized_deletion(P, tuple(combo), deletion_seed)
         except VerificationError:
             continue
         ok, _ = _verify_deletion(P, deleted)
@@ -496,17 +515,17 @@ def default_augmentation_twist(P):
     return min(candidates)
 
 
-def augment_general_row(P, row_twist=None, seed=0, retries=8, bound=10):
+def augment_general_row(P, row_twist=None, seed=0):
     """Append a seeded random general row; verified good of codimension r.
 
     The augmented matrix is (t+1) x (t+r), so its expected codimension drops
     by one; generic rows achieve it, and the construction retries with fresh
     randomness before giving up.
     """
-    return _augment(P, classify(P), row_twist, seed, retries, bound)[0]
+    return _augment(P, classify(P), row_twist, seed)[0]
 
 
-def _augment(P, report, row_twist=None, seed=0, retries=8, bound=10):
+def _augment(P, report, row_twist=None, seed=0):
     """`augment_general_row` given P's verdict; returns the candidate and its
     verdict, which is certified good by containment when P is standard."""
     if P.r < 1:
@@ -520,8 +539,8 @@ def _augment(P, report, row_twist=None, seed=0, retries=8, bound=10):
         raise InputError("augmentation row twist forces a negative entry degree")
     rng = random.Random(seed)
     last_report = None
-    for _ in range(retries):
-        new_row = [random_homogeneous(ring, d, rng, bound) for d in degrees]
+    for _ in range(_AUGMENT_RETRIES):
+        new_row = [random_homogeneous(ring, d, rng, _COEFF_BOUND) for d in degrees]
         target = GradedFreeModule(ring, m.target.twists + (row_twist,))
         psi = HomogeneousMatrix(target, m.source, list(m.entries) + [new_row])
         candidate = DeterminantalPresentation(psi)
@@ -529,7 +548,7 @@ def _augment(P, report, row_twist=None, seed=0, retries=8, bound=10):
         if last_report.is_good:
             return candidate, last_report
     raise VerificationError(
-        f"augmentation failed after {retries} attempts (last report: {last_report})"
+        f"augmentation failed after {_AUGMENT_RETRIES} attempts (last report: {last_report})"
     )
 
 
@@ -609,8 +628,6 @@ def build_flag(P, seed=0):
 class SectionSequence:
     """Verified data of 0 -> (R/I_S)(-a) -> M_S -> M_X -> 0."""
 
-    ideal_s: IdealBasis
-    ideal_x: IdealBasis
     twist: int
     degrees: tuple
     hf_rows: tuple  # (d, HF(M_S, d), HF(R/I_S, d - a), HF(M_X, d))
@@ -625,15 +642,15 @@ def section_sequence(psi, deleted_row, d_max=None):
     """Delete a (generalized) row of a good presentation and certify the
     degreewise Hilbert-function additivity of the induced section sequence.
 
-    Both verdicts certify the expected heights, so the three Hilbert
-    functions are read off the Buchsbaum-Rim and Eagon-Northcott terms
-    (`resolution_hilbert_function`); in a characteristic that the complexes
-    refuse, pieces are ranked and standard monomials counted instead.
+    Both verdicts certify the expected heights, so Buchsbaum-Rim resolves
+    both cokernels and Eagon-Northcott resolves R/I_S, in every
+    characteristic (Eisenbud, *Commutative Algebra*, A2.6): the three
+    Hilbert functions are read off their terms (`resolution_hilbert_function`),
+    and no minor, basis or piece is computed.
     """
     rep_s = classify(psi)
     if not rep_s.is_good:
         raise InputError("section_sequence requires a good presentation")
-    ideal_s = minors(psi, psi.t, memo=False)
     m = psi.matrix
     if d_max is None:
         d_max = matrix_truncation_bound(m)
@@ -658,40 +675,17 @@ def section_sequence(psi, deleted_row, d_max=None):
             "row deletion does not produce a standard presentation of codimension "
             f"{rep_s.expected_codim + 1} (got {rep_x})"
         )
-    # a seeded generalized deletion will not recur, so its minors pin no entry
-    ideal_x = minors(phi, phi.t, memo=False)
-    if characteristic_ok(deleted):  # then also for psi, of smaller codimension
-        # both presentations are certified standard, so Buchsbaum-Rim resolves
-        # both cokernels and Eagon-Northcott resolves R/I_S
-        br_s, en_s, br_x = br_terms(m)[1], en_terms(m)[1], br_terms(deleted)[1]
-        columns = (
-            lambda d: resolution_hilbert_function(br_s, d),
-            lambda d: resolution_hilbert_function(en_s, d - twist),
-            lambda d: resolution_hilbert_function(br_x, d),
-        )
-    else:
-        # one basis of the throwaway I_S for every degree, stored in no table
-        basis_s = hilbert_basis(ideal_s, memo=False)
-        columns = (
-            lambda d: hilbert_function(Coker(m), d),
-            lambda d: hilbert_function(basis_s, d - twist),
-            lambda d: hilbert_function(Coker(deleted), d),
-        )
+    br_s, en_s, br_x = br_terms(m)[1], en_terms(m)[1], br_terms(deleted)[1]
     rows = []
     for d in range(d_max + 1):
-        hs, hq, hx = (column(d) for column in columns)
+        hs = resolution_hilbert_function(br_s, d)
+        hq = resolution_hilbert_function(en_s, d - twist)
+        hx = resolution_hilbert_function(br_x, d)
         rows.append((d, hs, hq, hx))
         if hs != hq + hx:
             raise VerificationError(
                 f"Hilbert additivity fails in degree {d}: {hs} != {hq} + {hx}",
                 degree=d,
             )
-    return SectionSequence(
-        ideal_s,
-        ideal_x,
-        twist,
-        tuple(range(d_max + 1)),
-        tuple(rows),
-        deleted,
-    )
+    return SectionSequence(twist, tuple(range(d_max + 1)), tuple(rows), deleted)
 

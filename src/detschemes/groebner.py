@@ -73,7 +73,7 @@ class IdealBasis:
     # (`_span_key`) the Groebner table
     _hash: int = dataclasses.field(default=None, init=False, repr=False, compare=False)
     _span: bytes = dataclasses.field(default=None, init=False, repr=False, compare=False)
-    # the ideal in the grevlex copy of a non-grevlex ring (`hilbert_basis`)
+    # the ideal in the grevlex copy of a non-grevlex ring (`grevlex_ideal`)
     _grevlex: object = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self):
@@ -350,12 +350,14 @@ def buchberger(gens, ring=None):
     """Reduced Groebner basis generating the same ideal as `gens`.
 
     Deterministic for a fixed monomial order: see `_buchberger`, which runs
-    on the generators' `_canonical_span`.
+    on the generators' `_canonical_span`.  Nothing is memoized; an
+    IdealBasis keeps its span, so a later `ensure_gb` of it needs no echelon.
     """
-    polys = list(gens)
     if isinstance(gens, IdealBasis):
-        ring = gens.ring
-    elif ring is None:
+        ring, key = gens._span_key()
+        return _buchberger(_decode_span(key, ring), ring)
+    polys = list(gens)
+    if ring is None:
         if not polys:
             raise GroebnerError("cannot infer ring from an empty generator list")
         ring = polys[0].ring
@@ -444,19 +446,15 @@ def stored_basis(I):
     return I if I.is_reduced_gb else _GB_CACHE.get(I._span_key())
 
 
-def ensure_gb(I, memo=True):
+def ensure_gb(I):
     """Reduced GB of I, memoized by the span of its generators in each degree:
-    the basis depends only on the ideal.
-
-    With memo=False the table is read but not written, for callers that
-    need the basis only on the way to a result memoized elsewhere.
+    the basis depends only on the ideal.  Callers that must not store a
+    basis read `stored_basis` and call `buchberger` themselves.
     """
     hit = stored_basis(I)
     if hit is None:
-        key = I._span_key()
-        hit = _buchberger(_decode_span(key[1], I.ring), I.ring)
-        if memo:
-            _GB_CACHE.put(key, hit, terms(I, hit))
+        hit = buchberger(I)
+        _GB_CACHE.put(I._span_key(), hit, terms(I, hit))
     return hit
 
 
@@ -654,19 +652,21 @@ def minimal_generator_count(I):
     return counts
 
 
-def hilbert_basis(I, memo=True):
-    """I when it is a reduced Groebner basis, else the grevlex one (`memo` as
-    in `ensure_gb`).  By Macaulay's theorem in(I) has the Hilbert function of
-    I under every order; a lex basis can take minutes where grevlex takes
-    milliseconds.  The grevlex copy of I is built once and kept on I."""
-    if I.is_reduced_gb:
+def grevlex_ideal(I):
+    """I in the grevlex copy of its ring, built once and kept on I."""
+    if I.order == "grevlex":
         return I
-    if I.order != "grevlex":
-        if I._grevlex is None:
-            ring = I.ring.with_order("grevlex")
-            object.__setattr__(I, "_grevlex", IdealBasis(ring, tuple(_lift(g, ring) for g in I)))
-        I = I._grevlex
-    return ensure_gb(I, memo)
+    if I._grevlex is None:
+        ring = I.ring.with_order("grevlex")
+        object.__setattr__(I, "_grevlex", IdealBasis(ring, tuple(_lift(g, ring) for g in I)))
+    return I._grevlex
+
+
+def hilbert_basis(I):
+    """I when it is a reduced Groebner basis, else the grevlex one.  By
+    Macaulay's theorem in(I) has the Hilbert function of I under every
+    order; a lex basis can take minutes where grevlex takes milliseconds."""
+    return I if I.is_reduced_gb else ensure_gb(grevlex_ideal(I))
 
 
 def quotient_hilbert_function(I, d):

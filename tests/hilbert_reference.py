@@ -11,7 +11,7 @@ run on (coordinate changes, lex copies, generic blocks over any field).
 from __future__ import annotations
 
 from detschemes.complexes import eagon_northcott
-from detschemes.determinantal import DeterminantalPresentation, minors
+from detschemes.determinantal import DeterminantalPresentation, _laplace_minors
 from detschemes.field import QQ
 from detschemes.grading import Coker, GradedFreeModule, HomogeneousMatrix, hilbert_function
 from detschemes.groebner import quotient_hilbert_function
@@ -21,7 +21,7 @@ from detschemes.ring import PolyRing
 
 def section_rows(psi, deleted, twist, d_max):
     """(d, HF(M_S, d), HF(R/I_S, d - twist), HF(M_X, d)) for d = 0..d_max."""
-    ideal_s = minors(psi, psi.t, memo=False)
+    ideal_s = _laplace_minors(psi.matrix, psi.t)
     return tuple(
         (
             d,

@@ -511,12 +511,16 @@ def test_br_resolves_coker_hilbert_function(double_point):
 def test_prime_field_characteristic_guard():
     from detschemes import GF, PolyRing
 
-    small = PolyRing(("x0", "x1", "x2", "x3"), GF(2))
-    P = presentation_from_strings(
-        small, [["x1", "x2", "x3", "0"], ["0", "x1", "x2", "x3"]]
-    )
-    with pytest.raises(InputError):
-        eagon_northcott(P)
+    # a 2x4 matrix has codimension f - g + 1 = 3, so p = 2 and p = 3 are
+    # refused, with the bound that is enforced
+    for p in (2, 3):
+        small = PolyRing(("x0", "x1", "x2", "x3"), GF(p))
+        P = presentation_from_strings(
+            small, [["x1", "x2", "x3", "0"], ["0", "x1", "x2", "x3"]]
+        )
+        for build in (eagon_northcott, buchsbaum_rim):
+            with pytest.raises(InputError, match=rf"characteristic {p} too small .*\(need p > 3\)"):
+                build(P)
     big = PolyRing(("x0", "x1", "x2", "x3"), GF(32003))
     Q = presentation_from_strings(
         big, [["x1", "x2", "x3", "0"], ["0", "x1", "x2", "x3"]]

@@ -28,12 +28,13 @@ from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
 from detschemes.determinantal import (
     _MINORS_CACHE,
     _certified_height,
+    _laplace_minors,
     _minors_height,
     _verify_deletion,
     extends_by_one_row,
 )
 from detschemes.grading import GradedFreeModule, HomogeneousMatrix
-from detschemes.groebner import ensure_gb, height, stored_basis
+from detschemes.groebner import buchberger, ensure_gb, height, stored_basis
 from detschemes.field import GF, QQ
 from detschemes.memo import Memo
 from detschemes.ring import PolyRing, random_homogeneous
@@ -194,7 +195,7 @@ def test_flag_complete_intersection(ci_codim3, fresh_gb_table):
         # seeded stages do not recur: their ideals and bases are not memoized
         m = stage.presentation.matrix
         assert (m, m.nrows) not in _MINORS_CACHE
-        assert stored_basis(minors(m, m.nrows, memo=False)) is None
+        assert stored_basis(_laplace_minors(m, m.nrows)) is None
 
 
 def test_flag_containment_certificate_matches_normal_forms(cubic_curve, ci_codim3):
@@ -206,7 +207,7 @@ def test_flag_containment_certificate_matches_normal_forms(cubic_curve, ci_codim
                 psi, phi = stage.presentation, prev.presentation
                 assert stage.containment_ok and extends_by_one_row(psi, phi)
                 assert ideal_contained(
-                    minors(psi, psi.t, memo=False), minors(phi, phi.t, memo=False)
+                    _laplace_minors(psi.matrix, psi.t), _laplace_minors(phi.matrix, phi.t)
                 )
 
 
@@ -221,7 +222,7 @@ def test_containment_certificate_rejects_non_extending_matrices(ring, cubic_curv
     rows[0][0] = ring.parse("x3")
     bad = HomogeneousMatrix(psi.target, psi.source, rows)
     assert not extends_by_one_row(bad, phi)
-    assert not ideal_contained(minors(bad, 3, memo=False), minors(phi, 2, memo=False))
+    assert not ideal_contained(_laplace_minors(bad, 3), _laplace_minors(phi, 2))
     # the same rows with other twists do not extend phi either
     shifted = HomogeneousMatrix(
         GradedFreeModule(ring, tuple(t + 1 for t in psi.target.twists)),
@@ -301,7 +302,7 @@ def test_classify_memoizes_only_the_verdict(ring, fresh_gb_table):
         ring, [["x0", "x1 + x3", "x2"], ["x1", "x2", "x3 - x0"]]
     )
     rep = classify(fresh)
-    ideals = [minors(fresh, s, memo=False) for s in (1, 2)]
+    ideals = [_laplace_minors(fresh.matrix, s) for s in (1, 2)]
     assert (fresh.matrix, 1) not in _MINORS_CACHE and (fresh.matrix, 2) not in _MINORS_CACHE
     assert len(fresh_gb_table) == 0 and all(stored_basis(I) is None for I in ideals)
     assert classify(fresh) is rep
@@ -323,7 +324,7 @@ def test_minors_and_classify_past_the_degree_limit_raise(ring):
     ]
     P = presentation_from_strings(ring, rows)
     with pytest.raises(RingError):
-        minors(P, 2, memo=False)
+        minors(P, 2)
     with pytest.raises(RingError):
         classify(P)
 
@@ -332,7 +333,7 @@ def test_minors_and_classify_past_the_degree_limit_raise(ring):
 
 
 def _full_height(P, s):
-    return height(ensure_gb(minors(P, s, memo=False), memo=False))
+    return height(buchberger(_laplace_minors(P.matrix, s)))
 
 
 def _assert_certified_heights_exact(P):

@@ -190,12 +190,13 @@ def test_classification_report_invariants(
             assert rep.is_good
 
 
-def test_find_generalized_row_not_found_contract(coordinate_axes):
-    from detschemes import find_generalized_row
+def test_find_generalized_row_not_found_contract(coordinate_axes, monkeypatch):
+    from detschemes import determinantal, find_generalized_row
 
     # literal rows fail on the axes; with zero random trials the search
     # reports not-found without refuting goodness
-    assert find_generalized_row(coordinate_axes, seed=1, trials=0) is None
+    monkeypatch.setattr(determinantal, "_WITNESS_TRIALS", 0)
+    assert find_generalized_row(coordinate_axes, seed=1) is None
 
 
 def test_concurrent_classification_is_deterministic(

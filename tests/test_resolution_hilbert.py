@@ -11,22 +11,22 @@ import random
 
 import pytest
 
-from detschemes import GF, QQ, determinantal
+from detschemes import GF, QQ, determinantal, grading, groebner
 from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
 from detschemes.complexes import canonical_module, eagon_northcott
 from detschemes.determinantal import (
+    DeterminantalPresentation,
+    _laplace_minors,
     augment_general_row,
     br_terms,
-    characteristic_ok,
     classify,
     delete_row,
     en_terms,
     find_generalized_row,
-    minors,
     resolution_hilbert_function,
     section_sequence,
 )
-from detschemes.errors import InputError
+from detschemes.errors import InputError, VerificationError
 from detschemes.grading import Coker, hilbert_function
 from detschemes.groebner import quotient_hilbert_function
 from detschemes.memo import Memo
@@ -41,9 +41,9 @@ def _fixture(name):
 
 def _assert_sums_match(P, d_max):
     """The twist sums of a certified presentation equal the oracles."""
-    assert classify(P).is_standard and characteristic_ok(P.matrix)
+    assert classify(P).is_standard
     m = P.matrix
-    ideal = minors(P, P.t, memo=False)
+    ideal = _laplace_minors(m, P.t)
     br, en = br_terms(m)[1], en_terms(m)[1]
     for d in range(-1, d_max + 1):
         assert resolution_hilbert_function(br, d) == hilbert_function(Coker(m), d), d
@@ -120,31 +120,77 @@ def test_seeded_standard_inputs_match_the_oracles(field):
         _assert_certificates_match(P, d_max, seed=rng.randrange(2**32), every_row=True)
 
 
-def _refuse(*args):
-    raise AssertionError("a twist sum in a refused characteristic")
+#: (nvars, row twists, column twists, d_max) of presentations P with r >= 2:
+#: their augmented matrices psi have codimension r(psi) + 1 = r >= p
+_SMALL_P_SHAPES = (
+    (4, (0,), (1, 3, 3), 3),
+    (5, (0,), (1, 1, 1), 4),
+    (4, (0,), (1, 1, 1, 1), 3),
+    (5, (0,), (1, 1, 1, 1), 3),
+    (5, (0, 0), (1, 1, 1, 1), 3),
+    (4, (0, 1), (1, 2, 2, 2), 3),
+    (4, (0,), (1, 1, 2, 2), 3),
+    (5, (0,), (1, 2, 2, 2), 3),
+    (5, (0,), (1, 1, 1, 1, 1), 3),
+)
 
 
-def test_a_refused_characteristic_keeps_the_piece_route(monkeypatch):
-    # over F_3 the 1x4 deleted matrix has codimension 4 >= 3, which the
-    # complexes refuse, so the section sequence ranks pieces instead
-    rng = random.Random(4)
-    P = ref.generic_block(rng, GF(3), 4, (0, 0), (1, 1, 1, 1))
-    assert classify(P).is_good
-    assert not characteristic_ok(delete_row(P, 1))
-    monkeypatch.setattr(determinantal, "resolution_hilbert_function", _refuse)
-    seq = section_sequence(P, 1, d_max=5)
-    assert seq.additivity_ok
-    assert seq.hf_rows == ref.section_rows(P, delete_row(P, 1), 0, 5)
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_characteristic_section_sequences_match_the_oracle(p):
+    # Eagon-Northcott and Buchsbaum-Rim resolve in every characteristic, so
+    # the twist sums hold where the complex builders refuse: r(psi) + 1 >= p
+    rng = random.Random(20261017 + p)
+    checked = 0
+    for nvars, rows, cols, d_max in _SMALL_P_SHAPES:
+        if len(cols) - len(rows) < p:
+            continue
+        # small fields often draw special matrices: take the first good one
+        P = next(P for P in (ref.generic_block(rng, GF(p), nvars, rows, cols)
+                             for _ in range(20)) if classify(P).is_good)
+        psi = augment_general_row(P, seed=rng.randrange(2**32))
+        for row in range(psi.t):
+            deleted = delete_row(psi, row)
+            if not classify(DeterminantalPresentation(deleted)).is_standard:
+                with pytest.raises(VerificationError):
+                    section_sequence(psi, row, d_max=d_max)
+                continue
+            seq = section_sequence(psi, row, d_max=d_max)
+            twist = psi.matrix.target.twists[row]
+            assert seq.twist == twist and seq.additivity_ok
+            assert seq.hf_rows == ref.section_rows(psi, deleted, twist, d_max)
+            checked += 1
+    assert checked >= 6
     # ω needs the Eagon-Northcott complex, which is refused as before
     Q = ref.generic_block(rng, GF(2), 4, (0, 0), (1, 1, 1))
     with pytest.raises(InputError):
         canonical_module(Q)
 
 
+def _spied(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def test_a_section_sequence_builds_no_minors_basis_or_piece(monkeypatch, generic_2x4):
+    psi = augment_general_row(generic_2x4, seed=3)
+    calls = []
+    _spied(monkeypatch, determinantal, "minors", calls)
+    _spied(monkeypatch, groebner, "hilbert_basis", calls)
+    _spied(monkeypatch, grading, "piece_rank", calls)
+    seq = section_sequence(psi, 2, d_max=6)
+    assert seq.additivity_ok and calls == []
+    assert seq.hf_rows == ref.section_rows(psi, delete_row(psi, 2), 0, 6)
+
+
 def test_an_allowed_small_characteristic_takes_the_twist_route(monkeypatch):
     rng = random.Random(5)
     P = ref.generic_block(rng, GF(5), 4, (0, 0), (1, 1, 1, 1))
-    assert classify(P).is_good and characteristic_ok(delete_row(P, 1))
+    assert classify(P).is_good
     calls = []
 
     def counted(modules, d):
