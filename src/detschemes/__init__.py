@@ -4,7 +4,6 @@ from .field import GF, QQ, field_from_descriptor
 from .ring import (
     NOT_HOMOGENEOUS,
     ZERO,
-    Monomial,
     Polynomial,
     PolyRing,
     evaluate,

@@ -518,9 +518,9 @@ def verify_annihilator(P, d_max=8):
             continue
         span = echelon(ring.field)  # coordinates (standard monomial of NF(μ e_j), j)
         for mu in ring.monomials_of_degree(d):
-            mono = ring.from_terms([(mu, ring.field.one)])
+            mono = ring.from_keys({mu: ring.field.one})
             nfs = [module.normal_form(mono, j).terms for j in range(t)]
-            span.insert({m.key * t + j: c for j in range(t) for m, c in nfs[j]})
+            span.insert({k * t + j: c for j in range(t) for k, c in nfs[j]})
         if span.rank != quotient_hilbert_function(gb, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)

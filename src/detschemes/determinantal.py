@@ -233,7 +233,7 @@ def _certified_height(m, s):
         den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
         grid.append([
             ring_p.from_keys(
-                {mm.key: c.numerator * (den // c.denominator) for mm, c in f.terms}
+                {k: c.numerator * (den // c.denominator) for k, c in f.terms}
             )
             for f in row
         ])
@@ -242,7 +242,7 @@ def _certified_height(m, s):
         GradedFreeModule(ring_p, m.source.twists),
         grid,
     )
-    lower = height(_unpinned_basis(_unpinned_minors(m_p, s)))
+    lower = height(_unpinned_basis(_laplace_minors(m_p, s)))
     return upper if lower == upper else None
 
 

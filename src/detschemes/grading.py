@@ -87,7 +87,7 @@ class DegreeBasis:
     """Ordered monomial basis of a degree piece of a graded free module."""
 
     degree: int
-    items: tuple  # of (generator index, Monomial)
+    items: tuple  # of (generator index, packed monomial key)
 
     def __len__(self):
         return len(self.items)
@@ -189,16 +189,15 @@ class HomogeneousMatrix:
         if other.target.twists != self.source.twists:
             raise GradingError("composition twist mismatch")
         ring = self.ring
-        right = [[[(m.key, c) for m, c in p.terms] for p in row] for row in other.entries]
         rows = []
         for a_row in self.entries:
-            left = [(k, [(m.key, c) for m, c in a.terms]) for k, a in enumerate(a_row) if a.terms]
+            left = [(k, a.terms) for k, a in enumerate(a_row) if a.terms]
             row = []
             for j in range(other.ncols):
                 acc = {}
                 get = acc.get
                 for k, a in left:
-                    b = right[k][j]
+                    b = other.entries[k][j].terms
                     for k1, c1 in a:
                         for k2, c2 in b:
                             key = k1 + k2
@@ -270,6 +269,9 @@ def matrix_from_polys(ring, polys, row_twists=None, col_twists=None):
             if not isinstance(d, int):
                 raise GradingError(f"entry ({i},{j}) is not homogeneous")
             degs[(i, j)] = d
+    for name, given, count in (("row", row_twists, nrows), ("column", col_twists, ncols)):
+        if given is not None and len(given) != count:
+            raise GradingError(f"{count} {name}s need {count} {name} twists, not {len(given)}")
     if row_twists is not None and col_twists is not None:
         rt, ct = list(row_twists), list(col_twists)
     else:
@@ -345,7 +347,7 @@ def matrix_piece(phi, d):
         # each term m of each entry (i, j) lands on its own row (i, mu*m),
         # so every term is one entry and nothing needs adding up
         piece_cols.append({
-            row_index[(i, mu.mul(m))]: c
+            row_index[(i, mu + m)]: c
             for i in range(phi.nrows)
             for m, c in phi.entries[i][j].terms
         })

@@ -6,9 +6,11 @@ it: membership, Krull dimension and height via independent variable sets,
 ideal quotient and saturation through a single auxiliary elimination
 variable, and minimal generator counts by degreewise linear algebra.
 
-Buchberger runs on one integer kernel over packed monomial keys.  A basis
-element is a list of (key, int) terms: monic residues over F_p, and over QQ
-a primitive integer polynomial with a positive leading coefficient.  Its
+Buchberger runs on one integer kernel over packed monomial keys, the
+monomials that polynomials hold: a polynomial enters the kernel with its
+own keys, scaled to integer coefficients over QQ.  A basis element is a
+list of (key, int) terms: monic residues over F_p, and over QQ a primitive
+integer polynomial with a positive leading coefficient.  Its
 reducer entry is built once, when it joins the basis.  S-polynomials and
 reductions work on {key: int} dicts: over F_p with one `% p` per term, over
 QQ fraction-free (cancelling lc against gc multiplies the working dict by
@@ -52,7 +54,6 @@ from .ring import (
     PolyRing,
     _check_degree,
     _masks,
-    _monomial,
     _unpack,
     lcm_key,
 )
@@ -120,9 +121,9 @@ def _scaled(p):
     """(int terms, scale) of a nonzero polynomial: over QQ the terms of
     scale * p, scale the lcm of its denominators; over F_p its residues and 1."""
     if p.ring._modulus:
-        return [(m.key, c) for m, c in p.terms], 1
+        return list(p.terms), 1
     den = math.lcm(*[c.denominator for _, c in p.terms])
-    return [(m.key, c.numerator * (den // c.denominator)) for m, c in p.terms], den
+    return [(k, c.numerator * (den // c.denominator)) for k, c in p.terms], den
 
 
 def _normalized(poly, mod):
@@ -153,12 +154,9 @@ def _entry(poly, n):
 
 def _polynomial(ring, poly, scale):
     """The Polynomial poly / scale; over F_p scale is always 1."""
-    n = ring.nvars
     if ring._modulus:
-        return Polynomial(ring, tuple((_monomial(k, n), c) for k, c in poly))
-    return Polynomial(
-        ring, tuple((_monomial(k, n), Fraction(c, scale)) for k, c in poly)
-    )
+        return Polynomial(ring, tuple(poly))
+    return Polynomial(ring, tuple((k, Fraction(c, scale)) for k, c in poly))
 
 
 def _spair(f, g, ring):
@@ -491,11 +489,11 @@ def dimension_report(I):
     gb = hilbert_basis(I)
     ring = I.ring
     nvars = ring.nvars
-    if any(g.leading_monomial().is_one() for g in gb):
-        return DimensionReport(-1, math.inf)
     lms = [g.leading_monomial() for g in gb.generators]
+    if 0 in lms:
+        return DimensionReport(-1, math.inf)
     supports = [
-        frozenset(i for i, e in enumerate(lm.exponents) if e > 0) for lm in lms
+        frozenset(i for i, e in enumerate(ring.exponents(lm)) if e > 0) for lm in lms
     ]
     best = 0
     for size in range(nvars, 0, -1):
@@ -550,15 +548,15 @@ def _lift(p, aux, tail=None):
         total += e
         ones |= 1 << (FIELD_BITS * (n + i))
         shifted |= total << (FIELD_BITS * (n + i))
-    return aux.from_keys({m.key + (m.key >> top) * ones + shifted: c for m, c in p.terms})
+    return aux.from_keys({k + (k >> top) * ones + shifted: c for k, c in p.terms})
 
 
 def _project(p, ring):
     """p in `ring`, its last variable set to 1: the key's top field goes."""
     mask = _masks(ring.nvars)[0]
     acc = {}
-    for m, c in p.terms:
-        k = m.key & mask
+    for k, c in p.terms:
+        k &= mask
         acc[k] = acc[k] + c if k in acc else c
     return ring.from_keys(acc)
 
@@ -578,7 +576,7 @@ def intersect(I, J):
     kept = [
         _project(g, ring)
         for g in gb.generators
-        if all(m.exponents[-1] == 0 for m, _ in g.terms)
+        if all(aux.exponents(k)[-1] == 0 for k, _ in g.terms)
     ]
     kept.sort(key=lambda q: ring.monomial_key(q.leading_monomial()), reverse=True)
     certified = ring.order == "grevlex"
@@ -589,7 +587,7 @@ def _quotient_by_poly(I, g):
     ring = I.ring
     if g.is_zero():
         return IdealBasis(ring, (ring.one(),))
-    if g.leading_monomial().is_one():
+    if g.leading_monomial() == 0:
         return I  # unit divisor: (I : c) = I
     meet = intersect(I, IdealBasis(ring, (g,)))
     gens = tuple(h.exact_div(g) for h in meet.generators)
@@ -672,7 +670,7 @@ def hilbert_basis(I):
 def quotient_hilbert_function(I, d):
     """dim_k (R/I)_d by counting standard monomials of `hilbert_basis(I)`."""
     gb = hilbert_basis(I)
-    return _standard_count(gb.ring, [g.leading_monomial().key for g in gb], d)
+    return _standard_count(gb.ring, [g.leading_monomial() for g in gb], d)
 
 
 def _standard_count(ring, leads, d):
@@ -683,7 +681,7 @@ def _standard_count(ring, leads, d):
     lead_exps = [_unpack(k, n) for k in leads]
     count = 0
     for m in ring.monomials_of_degree(d):
-        exps = _unpack(m.key, n)
+        exps = _unpack(m, n)
         for le in lead_exps:
             if not (exps - le) & guard:
                 break
@@ -731,8 +729,9 @@ class ColumnModuleGB:
         self._leads = [[] for _ in range(g)]
         for b in self.basis:
             lm = b.leading_monomial()
-            if sum(lm.exponents[first:]) == 1:
-                self._leads[lm.exponents.index(1, first) - first].append(lm.key & mask)
+            exps = aux.exponents(lm)
+            if sum(exps[first:]) == 1:
+                self._leads[exps.index(1, first) - first].append(lm & mask)
 
     def normal_form(self, p, j):
         """Normal form of p e_j modulo the column span, in the auxiliary

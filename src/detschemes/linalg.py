@@ -187,12 +187,12 @@ class Laplace:
         for row in grid:
             if self.p:
                 self.scales.append(1)
-                self.grid.append([{m.key: c for m, c in f.terms} for f in row])
+                self.grid.append([dict(f.terms) for f in row])
                 continue
             den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
             self.scales.append(den)
             self.grid.append([
-                {m.key: c.numerator * (den // c.denominator) for m, c in f.terms}
+                {k: c.numerator * (den // c.denominator) for k, c in f.terms}
                 for f in row
             ])
         self.memo = {}

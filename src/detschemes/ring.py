@@ -5,20 +5,21 @@ immutable term sequences kept strictly decreasing in the ring's monomial
 order, with no zero coefficients, so equal polynomials compare equal
 structurally.
 
-A monomial is one packed int (Monagan and Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007): field
-i, FIELD_BITS wide, holds the prefix sum e_0 + ... + e_i, so the top field is
-the total degree.  Then int comparison is the grevlex order, multiplying
-monomials adds their keys, and the exponents come back as
-key - ((key << FIELD_BITS) & mask), on which divisibility is one test of the
-fields' guard bits.  Arithmetic keys dicts by these ints and builds Monomial
-objects only for a finished polynomial; the lex and elimination orders sort
-by an int key computed from the packed one.
+A monomial is one packed int, its key, and nothing else (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007): field i, FIELD_BITS wide, holds the prefix
+sum e_0 + ... + e_i, so the top field is the total degree.  Then int
+comparison is the grevlex order, multiplying monomials adds their keys, and
+the exponents come back as key - ((key << FIELD_BITS) & mask), on which
+divisibility is one test of the fields' guard bits.  A polynomial's terms
+are (key, coefficient) pairs; `PolyRing.monomial` and `PolyRing.exponents`
+convert at the boundary.  The lex and elimination orders sort by an int key
+computed from the packed one.
 
 A total degree above MAX_DEGREE raises RingError wherever degrees are made
-or grow: Monomial(), parsing, `from_keys` (and so products, powers and
-determinants), `mul_term`, `Monomial.mul`/`lcm`, and each S-polynomial and
-reduction step of the Groebner kernel.  Fields are wide enough for the sum of two keys in
+or grow: `PolyRing.monomial`, parsing, `from_keys` (and so products, powers
+and determinants), `mul_term`, and each S-polynomial and reduction step of
+the Groebner kernel.  Fields are wide enough for the sum of two keys in
 range, so that check is sound on such a sum; past it, fields would carry
 into each other and divisibility tests would silently go wrong.
 """
@@ -94,86 +95,6 @@ def _pack(exps, n):
     return exps & _masks(n)[0]
 
 
-class Monomial:
-    """Exponent vector packed into one int.
-
-    Field i (FIELD_BITS wide, least significant first) of `key` holds the
-    prefix sum e_0 + ... + e_i, so the top field is the total degree.  Int
-    comparison of keys is the grevlex order, a product of monomials is the
-    sum of their keys, and a quotient the difference.
-    """
-
-    __slots__ = ("key", "n")
-
-    def __init__(self, exponents):
-        key = shift = total = 0
-        for e in exponents:
-            if e < 0:
-                raise RingError("negative exponent")
-            total += e
-            key |= total << shift
-            shift += FIELD_BITS
-        if total > MAX_DEGREE:
-            raise RingError(f"total degree {total} above the limit {MAX_DEGREE}")
-        self.key = key
-        self.n = shift // FIELD_BITS
-
-    @property
-    def exponents(self):
-        key, out, prev = self.key, [], 0
-        for _ in range(self.n):
-            s = key & _FIELD
-            out.append(s - prev)
-            prev = s
-            key >>= FIELD_BITS
-        return tuple(out)
-
-    @property
-    def total_degree(self):
-        return self.key >> (FIELD_BITS * (self.n - 1)) if self.n else 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial) and self.key == other.key and self.n == other.n
-        )
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"Monomial{self.exponents}"
-
-    def mul(self, other):
-        return _monomial(_check_degree(self.key + other.key, self.n), self.n)
-
-    def divides(self, other):
-        n = self.n
-        return not (_unpack(other.key, n) - _unpack(self.key, n)) & _masks(n)[1]
-
-    def div(self, other):
-        if not other.divides(self):
-            raise RingError("inexact monomial division")
-        return _monomial(self.key - other.key, self.n)
-
-    def lcm(self, other):
-        n = self.n
-        return _monomial(_check_degree(lcm_key(self.key, other.key, n), n), n)
-
-    def is_one(self):
-        return self.key == 0
-
-
-_new = object.__new__
-
-
-def _monomial(key, n):
-    """Monomial from a packed key that is known to be in range."""
-    m = _new(Monomial)
-    m.key = key
-    m.n = n
-    return m
-
-
 def lcm_key(a, b, n):
     """Packed key of the lcm of the monomials with keys a and b.
 
@@ -181,7 +102,7 @@ def lcm_key(a, b, n):
     field's guard bit set exactly where a_i >= b_i; that selects the field
     of A or of B.  The lcm's total degree may reach 2 * MAX_DEGREE, which
     still fits a field, so the key orders and unpacks correctly; it is not
-    checked here (Monomial.lcm checks it before a product is formed).
+    checked here (the S-pair checks it before a product is formed).
     """
     _, guard = _masks(n)
     ea, eb = _unpack(a, n), _unpack(b, n)
@@ -233,6 +154,10 @@ class PolyRing:
         self._top = FIELD_BITS * (n - 1)  # shift of the total-degree field
         self._modulus = field.characteristic
         self._var_index = {v: i for i, v in enumerate(variables)}
+        # the parser's key of x_i; x_i^e has e times that key
+        self._var_keys = tuple(
+            self.monomial([int(j == i) for j in range(n)]) for i in range(n)
+        )
 
     def __repr__(self):
         return f"PolyRing({','.join(self.variables)}; {self.field.name}; {self.order})"
@@ -248,9 +173,34 @@ class PolyRing:
     def __hash__(self):
         return hash((self.variables, self.field, self.order))
 
-    def monomial_key(self, m):
-        """Int sort key of a monomial in the ring order."""
-        return m.key if self._okey is None else self._okey(m.key)
+    def monomial_key(self, key):
+        """Int sort key of a packed key in the ring order."""
+        return key if self._okey is None else self._okey(key)
+
+    def monomial(self, exponents):
+        """Packed key of an exponent vector."""
+        if len(exponents) != self.nvars:
+            raise RingError("exponent vector length must match variable count")
+        key = shift = total = 0
+        for e in exponents:
+            if e < 0:
+                raise RingError("negative exponent")
+            total += e
+            key |= total << shift
+            shift += FIELD_BITS
+        if total > MAX_DEGREE:
+            raise RingError(f"total degree {total} above the limit {MAX_DEGREE}")
+        return key
+
+    def exponents(self, key):
+        """Exponent vector of a packed key."""
+        out, prev = [], 0
+        for _ in range(self.nvars):
+            s = key & _FIELD
+            out.append(s - prev)
+            prev = s
+            key >>= FIELD_BITS
+        return tuple(out)
 
     def with_order(self, order):
         return PolyRing(self.variables, self.field, order, _allow_small=True)
@@ -266,23 +216,13 @@ class PolyRing:
     def constant(self, c):
         if self.field.is_zero(c):
             return self.zero()
-        return Polynomial(self, ((Monomial((0,) * self.nvars), c),))
+        return Polynomial(self, ((0, c),))
 
     def variable(self, i):
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, ((Monomial(tuple(exps)), self.field.one),))
+        return Polynomial(self, ((self._var_keys[i], self.field.one),))
 
     def gens(self):
         return tuple(self.variable(i) for i in range(self.nvars))
-
-    def from_terms(self, pairs):
-        """Canonicalize arbitrary (Monomial, coeff) pairs into a Polynomial."""
-        acc = {}
-        for m, c in pairs:
-            k = m.key
-            acc[k] = acc[k] + c if k in acc else c
-        return self.from_keys(acc)
 
     def from_keys(self, acc):
         """Polynomial of a {packed key: coefficient} dict.
@@ -295,14 +235,13 @@ class PolyRing:
         if p:
             acc = {k: c % p for k, c in acc.items()}
         keys = [k for k, c in acc.items() if c]
-        n = self.nvars
         if keys:
-            _check_degree(max(keys), n)
+            _check_degree(max(keys), self.nvars)
         keys.sort(key=self._okey, reverse=True)
-        return Polynomial(self, tuple((_monomial(k, n), acc[k]) for k in keys))
+        return Polynomial(self, tuple((k, acc[k]) for k in keys))
 
     def monomials_of_degree(self, d):
-        """All monomials of total degree d, decreasing in the ring order."""
+        """Keys of all monomials of total degree d, decreasing in the ring order."""
         if d < 0:
             return []
         if d > MAX_DEGREE:
@@ -320,7 +259,7 @@ class PolyRing:
 
         rec(0, 0, 0)
         keys.sort(key=self._okey, reverse=True)
-        return [_monomial(k, n) for k in keys]
+        return keys
 
     def dim_of_degree(self, d):
         """dim_k R_d = C(d + n, n)."""
@@ -355,10 +294,10 @@ class PolyRing:
 
     # -- printing ---------------------------------------------------------
 
-    def format_monomial(self, m):
+    def format_monomial(self, key):
         parts = [
             self.variables[i] if e == 1 else f"{self.variables[i]}^{e}"
-            for i, e in enumerate(m.exponents)
+            for i, e in enumerate(self.exponents(key))
             if e > 0
         ]
         return "*".join(parts)
@@ -384,7 +323,7 @@ class PolyRing:
         return False
 
     def _format_term(self, m, coeff):
-        if m.is_one():
+        if not m:
             return self.field.to_str(coeff)
         if self.field.eq(coeff, self.field.one):
             return self.format_monomial(m)
@@ -424,8 +363,10 @@ class _PolyParser:
         while self.peek() == "*":
             self.next()
             k, c = self.parse_factor()
-            key = _check_degree(key + k, n)
-            coeff = field.mul(coeff, c)
+            if k:  # a variable power, whose coefficient is one
+                key = _check_degree(key + k, n)
+            else:
+                coeff = field.mul(coeff, c)
         if negate:
             coeff = field.neg(coeff)
         acc[key] = acc[key] + coeff if key in acc else coeff
@@ -457,9 +398,9 @@ class _PolyParser:
                 if e_tok is None or not e_tok.isdigit():
                     raise ParseError("malformed exponent")
                 exp = int(e_tok)
-            exps = [0] * self.ring.nvars
-            exps[i] = exp
-            return Monomial(tuple(exps)).key, field.one
+                if exp > MAX_DEGREE:
+                    raise RingError(f"total degree {exp} above the limit {MAX_DEGREE}")
+            return exp * self.ring._var_keys[i], field.one
         if tok.isidentifier():
             raise ParseError(f"unknown variable {tok!r}")
         raise ParseError(f"malformed token {tok!r}")
@@ -508,16 +449,16 @@ class Polynomial:
         if not self.terms:
             return ZERO
         top = self.ring._top
-        d = self.terms[0][0].key >> top
-        for m, _ in self.terms:
-            if m.key >> top != d:
+        d = self.terms[0][0] >> top
+        for k, _ in self.terms:
+            if k >> top != d:
                 return NOT_HOMOGENEOUS
         return d
 
     def total_degree(self):
         if not self.terms:
             return ZERO
-        return max(m.key for m, _ in self.terms) >> self.ring._top
+        return max(k for k, _ in self.terms) >> self.ring._top
 
     # -- arithmetic --------------------------------------------------------
 
@@ -527,7 +468,11 @@ class Polynomial:
 
     def __add__(self, other):
         self._check_ring(other)
-        return self.ring.from_terms(self.terms + other.terms)
+        acc = dict(self.terms)
+        get = acc.get
+        for k, c in other.terms:
+            acc[k] = get(k, 0) + c
+        return self.ring.from_keys(acc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -541,11 +486,10 @@ class Polynomial:
         ring = self.ring
         if not self.terms or not other.terms:
             return ring.zero()
-        right = [(m.key, c) for m, c in other.terms]
+        right = other.terms
         acc = {}
         get = acc.get
-        for m1, c1 in self.terms:
-            k1 = m1.key
+        for k1, c1 in self.terms:
             for k2, c2 in right:
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
@@ -560,19 +504,16 @@ class Polynomial:
         )
 
     def mul_term(self, m, c):
-        """Multiply by the single term c*m (order is preserved)."""
+        """Multiply by the single term c*m, m a packed key (order is preserved)."""
         ring = self.ring
         field = ring.field
         if field.is_zero(c):
             return ring.zero()
-        mk, n, mul = m.key, ring.nvars, field.mul
+        mul = field.mul
         if self.terms:
             # the largest key carries the largest total degree
-            _check_degree(max(mm.key for mm, _ in self.terms) + mk, n)
-        return Polynomial(
-            ring,
-            tuple((_monomial(mm.key + mk, n), mul(cc, c)) for mm, cc in self.terms),
-        )
+            _check_degree(max(k for k, _ in self.terms) + m, ring.nvars)
+        return Polynomial(ring, tuple((k + m, mul(cc, c)) for k, cc in self.terms))
 
     def __pow__(self, k):
         if k < 0:
@@ -610,9 +551,9 @@ class Polynomial:
             raise RingError("point length must match variable count")
         field = self.ring.field
         total = field.zero
-        for m, c in self.terms:
+        for k, c in self.terms:
             val = c
-            for e, x in zip(m.exponents, point):
+            for e, x in zip(self.ring.exponents(k), point):
                 for _ in range(e):
                     val = field.mul(val, x)
             total = field.add(total, val)
@@ -624,19 +565,19 @@ class Polynomial:
         """Quotient self/g when g divides exactly; raises otherwise."""
         if g.is_zero():
             raise RingError("division by zero polynomial")
-        field = self.ring.field
+        ring = self.ring
+        field = ring.field
         rem = self
-        q_terms = []
+        quotient = {}
         lm, lc = g.leading_term()
         while not rem.is_zero():
             rm, rc = rem.leading_term()
-            if not lm.divides(rm):
+            if lcm_key(lm, rm, ring.nvars) != rm:
                 raise RingError("inexact polynomial division")
-            qm = rm.div(lm)
             qc = field.div(rc, lc)
-            q_terms.append((qm, qc))
-            rem = rem - g.mul_term(qm, qc)
-        return self.ring.from_terms(q_terms)
+            quotient[rm - lm] = qc
+            rem = rem - g.mul_term(rm - lm, qc)
+        return ring.from_keys(quotient)
 
 
 # -- functional wrappers matching the operation-style API ----------------------
@@ -667,9 +608,8 @@ def evaluate(p, point):
 def random_homogeneous(ring, degree, rng, bound=10, allow_zero=False):
     """Random homogeneous form of the given degree with seeded coefficients."""
     while True:
-        terms = [
-            (m, ring.field.random(rng, bound)) for m in ring.monomials_of_degree(degree)
-        ]
-        p = ring.from_terms(terms)
+        p = ring.from_keys(
+            {k: ring.field.random(rng, bound) for k in ring.monomials_of_degree(degree)}
+        )
         if allow_zero or not p.is_zero() or degree < 0:
             return p

@@ -8,7 +8,7 @@ normal forms and S-polynomials equal these byte for byte.
 
 `lift` and `project` are `groebner._lift` and `_project` as they were
 before they worked on packed keys: every monomial is rebuilt from its
-exponent tuple, so `Monomial()` checks each degree.
+exponent tuple, so `PolyRing.monomial` checks each degree.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import heapq
 from detschemes.groebner import GroebnerError, IdealBasis
 from detschemes.linalg import echelon
 from detschemes.ring import (
-    Monomial,
     Polynomial,
     _check_degree,
     _masks,
-    _monomial,
     _unpack,
     lcm_key,
 )
@@ -30,16 +28,22 @@ from detschemes.ring import (
 
 def _poly_sort_key(p):
     # Fraction and int coefficients are mutually comparable
-    return tuple((p.ring.monomial_key(m), c) for m, c in p.terms)
+    return tuple((p.ring.monomial_key(k), c) for k, c in p.terms)
+
+
+def _divides(ring, a, b):
+    """Whether the monomial with key a divides the one with key b."""
+    return all(x <= y for x, y in zip(ring.exponents(a), ring.exponents(b)))
 
 
 def spoly(f, g):
     lm_f, lc_f = f.leading_term()
     lm_g, lc_g = g.leading_term()
-    lcm = lm_f.lcm(lm_g)
+    n = f.ring.nvars
+    lcm = _check_degree(lcm_key(lm_f, lm_g, n), n)
     field = f.ring.field
-    a = f.mul_term(lcm.div(lm_f), field.inv(lc_f))
-    b = g.mul_term(lcm.div(lm_g), field.inv(lc_g))
+    a = f.mul_term(lcm - lm_f, field.inv(lc_f))
+    b = g.mul_term(lcm - lm_g, field.inv(lc_g))
     return a - b
 
 
@@ -58,15 +62,15 @@ def reduce_full(p, reducers):
     guard = _masks(n)[1]
     red = [
         (
-            _unpack(g.terms[0][0].key, n),
-            g.terms[0][0].key,
+            _unpack(g.terms[0][0], n),
+            g.terms[0][0],
             g.terms[0][1],
-            [(m.key, c) for m, c in g.terms],
-            max(m.key for m, _ in g.terms),  # carries g's largest degree
+            g.terms,
+            max(k for k, _ in g.terms),  # carries g's largest degree
         )
         for g in reducers
     ]
-    cur = {m.key: c for m, c in p.terms}
+    cur = dict(p.terms)
     get = cur.get
     remainder = []
     while cur:
@@ -77,7 +81,7 @@ def reduce_full(p, reducers):
             if not (le - ge) & guard:
                 break
         else:
-            remainder.append((_monomial(k, n), lc))
+            remainder.append((k, lc))
             del cur[k]
             continue
         qk = k - gk
@@ -121,8 +125,8 @@ def _linear_preprocess(polys):
             out.extend(group)
             continue
         monomials = sorted(
-            {m for p in group for m, _ in p.terms},
-            key=lambda m: ring.monomial_key(m),
+            {k for p in group for k, _ in p.terms},
+            key=ring.monomial_key,
             reverse=True,
         )
         index = {m: i for i, m in enumerate(monomials)}
@@ -132,9 +136,7 @@ def _linear_preprocess(polys):
         # pivots hold ints over QQ and residues over F_p; from_int takes both
         for vec in ech.pivots.values():
             out.append(
-                ring.from_terms(
-                    (monomials[i], field.from_int(c)) for i, c in vec.items()
-                )
+                ring.from_keys({monomials[i]: field.from_int(c) for i, c in vec.items()})
             )
     return out
 
@@ -178,7 +180,7 @@ def buchberger(gens, ring=None):
     heap = []
 
     def push_pairs(j):
-        kj = basis[j].terms[0][0].key
+        kj = basis[j].terms[0][0]
         leads.append(kj)
         lead_exps.append(_unpack(kj, n))
         for i in range(j):
@@ -219,7 +221,7 @@ def buchberger(gens, ring=None):
     minimal = []
     for p in sorted(basis, key=lambda q: key_of(q.leading_monomial())):
         lm = p.leading_monomial()
-        if not any(q.leading_monomial().divides(lm) for q in minimal):
+        if not any(_divides(ring, q.leading_monomial(), lm) for q in minimal):
             minimal.append(p)
     # interreduce tails
     reduced = []
@@ -234,12 +236,15 @@ def lift(p, aux, tail=None):
     """p in aux, times the monomial whose exponents in the appended variables
     are `tail` (by default all zero)."""
     tail = tail or (0,) * (aux.nvars - p.ring.nvars)
-    return aux.from_terms(
-        (Monomial(m.exponents + tail), c) for m, c in p.terms
+    return aux.from_keys(
+        {aux.monomial(p.ring.exponents(k) + tuple(tail)): c for k, c in p.terms}
     )
 
 
 def project(p, ring):
-    return ring.from_terms(
-        (Monomial(m.exponents[:-1]), c) for m, c in p.terms
-    )
+    """p in `ring`, its last variable set to 1; terms that meet add up."""
+    acc = {}
+    for k, c in p.terms:
+        m = ring.monomial(p.ring.exponents(k)[:-1])
+        acc[m] = acc[m] + c if m in acc else c
+    return ring.from_keys(acc)

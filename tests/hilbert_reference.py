@@ -66,7 +66,7 @@ def substitute(P, a):
             acc = ring.zero()
             for mono, c in f.terms:
                 term = ring.constant(c)
-                for i, e in enumerate(mono.exponents):
+                for i, e in enumerate(ring.exponents(mono)):
                     term = term * images[i] ** e
                 acc = acc + term
             out.append(acc)
@@ -86,7 +86,7 @@ def coordinate_change(rng, n=4):
 def with_order(P, order):
     """P over the same variables and field in another monomial order."""
     ring = P.ring.with_order(order)
-    rows = [[ring.from_keys({m.key: c for m, c in f.terms}) for f in row]
+    rows = [[ring.from_keys(dict(f.terms)) for f in row]
             for row in P.matrix.entries]
     return DeterminantalPresentation(HomogeneousMatrix(
         GradedFreeModule(ring, P.matrix.target.twists),
@@ -100,10 +100,10 @@ def generic_block(rng, field, nvars, row_twists, col_twists):
     ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), field)
     rows = [
         [
-            ring.from_terms(
-                (mono, field.from_int(rng.randint(-10, 10)))
+            ring.from_keys({
+                mono: field.from_int(rng.randint(-10, 10))
                 for mono in ring.monomials_of_degree(b - a)
-            )
+            })
             for b in col_twists
         ]
         for a in row_twists

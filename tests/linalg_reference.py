@@ -192,7 +192,7 @@ def image_membership(v, phi):
     for j, c in combo.items():
         gen, mono = piece.col_basis[j]
         parts[gen].append((mono, c))
-    preimage = tuple(ring.from_terms(part) for part in parts)
+    preimage = tuple(ring.from_keys(dict(part)) for part in parts)
     return True, preimage
 
 

@@ -100,6 +100,23 @@ def test_cli_exit_code_input_error(tmp_path, capsys):
     assert run(["classify", missing]) == 2
 
 
+@pytest.mark.parametrize(
+    "entries, twists, message",
+    [
+        ("  x0 | x1 | x2", "matrix.col_twists: 1,1", "3 columns need 3 column twists, not 2"),
+        ("  x0 | x1 | x2\n  x1 | x2 | x3", "matrix.row_twists: 0", "2 rows need 2 row twists, not 1"),
+        ("  x0 | x1 | x2", "matrix.col_twists: 1,1,1,1", "3 columns need 3 column twists, not 4"),
+    ],
+)
+def test_cli_twist_lists_of_the_wrong_length_exit_2(tmp_path, capsys, entries, twists, message):
+    text = GOOD_TEXT.replace("  x1 | x2 | x3 | 0\n  0  | x1 | x2 | x3", entries)
+    path = _write(tmp_path, text.replace("seed: 42", f"{twists}\nseed: 42"))
+    for argv in (["classify"], ["minors", "--size", "1"], ["hilbert"]):
+        assert run([argv[0], path, *argv[1:], "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_cli_exit_code_verification_failure(tmp_path, capsys):
     deficient = GOOD_TEXT.replace(
         "  x1 | x2 | x3 | 0", "  x0 | x1 | 0 | 0"
@@ -319,7 +336,7 @@ def test_a_200_term_entry_parses_and_malformed_ones_exit_2(tmp_path, ring, capsy
     terms = []
     for _ in range(200):
         mono = monos[rng.randrange(len(monos))]
-        body = "*".join(f"x{i}^{e}" for i, e in enumerate(mono.exponents) if e)
+        body = "*".join(f"x{i}^{e}" for i, e in enumerate(ring.exponents(mono)) if e)
         terms.append(f"{rng.randint(1, 9)}/{rng.randint(1, 5)}*{body}")
     entry = " + ".join(terms)
     want = sum((ring.parse(t) for t in terms), ring.zero())

@@ -290,9 +290,7 @@ def _reference_annihilator(P, d_max):
             {rows[j][(j, mu)]: field.one for j in range(phi.nrows)} for mu in monos
         )
         for kern in kernel_basis(columns, field):
-            f = ring.from_terms(
-                (monos[t - first], c) for t, c in kern.items() if t >= first
-            )
+            f = ring.from_keys({monos[t - first]: c for t, c in kern.items() if t >= first})
             if not normal_form(f, gb).is_zero():
                 return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
@@ -548,7 +546,7 @@ def _change_coordinates(phi, a):
             acc = ring.zero()
             for mono, c in f.terms:
                 term = ring.constant(c)
-                for i, e in enumerate(mono.exponents):
+                for i, e in enumerate(ring.exponents(mono)):
                     term = term * images[i] ** e
                 acc = acc + term
             out.append(acc)

@@ -356,10 +356,10 @@ def _generic_block(rng, nvars, row_twists, col_twists, denominators=False):
     for a in row_twists:
         row = []
         for b in col_twists:
-            row.append(ring.from_terms(
-                (mono, Fraction(rng.randint(-10, 10), rng.randint(1, 9) if denominators else 1))
+            row.append(ring.from_keys({
+                mono: Fraction(rng.randint(-10, 10), rng.randint(1, 9) if denominators else 1)
                 for mono in ring.monomials_of_degree(b - a)
-            ))
+            }))
         rows.append(row)
     return DeterminantalPresentation(HomogeneousMatrix(
         GradedFreeModule(ring, row_twists), GradedFreeModule(ring, col_twists), rows

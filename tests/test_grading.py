@@ -91,8 +91,8 @@ def test_matrix_piece_rank_engines_agree(
 def _rational_form(ring, degree, rng):
     """Seeded form whose coefficients carry denominators such as 1/3 and 5/7."""
     p = random_homogeneous(ring, degree, rng, allow_zero=True)
-    return ring.from_terms(
-        (m, c * Fraction(rng.choice((1, 5)), rng.choice((1, 3, 7)))) for m, c in p.terms
+    return ring.from_keys(
+        {m: c * Fraction(rng.choice((1, 5)), rng.choice((1, 3, 7))) for m, c in p.terms}
     )
 
 
@@ -186,7 +186,7 @@ def test_hilbert_function_matches_the_matrix_piece_oracle(
             _assert_matches_piece_oracle(I)
             lex = I.ring.with_order("lex")
             _assert_matches_piece_oracle(
-                ideal(lex, *(lex.from_keys({m.key: c for m, c in g.terms}) for g in I))
+                ideal(lex, *(lex.from_keys(dict(g.terms)) for g in I))
             )
 
 

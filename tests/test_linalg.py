@@ -324,8 +324,11 @@ def _cofactor_det(grid, ring):
 def _random_form(ring, rng, degree, coeffs):
     """Seeded form of the given degree with a few terms, possibly zero."""
     monos = ring.monomials_of_degree(degree)
-    terms = [(rng.choice(monos), rng.choice(coeffs)) for _ in range(rng.randint(0, 3))]
-    return ring.from_terms(terms)
+    acc = {}  # a monomial drawn twice adds up
+    for _ in range(rng.randint(0, 3)):
+        m = rng.choice(monos)
+        acc[m] = acc.get(m, 0) + rng.choice(coeffs)
+    return ring.from_keys(acc)
 
 
 def _qq_coeffs():

@@ -4,7 +4,7 @@ import pytest
 
 from detschemes import GF, NOT_HOMOGENEOUS, QQ, ZERO, PolyRing
 from detschemes.linalg import poly_det
-from detschemes.ring import MAX_DEGREE, Monomial, ParseError, RingError, random_homogeneous
+from detschemes.ring import MAX_DEGREE, ParseError, RingError, lcm_key, random_homogeneous
 
 
 def rational_point(values):
@@ -99,15 +99,14 @@ def test_ring_rejects_too_few_variables():
 
 
 def _random_poly(ring, rng, max_degree=3):
-    terms = []
+    acc = {}  # a monomial drawn twice adds up
     for _ in range(rng.randint(0, 6)):
         exps = [0] * ring.nvars
         for _ in range(rng.randint(0, max_degree)):
             exps[rng.randrange(ring.nvars)] += 1
-        from detschemes.ring import Monomial
-
-        terms.append((Monomial(tuple(exps)), QQ.from_int(rng.randint(-5, 5))))
-    return ring.from_terms(terms)
+        k = ring.monomial(exps)
+        acc[k] = acc.get(k, 0) + QQ.from_int(rng.randint(-5, 5))
+    return ring.from_keys(acc)
 
 
 def test_ring_laws_on_random_samples(ring):
@@ -190,6 +189,8 @@ def test_functional_wrappers(ring):
 #
 # The reference functions are the exponent-tuple operations that packed keys
 # replace: the grevlex key as a tuple, and componentwise mul/div/divides/lcm.
+# On keys a product is a sum, a quotient a difference, the lcm `lcm_key`, and
+# a divides b exactly when their lcm is b.
 
 
 def _grevlex_key(exps):
@@ -237,28 +238,42 @@ def _sign(x, y):
 
 
 def test_packed_monomials_match_tuple_reference():
+    from detschemes.groebner import spoly
+
     rng = random.Random(20261017)
     for n in range(3, 8):  # up to 6 ring variables plus the auxiliary one
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)))
         for _ in range(400):
             a, b = _exponent_pair(rng, n)
-            ma, mb = Monomial(a), Monomial(b)
-            assert ma.exponents == a and ma.total_degree == sum(a)
-            assert _sign(ma.key, mb.key) == _sign(_grevlex_key(a), _grevlex_key(b))
-            assert (ma == mb) == (a == b)
-            assert ma.divides(mb) == _tuple_divides(a, b)
-            assert mb.divides(ma) == _tuple_divides(b, a)
+            ka, kb = ring.monomial(a), ring.monomial(b)
+            xa, xb = ring.from_keys({ka: QQ.one}), ring.from_keys({kb: QQ.one})
+            assert ring.exponents(ka) == a and xa.homogeneous_degree() == sum(a)
+            assert _sign(ka, kb) == _sign(_grevlex_key(a), _grevlex_key(b))
+            assert (ka == kb) == (a == b)
+            lcm = lcm_key(ka, kb, n)
+            assert lcm == lcm_key(kb, ka, n)
+            assert ring.exponents(lcm) == _tuple_lcm(a, b)  # fits past MAX_DEGREE too
+            assert (lcm == kb) == _tuple_divides(a, b)
+            assert (lcm == ka) == _tuple_divides(b, a)
             if _tuple_divides(a, b):
-                assert mb.div(ma).exponents == _tuple_div(b, a)
+                assert ring.exponents(kb - ka) == _tuple_div(b, a)
+                assert xb.exact_div(xa).terms == ((kb - ka, QQ.one),)
             else:
                 with pytest.raises(RingError):
-                    mb.div(ma)
-            for op, ref in ((ma.mul, _tuple_mul), (ma.lcm, _tuple_lcm)):
-                want = ref(a, b)
-                if sum(want) <= MAX_DEGREE:
-                    assert op(mb).exponents == want
-                else:
-                    with pytest.raises(RingError):
-                        op(mb)
+                    xb.exact_div(xa)
+            want = _tuple_mul(a, b)
+            if sum(want) <= MAX_DEGREE:
+                assert ring.exponents(ka + kb) == want
+                assert (xa * xb).terms == ((ka + kb, QQ.one),)
+            else:
+                with pytest.raises(RingError):
+                    xa * xb
+            # an S-polynomial checks the lcm's degree before forming a product
+            if sum(_tuple_lcm(a, b)) <= MAX_DEGREE:
+                assert spoly(xa, xb).is_zero()
+            else:
+                with pytest.raises(RingError):
+                    spoly(xa, xb)
 
 
 def test_order_keys_match_tuple_reference():
@@ -269,7 +284,7 @@ def test_order_keys_match_tuple_reference():
             ring = PolyRing(names, QQ, order, _allow_small=True)
             for _ in range(200):
                 a, b = _exponent_pair(rng, n)
-                ka, kb = ring.monomial_key(Monomial(a)), ring.monomial_key(Monomial(b))
+                ka, kb = ring.monomial_key(ring.monomial(a)), ring.monomial_key(ring.monomial(b))
                 assert type(ka) is int and type(kb) is int
                 assert _sign(ka, kb) == _sign(ref(a), ref(b))
 
@@ -278,7 +293,7 @@ def test_monomials_of_degree_match_tuple_reference():
     for n in range(3, 6):
         ring = PolyRing(tuple(f"x{i}" for i in range(n)))
         for d in range(5):
-            got = [m.exponents for m in ring.monomials_of_degree(d)]
+            got = [ring.exponents(k) for k in ring.monomials_of_degree(d)]
             assert len(got) == len(set(got)) == ring.dim_of_degree(d)
             assert all(sum(e) == d for e in got)
             assert got == sorted(got, key=_grevlex_key, reverse=True)
@@ -286,7 +301,14 @@ def test_monomials_of_degree_match_tuple_reference():
 
 def test_degree_past_the_packed_field_is_rejected(ring):
     with pytest.raises(RingError):
-        Monomial((MAX_DEGREE + 1, 0, 0, 0))
+        ring.monomial((MAX_DEGREE + 1, 0, 0, 0))
+    with pytest.raises(RingError):
+        ring.monomial((MAX_DEGREE, 1, 0, 0))
+    assert ring.exponents(ring.monomial((MAX_DEGREE, 0, 0, 0))) == (MAX_DEGREE, 0, 0, 0)
+    with pytest.raises(RingError):
+        ring.monomial((1, -1, 0, 0))
+    with pytest.raises(RingError):
+        ring.monomial((1, 0, 0))  # one exponent per variable
     with pytest.raises(RingError):
         ring.parse("x0^40000")
     with pytest.raises(RingError):
@@ -306,10 +328,12 @@ def test_degree_past_the_packed_field_is_rejected(ring):
 def test_degree_growth_in_terms_and_reductions_is_rejected(ring):
     from detschemes.groebner import reduce_full, spoly
 
-    m, m2 = Monomial((20000, 0, 0, 0)), Monomial((0, 20000, 0, 0))
-    for grow in (m.mul, m.lcm):
-        with pytest.raises(RingError):
-            grow(m2)
+    m, m2 = ring.monomial((20000, 0, 0, 0)), ring.monomial((0, 20000, 0, 0))
+    xm, xm2 = ring.from_keys({m: QQ.one}), ring.from_keys({m2: QQ.one})
+    with pytest.raises(RingError):
+        xm * xm2
+    with pytest.raises(RingError):
+        spoly(xm, xm2)  # their lcm is past the limit
     big = ring.parse("x0^20000")
     with pytest.raises(RingError):
         big.mul_term(m2, QQ.one)
@@ -335,10 +359,10 @@ def test_parse_many_terms_matches_the_term_by_term_sum(ring):
         c = Fraction(rng.randint(1, 30), rng.randint(1, 4))
         neg = rng.random() < 0.5
         body = "*".join(
-            f"x{i}^{e}" for i, e in enumerate(mono.exponents) if e
+            f"x{i}^{e}" for i, e in enumerate(ring.exponents(mono)) if e
         )
         chunks.append(("- " if neg else ("+ " if k else "")) + f"{c}*{body}")
-        term = ring.from_terms([(mono, -c if neg else c)])
+        term = ring.from_keys({mono: -c if neg else c})
         want = want + term
     p = ring.parse(" ".join(chunks))
     assert p == want and len(p.terms) > 100
@@ -346,3 +370,28 @@ def test_parse_many_terms_matches_the_term_by_term_sum(ring):
     assert ring.parse("x0*x1 - x1*x0 + 2*x0*3*x1 - 6*x1*x0").is_zero()
     gf = PolyRing(ring.variables, GF(7))
     assert gf.parse("3*x0 + 4*x0 + 5*x1*2") == gf.parse("3*x1")
+
+
+def test_every_monomial_is_a_plain_int_key(ring):
+    """Parsing, products, `from_keys`, Laplace minors, Groebner bases,
+    monomial enumeration and degree bases all hold packed int keys."""
+    from detschemes import buchberger, degree_basis, minors, presentation_from_strings
+    from detschemes.grading import GradedFreeModule
+
+    def all_int(polys):
+        return all(type(k) is int for p in polys for k, _ in p.terms)
+
+    p, q = ring.parse("x0^2 - 3*x1*x2 + x3^2"), ring.parse("x1 + 2*x3")
+    assert all_int([p, q, p * q, p + q, p.mul_term(ring.monomial((0, 1, 0, 2)), QQ.one)])
+    assert all_int([ring.from_keys({ring.monomial((1, 1, 0, 0)): QQ.one})])
+    assert type(p.leading_monomial()) is int
+    P = presentation_from_strings(ring, [["x0", "x1", "x2"], ["x1", "x2", "x3"]])
+    I = minors(P, 2)
+    assert all_int(I.generators) and all_int(buchberger(I).generators)
+    assert all(type(k) is int for k in ring.monomials_of_degree(3))
+    basis = degree_basis(GradedFreeModule(ring, (0, 1)), 2)
+    assert all(type(j) is int and type(k) is int for j, k in basis.items)
+    rng = random.Random(3)
+    for _ in range(50):
+        e = tuple(rng.randint(0, 30) for _ in range(ring.nvars))
+        assert ring.exponents(ring.monomial(e)) == e
