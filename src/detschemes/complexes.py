@@ -516,11 +516,15 @@ def verify_annihilator(P, d_max=8):
                 return AnnihilatorReport(False, d_max, d, "minors-annihilate")
         if d > d_max:
             continue
-        span = echelon(ring.field)  # coordinates (standard monomial of NF(μ e_j), j)
+        span = echelon(ring.field)
+        index = {}  # (standard monomial of NF(μ e_j), j) -> dense coordinate
         for mu in ring.monomials_of_degree(d):
             mono = ring.from_keys({mu: ring.field.one})
-            nfs = [module.normal_form(mono, j).terms for j in range(t)]
-            span.insert({k * t + j: c for j in range(t) for k, c in nfs[j]})
+            span.insert({
+                index.setdefault((k, j), len(index)): c
+                for j in range(t)
+                for k, c in module.normal_form(mono, j).terms
+            })
         if span.rank != quotient_hilbert_function(gb, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)

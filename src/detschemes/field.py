@@ -14,16 +14,34 @@ class FieldError(ValueError):
     pass
 
 
+#: Miller-Rabin on the first 13 primes, 2..41, as bases decides primality
+#: exactly below this bound, the least strong pseudoprime to all of them
+#: (psi_13, Sorenson and Webster, Math. Comp. 86, 2017; the first 12 primes
+#: stop at psi_12 = 318665857834031151167461 = 399165290221 * 798330580441)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin for 0 <= p < _PRIME_BOUND."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -94,6 +112,8 @@ class PrimeField:
     characteristic = None  # set per instance
 
     def __init__(self, p):
+        if p >= _PRIME_BOUND:
+            raise FieldError(f"modulus {p} is too large: moduli must be below {_PRIME_BOUND}")
         if not _is_prime(p):
             raise FieldError(f"modulus {p} is not prime")
         self.p = p

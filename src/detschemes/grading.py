@@ -10,17 +10,18 @@ Degree-piece ranks drive cokernel and kernel Hilbert functions and the
 exactness check of a complex with no acyclicity certificate
 (`complexes.graded_exactness_check`); R/I only counts the standard
 monomials of one grevlex basis (`groebner.quotient_hilbert_function`).
-Two exact rank engines are cross-checked by the test suite: sparse
-echelon on the assembled scalar piece (fine while pieces are small) and
+Two exact rank engines are cross-checked by the test suite: an echelon
+on the assembled scalar piece (fine while pieces are small) and
 standard-monomial counting against the reduced Groebner basis of the
 column module's idealization (`groebner.ColumnModuleGB`, once per matrix;
 fast at any degree).
 `piece_rank` is the one place that picks an engine: "auto" switches on
 piece size, and every caller in the package takes it.
-Over QQ the echelon engine ranks the piece fraction-free on integers
-(`linalg.IntEchelon`), over F_p on residues (`linalg.Echelon`).  A rank is
-all that any certificate reads from a piece, so nothing here solves in a
-piece or multiplies two.  Piece ranks are not memoized: section sequences
+Over QQ the echelon engine ranks the piece fraction-free on sparse integer
+columns (`linalg.IntEchelon`), over F_p on residue rows packed into ints
+and kept reduced (`linalg.Echelon`), indexed by the piece's dense row
+basis.  A rank is all that any certificate reads from a piece, so nothing
+here solves in a piece or multiplies two.  Piece ranks are not memoized: section sequences
 and canonical modules of certified presentations read their Hilbert
 functions off resolution terms (`determinantal.resolution_hilbert_function`)
 and rank no piece, and every other caller ranks a piece once.

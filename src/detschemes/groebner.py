@@ -20,8 +20,9 @@ minimalized and interreduced basis is made monic as Polynomials; no
 `normal_form` are thin wrappers over the same kernel.
 
 Buchberger starts from the generators' canonical span: in each degree the
-reduced row echelon form of the homogeneous generators' span, by exact
-echelon and back-substitution, each row normalized as a basis element is.
+reduced row echelon form of the homogeneous generators' span, read off the
+exact echelon of their kind (`reduced_rows`), each row normalized as a basis
+element is.
 That form depends only on the span, and its bytes key the one Groebner
 table (`ensure_gb`), so an ideal reached through other generators with the
 same span in each degree (other signs, order, scale or redundant
@@ -285,15 +286,16 @@ def _canonical_span(polys, ring):
     for p in polys:
         if p.is_zero():
             continue
-        poly = _basis_poly(p)
-        d = poly[0][0] >> top
-        if all(k >> top == d for k, _ in poly):
+        poly = _scaled(p)[0]
+        # a key's top bits hold its total degree, so int order ranks degrees
+        d = min(poly)[0] >> top
+        if max(poly)[0] >> top == d:
             by_degree.setdefault(d, []).append(poly)
         else:
-            out.append(poly)
+            out.append(_normalized(poly, mod))
     for group in by_degree.values():
         if len(group) == 1:
-            out.extend(group)
+            out.append(_normalized(group[0], mod))
             continue
         keys = {k for poly in group for k, _ in poly}
         keys = sorted(keys, key=ring._okey, reverse=True)
@@ -301,14 +303,9 @@ def _canonical_span(polys, ring):
         ech = echelon(ring.field)
         for poly in group:
             ech.insert({index[k]: c for k, c in poly})
-        # back-substitution: each pivot, from the last one up, is reduced
-        # against those below it; a pivot's smallest index is its leading
-        # monomial
-        rref = echelon(ring.field)
-        for row in sorted(ech.pivots, reverse=True):
-            rref.insert(ech.pivots[row])
-        for vec in rref.pivots.values():
-            out.append(_normalized([(keys[i], c) for i, c in sorted(vec.items())], mod))
+        # a row's smallest index is its leading monomial
+        for row in ech.reduced_rows():
+            out.append(_normalized([(keys[i], c) for i, c in row], mod))
     order = ring._okey or int  # sort key of a packed key; grevlex: the key itself
     out.sort(key=lambda poly: [(order(k), c) for k, c in poly])
     return [poly for i, poly in enumerate(out) if not i or out[i - 1] != poly]

@@ -10,12 +10,17 @@ at a time.  There is one exact echelon per kind of coefficient:
   content removal in place of the exact division by the previous pivot:
   once per reduced vector, at the end, so every pivot is content-free.  No
   `Fraction` arithmetic runs inside the elimination.
-- `Echelon` for residues in F_p, on plain ints with one `% p` per entry
-  and a pivot inverted as c^(p-2) mod p.
+- `Echelon` for residues in F_p, kept in reduced row echelon form up to
+  the scale of each row, each row packed into one Python int of
+  fixed-width slots, so that reducing a vector is one big-int multiply-add
+  per pivot it touches and one unpack, and a new pivot is cleared from an
+  older row by one multiply-add.  It takes dense indices: a row is as wide
+  as the largest index.
 
-`echelon(field)` picks the one for a field.  Both only count: a rank is all
-the certificates read, so neither keeps track of how a dependent vector
-combines the earlier ones.
+`echelon(field)` picks the one for a field.  Both count, and both give the
+reduced row echelon form of their span (`reduced_rows`), which keys the
+Groebner table; neither keeps track of how a dependent vector combines the
+earlier ones.
 
 Determinants of polynomial matrices (`Laplace`, `poly_det`) run on dicts
 from packed monomial keys to ints for both fields: over QQ rows are scaled
@@ -25,54 +30,79 @@ total degree is checked against the ring's limit as it is formed.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 from .ring import _check_degree
 
 
-class Echelon:
-    """Incremental row-echelon span of sparse vectors over F_p.
+@functools.lru_cache(maxsize=8)
+def _slots(p):
+    """(w, lazy, batch, mask, native) of `Echelon` for residues mod p."""
+    w = 64
+    while (2**w - p) // (p - 1) ** 2 < 64:
+        w += 64
+    lazy = ((2**w - p) // (64 * (p - 1)) - (p - 1)) // (p - 1) ** 2
+    batch = (2**w - p) // ((p - 1) * (p - 1 + lazy * (p - 1) ** 2))
+    return w, lazy, batch, (1 << w) - 1, w == 64 and sys.byteorder == "little"
 
-    Entries are ints, reduced mod p on the way in.  Pivot of a vector is its
-    smallest row index; pivot entries are normalized to 1, so reduction is a
-    plain subtract-multiple loop.  Elimination at a row only fills rows
-    below it, so a lazy min-heap worklist visits every reducible row exactly
-    as it becomes live.
+
+class Echelon:
+    """Incremental span of sparse vectors over F_p, kept in reduced row
+    echelon form (up to the scale of each row) on packed integer rows.
+
+    Vectors are dicts {index: int} on dense indices (a row is as wide as
+    the largest index seen); entries are reduced mod p on the way in.  Each
+    pivot row is one Python int of w-bit slots, entry i in bits
+    [i*w, (i+1)*w).  Mod p, a row's pivot is its first nonzero entry x, and
+    the row's entry at every other pivot is 0; the row is kept unscaled,
+    with p - 1/x beside it, and `reduced_rows` scales it to pivot 1.
+
+    Inserting v therefore adds (v_c * (p - 1/x_c) mod p) times row c to the
+    packed v once for each pivot c where v is nonzero, one big-int
+    multiply-add each, and unpacks the sum once to reduce its slots mod p.
+    A new pivot row is stored reduced, and cleared from each older row by
+    one multiply-add, which adds at most (p-1)^2 to a slot; a row is reduced
+    again once it would carry more than `lazy` such clears, so its slots
+    stay at most S = (p-1) + lazy*(p-1)^2, and a multiply-add by it adds at
+    most (p-1)*S.  w is the least multiple of 64 with
+    (2^w - p) // (p-1)^2 >= 64, `lazy` the most clears for which
+    `batch` = (2^w - p) // ((p-1)*S) is still >= 64, and a sum is reduced
+    after every `batch` multiply-adds, so no slot reaches 2^w.
+
+    While one index j is free (rank n - 1), v reduces to a multiple of e_j,
+    so slot j of the rows it touches decides it, and the pivot that fills
+    F_p^n leaves the identity, whose rows need no clearing.
     """
 
     def __init__(self, field):
         self.p = field.characteristic
-        self.pivots = {}  # pivot row -> normalized vector
+        self.w, self.lazy, self.batch, self.mask, self.native = _slots(self.p)
+        self.n = 0  # slots in use: one more than the largest index seen
+        self.rows = {}  # pivot index -> [packed row, p - 1/pivot entry, clears it carries]
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self.rows)
 
-    def reduce(self, vec):
-        """Fully reduce a sparse vector against the current span."""
-        p = self.p
-        v = {r: c % p for r, c in vec.items() if c % p}
-        pivots = self.pivots
-        get = v.get
-        heap = [r for r in v if r in pivots]
-        heapq.heapify(heap)
-        while heap:
-            row = heapq.heappop(heap)
-            c = get(row)
-            if c is None:
-                continue
-            for r, pc in pivots[row].items():
-                old = get(r)
-                nc = ((old or 0) - c * pc) % p
-                if nc:
-                    v[r] = nc
-                    if old is None and r in pivots:
-                        heapq.heappush(heap, r)
-                elif old is not None:
-                    del v[r]
-        return v
+    def _pack(self, vals):
+        """The packed int of a dense list of slot values below 2^w."""
+        if self.native:
+            return int.from_bytes(array("Q", vals), "little")
+        size = self.w // 8
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in vals), "little")
+
+    def _unpack(self, acc):
+        """The dense list of the n slots of a packed int, each mod p."""
+        p, size = self.p, self.w // 8
+        data = acc.to_bytes(self.n * size, "little")
+        if self.native:
+            return [x % p for x in memoryview(data).cast("Q")]
+        return [int.from_bytes(data[i : i + size], "little") % p for i in range(0, len(data), size)]
 
     def insert(self, vec):
         """Add a vector to the span.
@@ -80,13 +110,66 @@ class Echelon:
         Returns None when it became a new pivot; otherwise the reduced
         vector, which is then empty.
         """
-        v = self.reduce(vec)
-        if not v:
-            return v
-        p, row = self.p, min(v)
-        inv = pow(v[row], p - 2, p)
-        self.pivots[row] = {r: c * inv % p for r, c in v.items()}
+        p, rows, n = self.p, self.rows, self.n
+        top = max(vec) if vec else -1
+        if top >= n:
+            n = self.n = top + 1
+        if len(rows) == n:  # the span is all of F_p^n
+            return {}
+        if len(rows) == n - 1:  # v reduces to a multiple of e_j, j the free index
+            j = n * (n - 1) // 2 - sum(rows)
+            shift, mask = j * self.w, self.mask
+            r = vec.get(j, 0)
+            for i, c in vec.items():
+                if i in rows:
+                    row, ninv, _ = rows[i]
+                    r += c * ninv * ((row >> shift) & mask)
+            if r % p == 0:
+                return {}
+            self.rows = {i: [1 << i * self.w, p - 1, 0] for i in range(n)}
+            return None
+        vals = [0] * n
+        acc = k = 0  # the multiply-adds; at most k*(p-1)*S in a slot
+        for i, c in vec.items():
+            c %= p
+            if c:
+                vals[i] = c
+                if i in rows:
+                    if k == self.batch:
+                        acc, k = self._pack(self._unpack(acc)), 1  # below p: one at most
+                    row, ninv, _ = rows[i]
+                    acc += c * ninv % p * row
+                    k += 1
+        if acc:
+            vals = self._unpack(acc + self._pack(vals))
+        x = next(filter(None, vals), 0)
+        if not x:
+            return {}
+        lead = vals.index(x)  # no entry before the first nonzero one equals it
+        new = self._pack(vals)
+        ninv = p - pow(x, -1, p)
+        shift, mask, lazy = lead * self.w, self.mask, self.lazy
+        for entry in rows.values():
+            c = ((entry[0] >> shift) & mask) * ninv % p
+            if c:
+                if entry[2] < lazy:
+                    entry[0] += c * new
+                    entry[2] += 1
+                else:
+                    entry[0] = self._pack(self._unpack(entry[0] + c * new))
+                    entry[2] = 0
+        rows[lead] = [new, ninv, 0]
         return None
+
+    def reduced_rows(self):
+        """The reduced row echelon form of the span: one [(index, entry),
+        ...] list per pivot, in increasing pivot order."""
+        p, out = self.p, []
+        for c in sorted(self.rows):
+            row, ninv, _ = self.rows[c]
+            inv = p - ninv
+            out.append([(i, x * inv % p) for i, x in enumerate(self._unpack(row)) if x])
+        return out
 
 
 class IntEchelon:
@@ -146,6 +229,18 @@ class IntEchelon:
             return v
         self.pivots[min(v)] = v
         return None
+
+    def reduced_rows(self):
+        """The reduced row echelon form of the span up to the scale of each
+        row, as Echelon.reduced_rows gives it: content-free integer rows.
+
+        Back-substitution: each pivot, from the last one up, is reduced
+        against those below it.
+        """
+        rref = IntEchelon()
+        for row in sorted(self.pivots, reverse=True):
+            rref.insert(self.pivots[row])
+        return [sorted(rref.pivots[row].items()) for row in sorted(rref.pivots)]
 
 
 def echelon(field):

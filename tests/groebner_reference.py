@@ -3,8 +3,16 @@
 `buchberger`, `reduce_full`, `spoly`, `_linear_preprocess` and
 `_poly_sort_key` are kept verbatim from before the kernel: every reduction
 step divides field elements, so the whole computation runs on the field's
-own arithmetic.  The differential tests assert that the package's bases,
+own arithmetic.  `_linear_preprocess` row-reduces on `FieldEchelon`, not on
+the package's echelons, so the oracle shares no linear algebra with the
+code it checks.  The differential tests assert that the package's bases,
 normal forms and S-polynomials equal these byte for byte.
+
+`two_pass_span` is `groebner._canonical_span` as it was before the F_p
+echelon kept its rows reduced: an echelon of each degree's generators, then
+a second echelon that back-substitutes its pivots, over both fields on
+`FieldEchelon` (`linalg_reference.field_reduced_rows`), so that it shares no
+linear algebra with the package either.
 
 `lift` and `project` are `groebner._lift` and `_project` as they were
 before they worked on packed keys: every monomial is rebuilt from its
@@ -14,9 +22,9 @@ exponent tuple, so `PolyRing.monomial` checks each degree.
 from __future__ import annotations
 
 import heapq
+import math
 
-from detschemes.groebner import GroebnerError, IdealBasis
-from detschemes.linalg import echelon
+from detschemes.groebner import GroebnerError, IdealBasis, _basis_poly, _normalized
 from detschemes.ring import (
     Polynomial,
     _check_degree,
@@ -24,6 +32,7 @@ from detschemes.ring import (
     _unpack,
     lcm_key,
 )
+from linalg_reference import FieldEchelon, field_reduced_rows
 
 
 def _poly_sort_key(p):
@@ -130,15 +139,43 @@ def _linear_preprocess(polys):
             reverse=True,
         )
         index = {m: i for i, m in enumerate(monomials)}
-        ech = echelon(field)
+        ech = FieldEchelon(field)
         for p in group:
             ech.insert({index[m]: c for m, c in p.terms})
-        # pivots hold ints over QQ and residues over F_p; from_int takes both
         for vec in ech.pivots.values():
-            out.append(
-                ring.from_keys({monomials[i]: field.from_int(c) for i, c in vec.items()})
-            )
+            out.append(ring.from_keys({monomials[i]: c for i, c in vec.items()}))
     return out
+
+
+def two_pass_span(polys, ring):
+    """The canonical span of nonzero generators by the two-pass route."""
+    mod, top = ring._modulus, ring._top
+    by_degree = {}
+    out = []
+    for p in polys:
+        poly = _basis_poly(p)
+        d = poly[0][0] >> top
+        if all(k >> top == d for k, _ in poly):
+            by_degree.setdefault(d, []).append(poly)
+        else:
+            out.append(poly)
+    for group in by_degree.values():
+        if len(group) == 1:
+            out.extend(group)
+            continue
+        keys = sorted({k for poly in group for k, _ in poly}, key=ring._okey, reverse=True)
+        index = {k: i for i, k in enumerate(keys)}
+        ech = FieldEchelon(ring.field)
+        for poly in group:
+            ech.insert({index[k]: c for k, c in poly})
+        for vec in field_reduced_rows(ech):
+            if not mod:  # Fraction entries, pivot 1: clear the denominators
+                den = math.lcm(*[c.denominator for _, c in vec])
+                vec = [(i, int(c * den)) for i, c in vec]
+            out.append(_normalized([(keys[i], c) for i, c in vec], mod))
+    order = ring._okey or int
+    out.sort(key=lambda poly: [(order(k), c) for k, c in poly])
+    return [poly for i, poly in enumerate(out) if not i or out[i - 1] != poly]
 
 
 def buchberger(gens, ring=None):

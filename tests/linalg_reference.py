@@ -97,6 +97,16 @@ class FieldEchelon:
         return min(self.reduce(vec), default=self.tags) >= self.tags
 
 
+def field_reduced_rows(ech):
+    """The reduced row echelon form of a FieldEchelon's span, as the
+    package's `reduced_rows` lists it, by back-substitution: each pivot,
+    from the last one up, is reduced against those below it."""
+    rref = FieldEchelon(ech.field)
+    for row in sorted(ech.pivots, reverse=True):
+        rref.insert(ech.pivots[row])
+    return [sorted(rref.pivots[row].items()) for row in sorted(rref.pivots)]
+
+
 class TaggedIntEchelon(IntEchelon):
     """IntEchelon whose rows at or above `tags` never become pivots."""
 

@@ -228,6 +228,21 @@ def test_cli_prime_field_problem(tmp_path, capsys):
     assert report["results"]["is_good"] is False
 
 
+def test_cli_large_prime_moduli(tmp_path, capsys):
+    # a 61-bit prime modulus is accepted and computed with
+    text = GOOD_TEXT.replace("ring.field: QQ", f"ring.field: Fp:{2**61 - 1}")
+    assert run(["classify", _write(tmp_path, text), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["is_standard"] is True
+    # past the range where the Miller-Rabin bases are proven: refused
+    text = GOOD_TEXT.replace("ring.field: QQ", f"ring.field: Fp:{2**89 - 1}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "detschemes.cli", "classify", _write(tmp_path, text, "big.problem")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "too large" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_console_script_entry_point(tmp_path):
     path = _write(tmp_path, GOOD_TEXT)
     result = subprocess.run(

@@ -10,7 +10,13 @@ from detschemes.determinantal import _laplace_minors
 from detschemes.grading import matrix_from_polys
 from detschemes.linalg import Echelon, IntEchelon, poly_det, rank_of_columns
 from detschemes.ring import RingError
-from linalg_reference import FieldEchelon, TaggedIntEchelon, kernel_basis, solve_columns
+from linalg_reference import (
+    FieldEchelon,
+    TaggedIntEchelon,
+    field_reduced_rows,
+    kernel_basis,
+    solve_columns,
+)
 
 
 def _dense_to_cols(rows):
@@ -171,10 +177,24 @@ def test_augmented_echelon_dependency_combination():
         assert {t: field.div(c, rel[4]) for t, c in rel.items()} == want
 
 
+#: a row may carry two unreduced clears for 2^19 - 1, none for 2^61 - 1
+PRIMES = (2, 5, 7, 101, 32003, 2**19 - 1, 2**31 - 1, 2**61 - 1)
+
+
+@pytest.mark.parametrize("p", PRIMES + (3, 65521, 2**29 - 3, 2**80 - 65))
+def test_fp_echelon_slots_cannot_overflow(p):
+    """A slot below p, plus `batch` multiply-adds by residues below p and
+    rows carrying `lazy` clears of at most (p-1)^2 each, stays below 2^w."""
+    ech = Echelon(GF(p))
+    row = (p - 1) + ech.lazy * (p - 1) ** 2
+    assert (p - 1) + ech.batch * (p - 1) * row < 2**ech.w
+    assert ech.batch >= 64 and ech.w % 64 == 0
+
+
 def test_fp_echelon_matches_field_echelon():
     # entries at or above p and negative ones are reduced on the way in
     rng = random.Random(43)
-    for p in (5, 7, 32003):
+    for p in PRIMES:
         F = GF(p)
 
         def entry():
@@ -187,18 +207,83 @@ def test_fp_echelon_matches_field_echelon():
                 col = {i: entry() for i in range(nrows) if rng.random() < 0.5}
                 if ech.rank and rng.random() < 0.3:  # in the span, entries times p + 1
                     col = {}
-                    for vec in ech.pivots.values():
+                    for row in ech.reduced_rows():
                         c = rng.randint(-p, p)
-                        for i, a in vec.items():
+                        for i, a in row:
                             col[i] = col.get(i, 0) + (p + 1) * c * a
-                reduced = ech.reduce(col)
-                assert reduced == {r: c % p for r, c in ref.reduce(col).items()}
-                assert all(0 < c < p for c in reduced.values())
                 # None for a new pivot, else the empty reduced vector
                 assert ech.insert(col) == ref.insert(col)
-                assert ech.pivots == ref.pivots
-                assert all(0 < a < p for v in ech.pivots.values() for a in v.values())
+                rows = ech.reduced_rows()
+                assert rows == field_reduced_rows(ref)
+                assert all(0 < a < p for row in rows for _, a in row)
+                assert all(row[0][1] == 1 for row in rows)
             assert ech.rank == ref.rank
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_echelon_matches_field_echelon_on_a_wide_span(p):
+    """310 pivots, and vectors that touch every one of them.  Each such
+    insert adds 310 products of residues into every slot, which outgrows a
+    128-bit slot for p = 2^61 - 1 unless the sum is reduced between batches;
+    the shuffled order clears new pivots from older rows as well."""
+    rng = random.Random(p)
+    F = GF(p)
+    n, width = 320, 300
+    cols = [{i: 1, **{j: rng.randrange(p) for j in range(width, n)}} for i in range(width)]
+    cols += [{j: rng.randrange(p) for j in range(width, n) if rng.random() < 0.5} for _ in range(10)]
+    rng.shuffle(cols)
+    ech, ref = Echelon(F), FieldEchelon(F)
+    for col in cols:
+        assert ech.insert(col) == ref.insert(col)
+    assert ech.rank == ref.rank >= width
+    rows = ech.reduced_rows()
+    assert rows == field_reduced_rows(ref)
+    # in the span, through every pivot: dependent
+    inside = {}
+    for row in rows:
+        c = rng.randrange(1, p)
+        for i, a in row:
+            inside[i] = inside.get(i, 0) + c * a
+    assert ech.insert(inside) == {} and ech.reduced_rows() == rows
+    # every pivot, plus unit entries past the span
+    wide = {i: rng.randrange(1, p) for i in range(width)}
+    wide.update({n + k: 1 for k in range(3)})
+    assert ech.insert(wide) is None and ref.insert(wide) is None
+    assert ech.reduced_rows() == field_reduced_rows(ref)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_echelon_last_free_index(p):
+    """With one index of F_p^n free, a vector is decided at that index
+    alone, and the pivot that fills F_p^n leaves the identity; a later
+    vector past n makes room again."""
+    rng = random.Random(p + 1)
+    F = GF(p)
+    for n in (1, 2, 3, 6):
+        ech, ref = Echelon(F), FieldEchelon(F)
+        free = rng.randrange(n)
+        # n - 1 vectors, triangular off the index `free`, so that their
+        # span misses e_free; each has an entry at `free` as well
+        for i in range(n):
+            if i != free:
+                col = {i: rng.randrange(1, p), free: rng.randrange(p), rng.randrange(i, n): 1}
+                assert ech.insert(col) == ref.insert(col)
+        assert ech.rank == n - 1
+        inside = {}
+        for row in ech.reduced_rows():
+            c = rng.randint(-p, p)
+            for i, a in row:
+                inside[i] = inside.get(i, 0) + (p + 1) * c * a
+        assert ech.insert(inside) == ref.insert(inside) == {}
+        assert ech.reduced_rows() == field_reduced_rows(ref)
+        outside = dict(inside)
+        outside[free] = outside.get(free, 0) + rng.randrange(1, p)
+        assert ech.insert(outside) is None and ref.insert(outside) is None
+        assert ech.reduced_rows() == field_reduced_rows(ref) == [[(i, 1)] for i in range(n)]
+        assert ech.insert({i: rng.randrange(p) for i in range(n)}) == {}
+        past = {0: 1, n + 1: rng.randrange(1, p)}
+        assert ech.insert(past) is None and ref.insert(past) is None
+        assert ech.reduced_rows() == field_reduced_rows(ref)
 
 
 def _proportional(int_vec, field_vec):

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from detschemes import GF, NOT_HOMOGENEOUS, QQ, ZERO, PolyRing
+from detschemes.field import FieldError, _is_prime
 from detschemes.linalg import poly_det
 from detschemes.ring import MAX_DEGREE, ParseError, RingError, lcm_key, random_homogeneous
 
@@ -52,6 +54,23 @@ def test_modular_coefficient_denominator_zero():
     ring = PolyRing(("x0", "x1", "x2"), GF(5))
     with pytest.raises(ParseError):
         ring.parse("1/5*x0")
+
+
+def test_prime_moduli_by_deterministic_miller_rabin():
+    start = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert GF(2**31 - 1).p == 2**31 - 1
+    assert time.perf_counter() - start < 0.5
+    # a Carmichael number, and strong pseudoprimes to base 2, to 2..7 and to
+    # 2..37 (psi_12, which only the base 41 rejects)
+    for n in (561, 2047, 3215031751, 318665857834031151167461, 1, 0, 4, 2**61 + 1):
+        with pytest.raises(FieldError, match="not prime"):
+            GF(n)
+    assert [n for n in range(2000) if _is_prime(n)] == [
+        n for n in range(2000) if n > 1 and all(n % d for d in range(2, n))
+    ]
+    with pytest.raises(FieldError, match="too large"):
+        GF(2**89 - 1)  # prime, but past the proven range of the bases
 
 
 def test_add_inverse(ring):
