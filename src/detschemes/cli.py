@@ -126,9 +126,9 @@ def parse_problem_text(text, path="<string>"):
     row_twists = None
     col_twists = None
     if "matrix.row_twists" in fields:
-        row_twists = _parse_int_list(fields["matrix.row_twists"], "matrix.row_twists")
+        row_twists = _parse_int_list(fields["matrix.row_twists"], f"{path}: matrix.row_twists")
     if "matrix.col_twists" in fields:
-        col_twists = _parse_int_list(fields["matrix.col_twists"], "matrix.col_twists")
+        col_twists = _parse_int_list(fields["matrix.col_twists"], f"{path}: matrix.col_twists")
 
     try:
         matrix = matrix_from_strings(ring, matrix_rows, row_twists, col_twists)

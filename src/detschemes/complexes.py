@@ -22,9 +22,12 @@ ambient polynomial ring is Cohen-Macaulay).  d∘d = 0 is checked once per
 complex, and the verdict is stored on it.  Ranks are proved from d∘d = 0:
 upper bounds come from the right end of the complex, a seeded evaluation
 gives a lower bound, and only when the two differ does the exact search
-of `rank_of_map` run, so no random step decides a verdict.  The
+of `rank_of_map` run, so no random step decides a verdict.  Heights come
+from `determinantal._minors_height`, as the classifier's do.  The
 acyclicity verdict is stored on the complex too, and the degreewise
-exactness check and the Betti table of a certified complex read it.
+exactness check and the Betti table of a certified complex read it.  The
+annihilator check computes only Ann(coker Φ) ⊆ I_t(Φ), the converse being
+Fitting's lemma, and reads dim (R/I_t)_d off the EN terms.
 """
 
 from __future__ import annotations
@@ -33,22 +36,21 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 from . import grading
 from .determinantal import (
-    _compositions,
+    _minors_height,
     _unwrap,
     br_terms,
     classify,
     en_terms,
-    minors,
     resolution_hilbert_function,
 )
 from .errors import InputError, VerificationError
 from .grading import GradedFreeModule, HomogeneousMatrix, matrix_truncation_bound
-from .groebner import ColumnModuleGB, height, hilbert_basis, quotient_hilbert_function
+from .groebner import ColumnModuleGB
 from .linalg import Laplace, echelon, rank_of_columns
 
 
@@ -350,9 +352,9 @@ def buchsbaum_eisenbud(C, seed=0):
 
     Expected ranks come from alternating sums against the left end; each
     differential must attain its expected rank (see `_certified_ranks`) and
-    the ideal of minors of that size must have height at least the
-    homological position.  The verdict is stored on the (frozen) complex,
-    where `graded_exactness_check` and `betti_table` read it.
+    the ideal of minors of that size (`_minors_height`) must have height at
+    least the homological position.  The verdict is stored on the (frozen)
+    complex, where `graded_exactness_check` and `betti_table` read it.
     """
     if not verify_complex(C):
         raise InputError("buchsbaum_eisenbud requires a complex (d∘d = 0)")
@@ -370,8 +372,7 @@ def buchsbaum_eisenbud(C, seed=0):
         elif r_i > min(d.nrows, d.ncols):
             ht = 0
         else:
-            ideal = minors(d, r_i)
-            ht = height(ideal) if ideal.generators else 0
+            ht = _minors_height(d, r_i)
         entries.append(AcyclicityEntry(i, r_i, ranks[i - 1], ht))
     report = AcyclicityReport(tuple(entries))
     object.__setattr__(C, "_acyclic", report.passed)
@@ -453,15 +454,15 @@ def betti_table(C, acyclicity=None, seed=0):
 def cm_type(P):
     """Cohen-Macaulay type: rank of the last module of the minimal EN resolution.
 
-    That module has one generator per composition of r into t parts, as
-    `eagon_northcott` enumerates them; the count is cross-checked against the
+    That module has one generator per composition of r into t parts, the
+    last level of `en_terms`; no differential is built, so every
+    characteristic is accepted.  The count is cross-checked against the
     closed form C(r+t-1, r).
     """
     report = classify(P)
     if not report.is_standard:
         raise InputError("cm_type requires a standard determinantal presentation")
-    _check_characteristic(P.matrix)
-    last_rank = len(_compositions(P.r, P.t))
+    last_rank = len(en_terms(P.matrix)[0][-1])
     expected = comb(P.r + P.t - 1, P.r)
     if last_rank != expected:
         raise VerificationError(
@@ -485,37 +486,26 @@ class AnnihilatorReport:
 
 
 def verify_annihilator(P, d_max=8):
-    """Check Ann(coker Φ) = I(Φ) degreewise up to d_max.
+    """Check Ann(coker Φ) = I_t(Φ) degreewise up to d_max, for standard Φ.
 
-    A form f annihilates coker Φ iff the normal form of f e_j modulo the
-    column span of Φ vanishes for every target generator e_j; the reduced
-    basis of the column module (`ColumnModuleGB`) gives those normal forms.
-    In each degree d, every maximal minor of degree d must have only zero
-    normal forms ("minors-annihilate").  Normal forms are k-linear, so
-    dim (R/Ann)_d is the rank of μ ↦ (NF(μ e_j))_j over the monomials μ of
-    degree d; all minors of degree <= d have passed, so I_d ⊆ Ann_d, and the
-    two are equal iff that rank is dim (R/I)_d ("annihilator-inside-minors").
-    Degrees are visited in increasing order, past d_max only for the minors
-    that live there, so the lowest failing degree is reported.
+    I_t ⊆ Ann is Fitting's lemma (Eisenbud, *Commutative Algebra*, Prop.
+    20.7): for t columns S, Φ_S adj(Φ_S) = det(Φ_S) 1, so det(Φ_S) e_j is
+    the image of a column of adj(Φ_S).  Only Ann ⊆ I_t is computed: f
+    annihilates iff the normal form of f e_j modulo the column module
+    (`ColumnModuleGB`) vanishes for every target generator e_j.  These are
+    k-linear, so dim (R/Ann)_d is the rank of μ ↦ (NF(μ e_j))_j over the
+    monomials μ of degree d, and Ann_d = (I_t)_d iff it is dim (R/I_t)_d.
+    The verdict certifies ht I_t = r + 1, so EN(Φ) resolves R/I_t (Eisenbud,
+    Appendix A2.6) and that is the alternating sum of its terms.  The lowest
+    failing degree is reported ("annihilator-inside-minors").
     """
-    ideal = minors(P, P.t)
-    gb = hilbert_basis(ideal)  # before classify, which reads but does not store it
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
     ring, t = P.ring, P.t
     # not column_module_gb, whose table would pin a basis only this reads
     module = ColumnModuleGB(ring, P.matrix.target.twists, P.matrix.columns())
-    by_degree = {}
-    for g in ideal.generators:
-        if not g.is_zero():
-            by_degree.setdefault(g.homogeneous_degree(), []).append(g)
-
-    for d in chain(range(d_max + 1), sorted(k for k in by_degree if k > d_max)):
-        for g in by_degree.get(d, ()):
-            if any(not module.normal_form(g, j).is_zero() for j in range(t)):
-                return AnnihilatorReport(False, d_max, d, "minors-annihilate")
-        if d > d_max:
-            continue
+    quotient_terms = en_terms(P.matrix)[1]
+    for d in range(d_max + 1):
         span = echelon(ring.field)
         index = {}  # (standard monomial of NF(μ e_j), j) -> dense coordinate
         for mu in ring.monomials_of_degree(d):
@@ -525,7 +515,7 @@ def verify_annihilator(P, d_max=8):
                 for j in range(t)
                 for k, c in module.normal_form(mono, j).terms
             })
-        if span.rank != quotient_hilbert_function(gb, d):
+        if span.rank != resolution_hilbert_function(quotient_terms, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
 

@@ -1,10 +1,14 @@
-"""Reference oracle: the block-echelon annihilator check that the
-column-module normal forms replaced.
+"""Reference oracles for the annihilator check.
 
-`verify_annihilator` is kept verbatim from before that change: in every
+`verify_annihilator` is the block-echelon check that the column-module
+normal forms replaced, kept verbatim from before that change: in every
 degree it stacks one copy of Φ's image piece per target generator into a
 block-diagonal echelon and counts ranks there.  The differential tests
 assert that the package's reports equal these.
+
+`fitting_failure` is the half of the check that Fitting's lemma made a
+theorem: one column-module normal form per maximal minor and target
+generator, as the package computed it before.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from detschemes.complexes import AnnihilatorReport
 from detschemes.determinantal import classify, minors
 from detschemes.errors import InputError
 from detschemes.grading import matrix_piece
-from detschemes.groebner import ensure_gb, quotient_hilbert_function
+from detschemes.groebner import ColumnModuleGB, ensure_gb, quotient_hilbert_function
 from detschemes.linalg import echelon
 
 
@@ -65,3 +69,22 @@ def verify_annihilator(P, d_max=8):
         if span.rank - base != quotient_hilbert_function(gb, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
+
+
+def fitting_failure(P, gens=None):
+    """The lowest degree of a form in `gens` (by default the maximal minors
+    of P) that does not annihilate coker Φ, else None.
+
+    f annihilates iff the normal form of f e_j modulo the column module
+    vanishes for every target generator e_j.  Fitting's lemma says that
+    every maximal minor does.
+    """
+    if gens is None:
+        gens = minors(P, P.t).generators
+    module = ColumnModuleGB(P.ring, P.matrix.target.twists, P.matrix.columns())
+    outside = [
+        g.homogeneous_degree()
+        for g in gens
+        if any(not module.normal_form(g, j).is_zero() for j in range(P.t))
+    ]
+    return min(outside, default=None)

@@ -6,8 +6,10 @@ packed keys: every product and every partial sum is a Polynomial.
 `rank_of_map` always makes three seeded evaluations and then proves, minor
 size by minor size up to min(nrows, ncols), where the rank stops.
 `buchsbaum_eisenbud` checks d∘d = 0 with that `compose` and ranks every
-differential with that `rank_of_map`; heights are the package's.  The
-differential tests assert that the package's reports equal these.
+differential with that `rank_of_map`; its heights are height(minors(d,
+r_i)), which store the minors and their basis, as the package computed
+them before it took `determinantal._minors_height`.  The differential tests
+assert that the package's reports equal these.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from detschemes import classify
 from detschemes.cli import (
     FIXTURE_NAMES,
     fixture_path,
@@ -115,6 +116,38 @@ def test_cli_twist_lists_of_the_wrong_length_exit_2(tmp_path, capsys, entries, t
         assert run([argv[0], path, *argv[1:], "--json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("key", ["matrix.row_twists", "matrix.col_twists"])
+@pytest.mark.parametrize("value", ["0, one", "1.5", "0;0"])
+def test_cli_twist_lists_that_are_not_integers_exit_2_naming_the_file(tmp_path, capsys, key, value):
+    path = _write(tmp_path, GOOD_TEXT.replace("seed: 42", f"{key}: {value}\nseed: 42"))
+    assert run(["classify", path, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: {key} must be a comma-separated integer list\n"
+
+
+def test_cli_cm_type_of_small_prime_copies_equals_the_rational_one(tmp_path, capsys):
+    """cm-type builds no differential, so it answers every characteristic in
+    which the copy is standard, with the value of the rational fixture."""
+    answered = set()
+    for name in FIXTURE_NAMES:
+        text = fixture_path(name).read_text()
+        assert run(["cm-type", str(fixture_path(name)), "--json"]) == 0
+        want = json.loads(capsys.readouterr().out)["results"]
+        for p in (2, 3, 5):
+            copy = text.replace("ring.field: QQ", f"ring.field: Fp:{p}")
+            standard = classify(parse_problem_text(copy).presentation).is_standard
+            code = run(["cm-type", _write(tmp_path, copy), "--json"])
+            out = capsys.readouterr().out
+            if standard:
+                assert code == 0 and json.loads(out)["results"] == want, (name, p)
+                answered.add((name, p))
+            else:
+                assert code == 2
+    assert ("generic_2x4", 3) in answered and ("double_point", 2) in answered
+    assert len(answered) == 3 * len(FIXTURE_NAMES) - 1  # generic_2x4 mod 2 is not standard
 
 
 def test_cli_exit_code_verification_failure(tmp_path, capsys):

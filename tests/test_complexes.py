@@ -1,5 +1,7 @@
+import json
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +20,12 @@ from detschemes import (
     classify,
     cm_type,
     complexes,
+    determinantal,
     eagon_northcott,
     ensure_gb,
     graded_exactness_check,
     grading,
+    groebner,
     hilbert_function,
     ideal,
     koszul,
@@ -34,13 +38,16 @@ from detschemes import (
     verify_annihilator,
     verify_complex,
 )
+from detschemes.cli import FIXTURE_NAMES, fixture_path, load_problem, parse_problem_text, run
 from detschemes.complexes import AnnihilatorReport
 from detschemes.determinantal import DeterminantalPresentation
 from detschemes.errors import InputError, VerificationError
 from detschemes.grading import Coker, matrix_piece, zero_matrix
-from detschemes.groebner import IdealBasis
+from detschemes.memo import Memo
 from detschemes.ring import random_homogeneous
 from linalg_reference import image_membership, kernel_basis
+
+SQUARE_DIAG = Path(__file__).parent / "square_diag.problem"
 
 
 def _flip_sign_of_column(cpx, position, col):
@@ -260,7 +267,7 @@ def _reference_annihilator(P, d_max):
     membership per (maximal minor, target generator), then the kernel of
     [Φ-piece blocks | monomial columns] in each degree, each kernel form
     reduced modulo the minor ideal."""
-    minor_ideal = complexes.minors(P, P.t)
+    minor_ideal = minors(P, P.t)
     gb = ensure_gb(minor_ideal)
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
@@ -333,9 +340,27 @@ def _on_p3(cases):
     return [P for P in cases if P.ring.nvars == 4]
 
 
-def _with_minor_ideal(monkeypatch, P, gens):
-    mutated = IdealBasis(P.ring, tuple(gens))
-    monkeypatch.setattr(complexes, "minors", lambda *_: mutated)
+def _with_en_count(monkeypatch, count):
+    """verify_annihilator reads count(d) as dim (R/I_t)_d.  It reads that
+    dimension off the Eagon-Northcott terms and nothing else, so a wrong
+    count stands for a wrong minor ideal."""
+    monkeypatch.setattr(complexes, "resolution_hilbert_function", lambda _, d: count(d))
+
+
+def _count_of(P, gens):
+    """d -> dim (R/(gens))_d: the EN count of a presentation whose minor
+    ideal were generated by gens."""
+    gb = ensure_gb(ideal(P.ring, *gens))
+    return lambda d: quotient_hilbert_function(gb, d)
+
+
+def _one_more_at(count, k):
+    return lambda d: count(d) + (d == k)
+
+
+def _lowest_wrong_degree(P, count, d_max):
+    true = _count_of(P, minors(P, P.t).generators)
+    return min((d for d in range(d_max + 1) if count(d) != true(d)), default=None)
 
 
 def test_verify_annihilator_matches_reference(annihilator_cases):
@@ -352,11 +377,12 @@ def test_verify_annihilator_detects_a_dropped_minor(annihilator_cases, monkeypat
             rest = gens[:k] + gens[k + 1 :]
             outside = not normal_form(gens[k], ensure_gb(ideal(P.ring, *rest))).is_zero()
             assert outside  # maximal minors of these presentations are minimal
-            _with_minor_ideal(monkeypatch, P, rest)
+            count = _count_of(P, rest)
+            _with_en_count(monkeypatch, count)
             report = verify_annihilator(P, d_max=4)
-            assert report == _reference_annihilator(P, 4)
-            assert report.failed_direction == "annihilator-inside-minors"
-            assert report.failed_degree == gens[k].homogeneous_degree()
+            degree = gens[k].homogeneous_degree()
+            assert _lowest_wrong_degree(P, count, 4) == degree
+            assert report == AnnihilatorReport(False, 4, degree, "annihilator-inside-minors")
 
 
 def test_verify_annihilator_detects_a_non_annihilating_cube(
@@ -367,42 +393,44 @@ def test_verify_annihilator_detects_a_non_annihilating_cube(
         gb = ensure_gb(minors(P, P.t))
         for i in range(P.ring.nvars):
             cube = P.ring.parse(f"x{i}^3")
-            _with_minor_ideal(monkeypatch, P, gens + (cube,))
+            outside = not normal_form(cube, gb).is_zero()
+            # the per-minor normal forms name the cube's degree
+            assert annihilator_reference.fitting_failure(P, gens + (cube,)) == (
+                3 if outside else None
+            )
+            _with_en_count(monkeypatch, _count_of(P, gens + (cube,)))
             for d_max in (2, 4):  # the cube's degree lies past d_max 2
                 report = verify_annihilator(P, d_max=d_max)
-                assert report == _reference_annihilator(P, d_max)
-                if normal_form(cube, gb).is_zero():
-                    assert report.passed
-                else:
-                    assert (report.failed_degree, report.failed_direction) == (
-                        3,
-                        "minors-annihilate",
+                if outside and d_max >= 3:
+                    assert report == AnnihilatorReport(
+                        False, d_max, 3, "annihilator-inside-minors"
                     )
+                else:
+                    assert report == AnnihilatorReport(True, d_max)
 
 
 def test_verify_annihilator_checks_every_minor_of_a_degree(double_point, monkeypatch):
     # x0^2 does not annihilate and comes after the six quadrics of its degree
     gens = minors(double_point, 2).generators
     square = double_point.ring.parse("x0^2")
-    _with_minor_ideal(monkeypatch, double_point, gens + (square,))
+    assert annihilator_reference.fitting_failure(double_point, gens + (square,)) == 2
+    _with_en_count(monkeypatch, _count_of(double_point, gens + (square,)))
     report = verify_annihilator(double_point, d_max=4)
-    assert report == AnnihilatorReport(False, 4, 2, "minors-annihilate")
-    assert report == _reference_annihilator(double_point, 4)
+    assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
 
 
 def test_verify_annihilator_reports_the_lowest_failing_degree(
     double_point, monkeypatch
 ):
-    # Both directions fail: the minor ideal loses a quadric and gains x0^3.
-    # Degrees are visited in order, so the quadric's degree is reported; the
-    # reference checks every minor first, so it reports the cube.
+    # The minor ideal loses a quadric and gains x0^3: the count is too large
+    # in degree 2 and may be wrong above; the lowest degree is reported.
     gens = minors(double_point, 2).generators
     cube = double_point.ring.parse("x0^3")
-    _with_minor_ideal(monkeypatch, double_point, gens[1:] + (cube,))
+    count = _count_of(double_point, gens[1:] + (cube,))
+    assert _lowest_wrong_degree(double_point, count, 4) == 2
+    _with_en_count(monkeypatch, count)
     report = verify_annihilator(double_point, d_max=4)
     assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
-    reference = _reference_annihilator(double_point, 4)
-    assert reference == AnnihilatorReport(False, 4, 3, "minors-annihilate")
 
 
 def _twisted_presentations():
@@ -444,22 +472,76 @@ def test_verify_annihilator_matches_the_block_echelon(
         report = verify_annihilator(P, d_max=4)
         assert report == annihilator_reference.verify_annihilator(P, 4)
         assert report.passed
-    # both directions of failure, each at the degree the block echelon names
+    # EN counts off by one in a single degree, and those of a minor ideal
+    # that lost a generator or gained x0^3: each is reported at its lowest
+    # wrong degree, and one wrong only past d_max passes
     for P in _on_p3(seeded + twisted):
+        true = _count_of(P, minors(P, P.t).generators)
         gens = minors(P, P.t).generators
-        e = gens[0].homogeneous_degree()
         x0 = P.ring.parse("x0")
-        for mutated, d_max in (
-            (gens[1:], 4),
-            (gens + (x0**3,), 4),
-            # two degrees past d_max: the first passes, the second fails
-            (gens + (x0 * gens[0], x0 ** (e + 2)), e - 1),
-        ):
-            _with_minor_ideal(monkeypatch, P, mutated)
-            monkeypatch.setattr(annihilator_reference, "minors", complexes.minors)
-            report = verify_annihilator(P, d_max=d_max)
-            assert report == annihilator_reference.verify_annihilator(P, d_max)
-            assert not report.passed
+        counts = [_one_more_at(true, k) for k in range(6)] + [
+            _count_of(P, gens[1:]),
+            _count_of(P, gens + (x0**3,)),
+        ]
+        for count in counts:
+            _with_en_count(monkeypatch, count)
+            report = verify_annihilator(P, d_max=4)
+            wrong = _lowest_wrong_degree(P, count, 4)
+            if wrong is None:
+                assert report == AnnihilatorReport(True, 4)
+            else:
+                assert report == AnnihilatorReport(False, 4, wrong, "annihilator-inside-minors")
+
+
+@pytest.fixture(scope="module")
+def square_diag():
+    """diag(x0, x0) on P^3: standard, with Ann(coker) = (x0) ⊋ (x0^2) = I_2."""
+    return load_problem(SQUARE_DIAG).presentation
+
+
+def test_square_diag_is_standard_and_fails_the_annihilator_check(square_diag, capsys):
+    assert classify(square_diag).is_standard
+    for d_max in (1, 3, 4):
+        report = verify_annihilator(square_diag, d_max=d_max)
+        assert report == annihilator_reference.verify_annihilator(square_diag, d_max)
+        assert report == AnnihilatorReport(False, d_max, 1, "annihilator-inside-minors")
+    assert run(["annihilator", str(SQUARE_DIAG), "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results == {"passed": False, "max_degree": 4, "failed_degree": 1,
+                       "failed_direction": "annihilator-inside-minors"}
+
+
+def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, square_diag, monkeypatch):
+    """With P's verdict stored, the check computes the column module's basis
+    and nothing else: no minors, no basis of I_t."""
+    for name in ("minors", "height", "hilbert_basis", "quotient_hilbert_function", "chain"):
+        assert not hasattr(complexes, name)
+    rings = []
+    original = groebner._buchberger
+
+    def spy(span, ring):
+        rings.append(ring)
+        return original(span, ring)
+
+    def refuse(*_):
+        raise AssertionError("verify_annihilator computed minors")
+
+    for P in annihilator_cases[:6] + [square_diag]:
+        classify(P)
+        rings.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_buchberger", spy)
+            patch.setattr(determinantal, "minors", refuse)
+            patch.setattr(determinantal, "_laplace_minors", refuse)
+            verify_annihilator(P, d_max=4)
+        assert len(rings) == 1 and rings[0].nvars == P.ring.nvars + P.t
+
+
+def test_maximal_minors_annihilate(annihilator_cases, square_diag):
+    """The inclusion the package does not compute: Fitting's lemma, checked
+    with one normal form per maximal minor and target generator."""
+    for P in annihilator_cases + _twisted_presentations() + [square_diag]:
+        assert annihilator_reference.fitting_failure(P) is None
 
 
 def test_canonical_module_fixtures(cubic_curve, coordinate_axes, ci_codim2):
@@ -633,6 +715,55 @@ def test_certified_ranks_match_rank_of_map_on_seeded_complexes():
                     assert got == complexes_reference.buchsbaum_eisenbud(cpx, seed), (field, label)
                     short += not all(e.rank_ok for e in got.entries)
     assert short  # some inputs have ranks that fall short of the expected ones
+
+
+def _fixture_copies():
+    """Every bundled fixture's matrix, its lex copy and its Fp:32003 copy."""
+    out = []
+    for name in FIXTURE_NAMES:
+        text = fixture_path(name).read_text()
+        assert "ring.order: grevlex" in text and "ring.field: QQ" in text
+        for copy in (
+            text,
+            text.replace("ring.order: grevlex", "ring.order: lex"),
+            text.replace("ring.field: QQ", "ring.field: Fp:32003"),
+        ):
+            out.append(parse_problem_text(copy).presentation.matrix)
+    return out
+
+
+def test_buchsbaum_eisenbud_heights_match_the_minors_route(fixture_matrices, monkeypatch):
+    """Heights through `determinantal._minors_height` equal height(minors(d,
+    r_i)), the route `complexes_reference.buchsbaum_eisenbud` keeps: on EN
+    and BR of every fixture, its lex and F_p copies and two coordinate
+    changes, and on seeded EN, BR and Koszul complexes, standard or not.
+    Fresh tables make the package take its own route before the reference
+    stores minors and bases."""
+    cases = _fixture_copies() + [phi for k, phi in enumerate(fixture_matrices) if k % 3]
+    cpxs = [builder(phi) for phi in cases for builder in (eagon_northcott, buchsbaum_rim)]
+    rng = random.Random(22)
+    for field in (QQ, GF(32003)):
+        for _, case in _seeded_cases(field, rng):
+            if isinstance(case, HomogeneousMatrix):
+                cpxs += [eagon_northcott(case), buchsbaum_rim(case)]
+            else:
+                cpxs.append(case)
+    certified = []
+    original = determinantal._certified_height
+
+    def spy(m, s):
+        certified.append((m.ring.field, original(m, s)))
+        return certified[-1][1]
+
+    monkeypatch.setattr(determinantal, "_certified_height", spy)
+    monkeypatch.setattr(determinantal, "_MINORS_CACHE", Memo(determinantal._MINORS_CACHE.budget))
+    monkeypatch.setattr(groebner, "_GB_CACHE", Memo(groebner._GB_CACHE.budget))
+    for cpx in cpxs:
+        assert verify_complex(cpx)
+        assert buchsbaum_eisenbud(cpx) == complexes_reference.buchsbaum_eisenbud(cpx)
+    over_qq = [ht for field, ht in certified if field == QQ]
+    # the mod-p certificate answers some QQ heights and falls back on others
+    assert None in over_qq and any(ht is not None for ht in over_qq)
 
 
 def test_certified_ranks_fall_back_when_the_seeded_point_is_special():
