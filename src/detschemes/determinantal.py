@@ -186,20 +186,14 @@ def _minors_height(P, s):
     only on the Hilbert function.
     """
     m = _unwrap(P)
-    stored = _MINORS_CACHE.get((m, s))
-    gb = None if stored is None else stored_basis(stored)
+    I = _MINORS_CACHE.get((m, s))
+    gb = None if I is None else stored_basis(I)
     if gb is None:
         ht = _certified_height(m, s)
         if ht is not None:
             return ht
-        gb = _unpinned_basis(grevlex_ideal(_unpinned_minors(m, s)))
+        gb = _unpinned_basis(grevlex_ideal(_laplace_minors(m, s) if I is None else I))
     return height(gb)
-
-
-def _unpinned_minors(m, s):
-    """The s-minors of m from the minors table, else computed and not stored."""
-    hit = _MINORS_CACHE.get((m, s))
-    return _laplace_minors(m, s) if hit is None else hit
 
 
 def _unpinned_basis(I):

@@ -13,8 +13,9 @@ monomials of one grevlex basis (`groebner.quotient_hilbert_function`).
 Two exact rank engines are cross-checked by the test suite: an echelon
 on the assembled scalar piece (fine while pieces are small) and
 standard-monomial counting against the reduced Groebner basis of the
-column module's idealization (`groebner.ColumnModuleGB`, once per matrix;
-fast at any degree).
+column module's idealization (`groebner.ColumnModuleGB`; fast at any
+degree), built once and kept on its matrix
+(`HomogeneousMatrix.column_module`), so it lives as long as the matrix.
 `piece_rank` is the one place that picks an engine: "auto" switches on
 piece size, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on sparse integer
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
 from .linalg import rank_of_columns
-from .memo import MATRIX_BUDGET, Memo, terms
 from .ring import NOT_HOMOGENEOUS
 
 #: columns-times-rows bound below which the echelon engine is used by "auto"
@@ -128,10 +128,11 @@ class HomogeneousMatrix:
     """Polynomial matrix representing a graded map source -> target.
 
     Entries act on column vectors: column j holds the image of the j-th
-    source generator.
+    source generator.  `column_module` is None until a Groebner piece rank
+    (`piece_rank`) builds the matrix's `ColumnModuleGB` and keeps it there.
     """
 
-    __slots__ = ("ring", "target", "source", "entries", "_hash")
+    __slots__ = ("ring", "target", "source", "entries", "_hash", "column_module")
 
     def __init__(self, target, source, entries):
         if target.ring != source.ring:
@@ -159,6 +160,7 @@ class HomogeneousMatrix:
         self.source = source
         self.entries = rows
         self._hash = None  # computed on first use: matrices key memo tables
+        self.column_module = None
 
     @property
     def nrows(self):
@@ -355,18 +357,6 @@ def matrix_piece(phi, d):
     return PieceMatrix(phi.ring.field, rows.items, cols.items, piece_cols)
 
 
-#: a column-module basis weighs its matrix's terms and its own
-_COLUMN_GB_CACHE = Memo(MATRIX_BUDGET)
-
-
-def column_module_gb(phi):
-    hit = _COLUMN_GB_CACHE.get(phi)
-    if hit is None:
-        gb = ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
-        hit = _COLUMN_GB_CACHE.put(phi, gb, terms(*phi.entries, gb.basis))
-    return hit
-
-
 def piece_rank(phi, d, engine="auto"):
     """Exact rank of the degree-d piece of a homogeneous matrix.
 
@@ -378,7 +368,9 @@ def piece_rank(phi, d, engine="auto"):
     if engine == "echelon":
         return matrix_piece(phi, d).rank()
     if engine == "groebner":
-        return column_module_gb(phi).image_dim(d)
+        if phi.column_module is None:
+            phi.column_module = ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
+        return phi.column_module.image_dim(d)
     raise GradingError(f"unknown rank engine {engine!r}")
 
 

@@ -716,8 +716,9 @@ class ColumnModuleGB:
             gens.append(
                 sum((_lift(p, aux, unit[i]) for i, p in enumerate(col)), aux.zero())
             )
-        # buchberger, not ensure_gb: callers memoize the whole object, so the
-        # aux ideal would only crowd the basis table
+        # buchberger, not ensure_gb: the whole object is kept on its matrix
+        # (`HomogeneousMatrix.column_module`) or dropped, so the aux ideal
+        # would only crowd the basis table
         self.basis = buchberger(gens, aux)
         self._table = None  # reducer entries of the basis, for normal_form
         # a reduced basis is minimal: no lead x^m e_i divides another one;

@@ -1,10 +1,9 @@
 """Bounded memo tables.
 
 The package memoizes results per immutable input (minor ideals, reduced
-Groebner bases, verdicts and column-module bases).  Each
-table is a `Memo`: past a budget it evicts least recently used entries, so a
-long-lived process stays bounded while inputs that repeat among recent ones
-still hit.
+Groebner bases and verdicts).  Each table is a `Memo`: past a budget it
+evicts least recently used entries, so a long-lived process stays bounded
+while inputs that repeat among recent ones still hit.
 
 Every table's keys or values pin polynomials of any size, so an entry count
 would not bound bytes: the budget is on the polynomial terms the entries
@@ -31,9 +30,8 @@ from collections import OrderedDict
 #:   weighs the generator list that stored an entry with its basis;
 #:   classify-stream fills it (1,774 entries, 12,706 hits), and under 40k
 #:   it would lose 996 of those hits, each a Buchberger run.
-#: - Verdicts and column-module bases share 24k: the matrices keying
-#:   verdicts reach it on every workload, while column-module bases (a
-#:   matrix with the reduced basis of its idealization) stay under 1k terms.
+#: - Verdicts: 24k terms, which the matrices keying them reach on every
+#:   workload.
 MINORS_BUDGET = 25_000
 GB_BUDGET = 180_000
 MATRIX_BUDGET = 24_000

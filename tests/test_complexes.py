@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from math import comb
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from detschemes import (
 )
 from detschemes.cli import FIXTURE_NAMES, fixture_path, load_problem, parse_problem_text, run
 from detschemes.complexes import AnnihilatorReport
-from detschemes.determinantal import DeterminantalPresentation
+from detschemes.determinantal import DeterminantalPresentation, en_terms
 from detschemes.errors import InputError, VerificationError
 from detschemes.grading import Coker, matrix_piece, zero_matrix
 from detschemes.memo import Memo
@@ -225,6 +227,48 @@ def test_cm_type_examples(double_point, cubic_curve, ci_codim2, ci_codim3):
     assert cm_type(ci_codim3) == 1
     assert cm_type(cubic_curve) == 2
     assert cm_type(double_point) == 3
+
+
+def _mod_p_copy(P, p):
+    """P over F_p: the same matrix, its coefficients reduced mod p."""
+    m = P.matrix
+    ring = PolyRing(m.ring.variables, GF(p), m.ring.order)
+    field = ring.field
+
+    def reduced(f):
+        return ring.from_keys(
+            {k: field.from_fraction(c.numerator, c.denominator) for k, c in f.terms}
+        )
+
+    return DeterminantalPresentation(HomogeneousMatrix(
+        GradedFreeModule(ring, m.target.twists),
+        GradedFreeModule(ring, m.source.twists),
+        [[reduced(f) for f in row] for row in m.entries],
+    ))
+
+
+def test_cm_type_is_the_size_of_the_last_eagon_northcott_level():
+    """C(r+t-1, r) counts the last level of `en_terms` on every fixture, on
+    seeded shapes and on their F_2, F_3 and F_5 copies; `cm_type` returns it
+    wherever the copy is standard and refuses it elsewhere."""
+    rational = [parse_problem_text(fixture_path(n).read_text()).presentation for n in FIXTURE_NAMES]
+    rational += [
+        P for P in _seeded_presentations() + _twisted_presentations()
+        if P.ring.field.characteristic == 0
+    ]
+    answered = refused = 0
+    for P in rational:
+        for Q in [P] + [_mod_p_copy(P, p) for p in (2, 3, 5)]:
+            count = comb(Q.r + Q.t - 1, Q.r)
+            assert len(en_terms(Q.matrix)[0][-1]) == count
+            if classify(Q).is_standard:
+                assert cm_type(Q) == count
+                answered += 1
+            else:
+                with pytest.raises(InputError):
+                    cm_type(Q)
+                refused += 1
+    assert answered > refused > 0
 
 
 def test_cm_type_requires_standard(ring):
@@ -511,9 +555,26 @@ def test_square_diag_is_standard_and_fails_the_annihilator_check(square_diag, ca
                        "failed_direction": "annihilator-inside-minors"}
 
 
+def _fresh_presentation(P):
+    """P on a new matrix, which carries no column module: a session fixture's
+    matrix may carry one that an earlier test's piece rank kept."""
+    m = P.matrix
+    return DeterminantalPresentation(HomogeneousMatrix(m.target, m.source, m.entries))
+
+
+def _past_the_switch(m):
+    """The lowest degree whose piece `piece_rank` sends to the Groebner engine."""
+    d = 0
+    while m.source.dim(d) * m.target.dim(d) <= grading._PIECE_AUTO_LIMIT:
+        d += 1
+    return d
+
+
 def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, square_diag, monkeypatch):
-    """With P's verdict stored, the check computes the column module's basis
-    and nothing else: no minors, no basis of I_t."""
+    """With P's verdict stored, the check on a fresh matrix computes the
+    column module's basis and nothing else: no minors, no basis of I_t.  On
+    a matrix that a Coker Hilbert function past the engine switch has given
+    a module, it computes no basis at all."""
     for name in ("minors", "height", "hilbert_basis", "quotient_hilbert_function", "chain"):
         assert not hasattr(complexes, name)
     rings = []
@@ -526,15 +587,35 @@ def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, sq
     def refuse(*_):
         raise AssertionError("verify_annihilator computed minors")
 
-    for P in annihilator_cases[:6] + [square_diag]:
+    for case in annihilator_cases[:6] + [square_diag]:
+        P, kept = _fresh_presentation(case), _fresh_presentation(case)
         classify(P)
-        rings.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(groebner, "_buchberger", spy)
-            patch.setattr(determinantal, "minors", refuse)
-            patch.setattr(determinantal, "_laplace_minors", refuse)
-            verify_annihilator(P, d_max=4)
-        assert len(rings) == 1 and rings[0].nvars == P.ring.nvars + P.t
+        report = verify_annihilator(case, d_max=4)
+        hilbert_function(Coker(kept.matrix), _past_the_switch(kept.matrix))
+        assert kept.matrix.column_module is not None
+        for Q, runs in ((P, 1), (kept, 0)):
+            rings.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(groebner, "_buchberger", spy)
+                patch.setattr(determinantal, "minors", refuse)
+                patch.setattr(determinantal, "_laplace_minors", refuse)
+                assert verify_annihilator(Q, d_max=4) == report
+            assert len(rings) == runs
+            assert all(ring.nvars == P.ring.nvars + P.t for ring in rings)
+
+
+def test_a_column_module_lives_as_long_as_its_matrix(generic_2x4):
+    """The annihilator check keeps no module on its matrix, and the module a
+    piece rank keeps goes with the last reference to its matrix."""
+    P = _fresh_presentation(generic_2x4)
+    verify_annihilator(P, d_max=4)
+    assert P.matrix.column_module is None
+    m = _fresh_presentation(generic_2x4).matrix
+    hilbert_function(Coker(m), _past_the_switch(m))
+    module = weakref.ref(m.column_module)
+    del m
+    gc.collect()
+    assert module() is None
 
 
 def test_maximal_minors_annihilate(annihilator_cases, square_diag):

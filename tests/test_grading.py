@@ -14,6 +14,8 @@ from detschemes import (
     degree_basis,
     eagon_northcott,
     graded_exactness_check,
+    grading,
+    groebner,
     hilbert_function,
     ideal,
     koszul,
@@ -223,6 +225,30 @@ def test_hilbert_function_rejects_inhomogeneous_generators(ring):
             hilbert_function(I, d)
         with pytest.raises(GradingError):
             quotient_piece_hilbert(I, d)
+
+
+def test_a_hilbert_table_past_the_switch_builds_one_column_module(generic_2x4, monkeypatch):
+    """HF(coker Φ, d) for d = 0..30 runs the idealization's Buchberger once:
+    the Groebner engine keeps the module on the matrix.  Wherever the piece
+    has at most `_PIECE_AUTO_LIMIT` entries, the value is the echelon's, and
+    the module kept on the matrix counts it too."""
+    m = generic_2x4.matrix
+    m = HomogeneousMatrix(m.target, m.source, m.entries)  # carries no module yet
+    rings = []
+    original = groebner._buchberger
+
+    def spy(span, ring):
+        rings.append(ring)
+        return original(span, ring)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    values = [hilbert_function(Coker(m), d) for d in range(31)]
+    assert len(rings) == 1 and rings[0].nvars == m.ring.nvars + m.nrows
+    small = [d for d in range(31) if m.source.dim(d) * m.target.dim(d) <= grading._PIECE_AUTO_LIMIT]
+    assert small == list(range(6))  # d = 6..30 take the Groebner engine
+    for d in small:
+        assert values[d] == m.target.dim(d) - piece_rank(m, d, "echelon")
+        assert values[d] == m.column_module.coker_dim(d)
 
 
 def test_hilbert_function_coker_and_ker(ring):
