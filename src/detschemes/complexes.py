@@ -36,7 +36,7 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from . import grading
@@ -493,20 +493,24 @@ def verify_annihilator(P, d_max=8):
     """
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
-    ring, t = P.ring, P.t
+    ring = P.ring
     module = P.matrix.column_module  # one a piece rank kept, else built and dropped
     if module is None:
         module = ColumnModuleGB(ring, P.matrix.target.twists, P.matrix.columns())
     quotient_terms = en_terms(P.matrix)[1]
+    forms = module.normal_forms(  # degree by degree, read as the loop goes
+        ring.from_keys({mu: ring.field.one})
+        for d in range(d_max + 1)
+        for mu in ring.monomials_of_degree(d)
+    )
     for d in range(d_max + 1):
         span = echelon(ring.field)
         index = {}  # (standard monomial of NF(μ e_j), j) -> dense coordinate
-        for mu in ring.monomials_of_degree(d):
-            mono = ring.from_keys({mu: ring.field.one})
+        for row in islice(forms, ring.dim_of_degree(d)):
             span.insert({
                 index.setdefault((k, j), len(index)): c
-                for j in range(t)
-                for k, c in module.normal_form(mono, j).terms
+                for j, nf in enumerate(row)
+                for k, c in nf.terms
             })
         if span.rank != resolution_hilbert_function(quotient_terms, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")

@@ -12,12 +12,15 @@ exactness check of a complex with no acyclicity certificate
 monomials of one grevlex basis (`groebner.quotient_hilbert_function`).
 Two exact rank engines are cross-checked by the test suite: an echelon
 on the assembled scalar piece (fine while pieces are small) and
-standard-monomial counting against the reduced Groebner basis of the
-column module's idealization (`groebner.ColumnModuleGB`; fast at any
-degree), built once and kept on its matrix
-(`HomogeneousMatrix.column_module`), so it lives as long as the matrix.
-`piece_rank` is the one place that picks an engine: "auto" switches on
-piece size, and every caller in the package takes it.
+standard-monomial counting against a reduced Groebner basis of the column
+module (`groebner.ColumnModuleGB`; fast at any degree), built once and kept
+on its matrix (`HomogeneousMatrix.column_module`), so it lives as long as
+the matrix.  A one-row matrix (f_1 .. f_n) has coker = (R/I_1)(-a), so its
+module counts against the basis of I_1 that the Groebner table holds, and
+more rows count against the idealization's basis.
+`piece_rank` is the one place that picks an engine: "auto" takes the
+Groebner engine for one row and switches on piece size for more, and
+every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on sparse integer
 columns (`linalg.IntEchelon`), over F_p on residue rows packed into ints
 and kept reduced (`linalg.Echelon`), indexed by the piece's dense row
@@ -360,11 +363,14 @@ def matrix_piece(phi, d):
 def piece_rank(phi, d, engine="auto"):
     """Exact rank of the degree-d piece of a homogeneous matrix.
 
-    An explicit engine always runs that engine; "auto" picks one by size.
+    An explicit engine always runs that engine.  "auto" sends a one-row
+    matrix to the Groebner engine, where its column module reads the basis
+    of its ideal of entries, and any other matrix to the echelon up to
+    `_PIECE_AUTO_LIMIT` rows x columns and to the Groebner engine above.
     """
     if engine == "auto":
         size = phi.source.dim(d) * phi.target.dim(d)
-        engine = "echelon" if size <= _PIECE_AUTO_LIMIT else "groebner"
+        engine = "echelon" if phi.nrows != 1 and size <= _PIECE_AUTO_LIMIT else "groebner"
     if engine == "echelon":
         return matrix_piece(phi, d).rank()
     if engine == "groebner":

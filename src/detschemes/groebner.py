@@ -29,11 +29,13 @@ same span in each degree (other signs, order, scale or redundant
 combinations) reuses its basis.  The key is exact: it decodes back to the
 span, which is what Buchberger runs on after a miss.
 
-Column modules of homogeneous matrices run on the same Buchberger: Nagata's
-idealization turns the column span in R^g into an ideal of R[e_1..e_g], and
-the standard monomials of its reduced basis in e-degree 1 count the cokernel
-degree by degree.  The grading layer uses those counts as the rank engine
-for large degree pieces, and the test suite pins them against the echelon.
+Column modules of homogeneous matrices run on the same Buchberger: the
+column span of one row is its ideal of entries, whose basis comes from the
+Groebner table; for more rows Nagata's idealization turns the span in R^g
+into an ideal of R[e_1..e_g], and the standard monomials of its reduced
+basis in e-degree 1 count the cokernel degree by degree.  The grading layer
+uses those counts as the rank engine for one-row matrices and large degree
+pieces, and the test suite pins them against the echelon.
 Normal forms of p e_j against that basis certify the annihilator.  R/I is
 counted by the same counter, on one grevlex basis in every ring order.
 """
@@ -53,6 +55,7 @@ from .ring import (
     FIELD_BITS,
     Polynomial,
     PolyRing,
+    _FIELD,
     _check_degree,
     _masks,
     _unpack,
@@ -359,13 +362,20 @@ def buchberger(gens, ring=None):
     return _buchberger(_canonical_span(polys, ring), ring)
 
 
-def _buchberger(span, ring):
+def _buchberger(span, ring, e_first=None):
     """Reduced Groebner basis of the ideal of a `_canonical_span`; every
     basis the package computes is computed here.
 
     Pairs are selected by smallest lcm (normal strategy), and the result is
     minimalized, interreduced and made monic.  Everything up to that last
     step runs on the integer kernel.
+
+    `e_first` marks an idealization (`ColumnModuleGB`): the variables from
+    that index on are the e_i, the span holds every e_i e_k, and every
+    generator is bihomogeneous.  A pair whose lcm has e-degree 2 or more
+    then has an S-polynomial all of whose terms some e_i e_k divides, so it
+    reduces to zero; such a pair is never queued, which makes it treated
+    for the chain criterion.
     """
     if not span:
         return IdealBasis(ring, (), True)
@@ -375,6 +385,9 @@ def _buchberger(span, ring):
     mod = ring._modulus
     n = ring.nvars
     guard = _masks(n)[1]
+    top = ring._top
+    # a key's x-degree is field e_first - 1; its e-degree is the rest of the top field
+    x_shift = None if e_first is None else FIELD_BITS * (e_first - 1)
     table = []  # reducer entry of each basis element
     pending = set()
     heap = []
@@ -384,8 +397,11 @@ def _buchberger(span, ring):
         table.append(_entry(poly, n))
         kj = table[j][1]
         for i in range(j):
+            lcm = lcm_key(table[i][1], kj, n)
+            if x_shift is not None and (lcm >> top) - ((lcm >> x_shift) & _FIELD) >= 2:
+                continue
             pending.add((i, j))
-            heapq.heappush(heap, (order(lcm_key(table[i][1], kj, n)), i, j))
+            heapq.heappush(heap, (order(lcm), i, j))
 
     for poly in span:
         add(poly)
@@ -694,53 +710,71 @@ class ColumnModuleGB:
     """Groebner basis of the submodule spanned by homogeneous column vectors.
 
     Vectors live in a twisted free module R^g (twists = generator degrees).
-    The columns enter Nagata's idealization: in R[e_1..e_g] the ideal
+    One row (g = 1) spans I_1 = (f_1 .. f_n) twisted by the row's twist a,
+    so the cokernel is (R/I_1)(-a): counts and normal forms run on the
+    reduced grevlex basis of I_1, which `ensure_gb` reads from the Groebner
+    table at each use (a hit whenever the ideal of entries was based, e.g.
+    as `minors(P, 1)`).  The module keeps only that ideal and its span key,
+    so a matrix that keeps the module pins no basis outside the table.
+    More rows enter Nagata's idealization: in R[e_1..e_g] the ideal
     J = (sum_i v_i e_i : columns v) + (e_i e_k : i <= k) meets e-degree 1 in
     the column span, so R[e]/J in e-degree 1 is the cokernel.  Every
     generator is bihomogeneous in (e-degree, degree with deg e_i = twist_i),
     so the reduced basis from `buchberger` is too, under any monomial order,
-    and its leading monomials x^m e_i give exact standard-monomial counts.
+    and its leading monomials x^m e_i give exact standard-monomial counts;
+    pairs of e-degree 2 or more reduce to zero and are never reduced.
     """
 
     def __init__(self, ring, twists, columns):
         self.ring = ring
         self.twists = tuple(twists)
         g = len(self.twists)
+        if any(len(col) != g for col in columns):
+            raise GroebnerError("column length does not match module rank")
+        if g == 1:
+            self._ideal = grevlex_ideal(IdealBasis(ring, tuple(col[0] for col in columns)))
+            self._unit = [()]  # p e_1 is p
+            ensure_gb(self._ideal)  # based now, as an idealization is
+            return
+        self._ideal = None
         aux, first = _aux_ring(ring, g, "grevlex")
         self._unit = unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
         e = [aux.variable(first + i) for i in range(g)]
         gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]
         for col in columns:
-            if len(col) != g:
-                raise GroebnerError("column length does not match module rank")
             gens.append(
                 sum((_lift(p, aux, unit[i]) for i, p in enumerate(col)), aux.zero())
             )
-        # buchberger, not ensure_gb: the whole object is kept on its matrix
+        # _buchberger, not ensure_gb: the whole object is kept on its matrix
         # (`HomogeneousMatrix.column_module`) or dropped, so the aux ideal
         # would only crowd the basis table
-        self.basis = buchberger(gens, aux)
-        self._table = None  # reducer entries of the basis, for normal_form
+        self._basis = _buchberger(_canonical_span(gens, aux), aux, first)
         # a reduced basis is minimal: no lead x^m e_i divides another one;
         # the first `first` fields of its key are the packed key of x^m
         mask = _masks(first)[0]
         self._leads = [[] for _ in range(g)]
-        for b in self.basis:
+        for b in self._basis:
             lm = b.leading_monomial()
             exps = aux.exponents(lm)
             if sum(exps[first:]) == 1:
                 self._leads[exps.index(1, first) - first].append(lm & mask)
 
-    def normal_form(self, p, j):
-        """Normal form of p e_j modulo the column span, in the auxiliary
-        ring: k-linear in p, and zero iff p e_j lies in the span."""
-        aux = self.basis.ring
-        if self._table is None:  # built once; the counts never need it
-            self._table = [_entry(_basis_poly(b), aux.nvars) for b in self.basis]
-        return _reduce_poly(_lift(p, aux, self._unit[j]), self._table)
+    def normal_forms(self, polys):
+        """(NF(p e_j))_j for each p of the iterable `polys`, yielded as it
+        is read: normal forms modulo the column span in the basis's ring
+        (the auxiliary ring, or the grevlex copy of R for one row), k-linear
+        in p, and zero iff p e_j lies in the span.  The reducer entries of
+        the basis are built once per call and kept nowhere."""
+        gb = self._basis if self._ideal is None else ensure_gb(self._ideal)
+        aux = gb.ring
+        table = [_entry(_basis_poly(b), aux.nvars) for b in gb]
+        for p in polys:
+            yield tuple(_reduce_poly(_lift(p, aux, unit), table) for unit in self._unit)
 
     def coker_dim(self, d):
         """dim_k of degree-d piece of (free module)/(column span)."""
+        if self._ideal is not None:
+            return quotient_hilbert_function(self._ideal, d - self.twists[0])
         return sum(
             _standard_count(self.ring, leads, d - tw)
             for tw, leads in zip(self.twists, self._leads)

@@ -9,16 +9,71 @@ assert that the package's reports equal these.
 `fitting_failure` is the half of the check that Fitting's lemma made a
 theorem: one column-module normal form per maximal minor and target
 generator, as the package computed it before.
+
+`idealization_verify_annihilator` is the package's normal-form check as it
+was before a one-row column module became its ideal of entries: the module
+is `IdealizationModule`, Nagata's idealization in R[e_1..e_g] for every row
+count g, one as well, built with no pair skipped.
 """
 
 from __future__ import annotations
 
 from detschemes.complexes import AnnihilatorReport
-from detschemes.determinantal import classify, minors
+from detschemes.determinantal import classify, en_terms, minors, resolution_hilbert_function
 from detschemes.errors import InputError
 from detschemes.grading import matrix_piece
-from detschemes.groebner import ColumnModuleGB, ensure_gb, quotient_hilbert_function
+from detschemes.groebner import (
+    ColumnModuleGB,
+    _aux_ring,
+    _lift,
+    buchberger,
+    ensure_gb,
+    normal_form,
+    quotient_hilbert_function,
+)
 from detschemes.linalg import echelon
+
+
+class IdealizationModule:
+    """The column span of a matrix as the idealization
+    J = (sum_i v_i e_i : columns v) + (e_i e_k : i <= k) in R[e_1..e_g]."""
+
+    def __init__(self, phi):
+        g = phi.nrows
+        aux, first = _aux_ring(phi.ring, g, "grevlex")
+        self.unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
+        e = [aux.variable(first + i) for i in range(g)]
+        gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]
+        for col in phi.columns():
+            gens.append(sum((_lift(p, aux, self.unit[i]) for i, p in enumerate(col)), aux.zero()))
+        self.basis = buchberger(gens, aux)
+
+    def normal_form(self, p, j):
+        return normal_form(_lift(p, self.basis.ring, self.unit[j]), self.basis)
+
+
+def idealization_verify_annihilator(P, d_max=8):
+    """Ann(coker Φ) ⊆ I_t(Φ) degreewise up to d_max: dim (R/Ann)_d is the
+    rank of μ ↦ (NF(μ e_j))_j over the monomials μ of degree d, compared
+    with the Eagon-Northcott count of dim (R/I_t)_d."""
+    if not classify(P).is_standard:
+        raise InputError("verify_annihilator requires a standard presentation")
+    ring, t = P.ring, P.t
+    module = IdealizationModule(P.matrix)
+    quotient_terms = en_terms(P.matrix)[1]
+    for d in range(d_max + 1):
+        span = echelon(ring.field)
+        index = {}
+        for mu in ring.monomials_of_degree(d):
+            mono = ring.from_keys({mu: ring.field.one})
+            span.insert({
+                index.setdefault((k, j), len(index)): c
+                for j in range(t)
+                for k, c in module.normal_form(mono, j).terms
+            })
+        if span.rank != resolution_hilbert_function(quotient_terms, d):
+            return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
+    return AnnihilatorReport(True, d_max)
 
 
 def verify_annihilator(P, d_max=8):
@@ -84,7 +139,7 @@ def fitting_failure(P, gens=None):
     module = ColumnModuleGB(P.ring, P.matrix.target.twists, P.matrix.columns())
     outside = [
         g.homogeneous_degree()
-        for g in gens
-        if any(not module.normal_form(g, j).is_zero() for j in range(P.t))
+        for g, forms in zip(gens, module.normal_forms(gens))
+        if any(not nf.is_zero() for nf in forms)
     ]
     return min(outside, default=None)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,20 @@ def test_cli_hilbert_of_a_lex_copy_equals_grevlex(tmp_path, capsys, name):
         assert run(["hilbert", _write(tmp_path, lexed, f"{order}.problem"), "--json"]) == 0
         results.append(json.loads(capsys.readouterr().out)["results"])
     assert results[0] == results[1]
+
+
+def test_cli_one_row_with_equal_entries_is_not_standard_and_its_coker_is_r_mod_i1(tmp_path, capsys):
+    """Two equal entries of a linear 1x3 row: ht I_1 = 2, and R/I_1 is the
+    coordinate ring of a line, in grevlex and lex."""
+    text = (Path(__file__).parent / "one_row_repeated.problem").read_text()
+    for order in ("grevlex", "lex"):
+        path = _write(tmp_path, text.replace("ring.order: grevlex", f"ring.order: {order}"))
+        assert run(["classify", path, "--json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["results"]
+        assert (verdict["actual_height"], verdict["is_standard"]) == (2, False)
+        assert run(["hilbert", path, "--json"]) == 0
+        hf = json.loads(capsys.readouterr().out)["results"]
+        assert hf["quotient"] == hf["coker"] == list(range(1, hf["max_degree"] + 2))
 
 
 def test_cli_hilbert_of_an_inhomogeneous_entry_exits_2(tmp_path, capsys):

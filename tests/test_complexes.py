@@ -9,6 +9,7 @@ import pytest
 
 import annihilator_reference
 import complexes_reference
+import hilbert_reference
 from detschemes import (
     GF,
     QQ,
@@ -555,6 +556,30 @@ def test_square_diag_is_standard_and_fails_the_annihilator_check(square_diag, ca
                        "failed_direction": "annihilator-inside-minors"}
 
 
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_one_row_annihilators_equal_the_idealization_route(ci_codim2, ci_codim3, order):
+    """On t = 1 the column module is the ideal of entries; the check's
+    reports equal those of the idealization in R[e_1] that it replaced, on
+    the one-row fixtures and seeded standard rows over QQ and F_32003."""
+    cases = [ci_codim2, ci_codim3]
+    rng = random.Random(20261020)
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+        for degrees in ((1, 1), (1, 2, 2), (2, 1, 3), (1, 1, 1, 2)):
+            row = [random_homogeneous(ring, e, rng, bound=5) for e in degrees]
+            matrix = HomogeneousMatrix(
+                GradedFreeModule(ring, (0,)), GradedFreeModule(ring, degrees), [row]
+            )
+            cases.append(DeterminantalPresentation(matrix))
+    for P in cases:
+        P = hilbert_reference.with_order(P, order)
+        assert classify(P).is_standard
+        for d_max in (2, 4):
+            want = annihilator_reference.idealization_verify_annihilator(P, d_max)
+            assert want == AnnihilatorReport(True, d_max)
+            assert verify_annihilator(P, d_max) == want
+
+
 def _fresh_presentation(P):
     """P on a new matrix, which carries no column module: a session fixture's
     matrix may carry one that an earlier test's piece rank kept."""
@@ -574,15 +599,17 @@ def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, sq
     """With P's verdict stored, the check on a fresh matrix computes the
     column module's basis and nothing else: no minors, no basis of I_t.  On
     a matrix that a Coker Hilbert function past the engine switch has given
-    a module, it computes no basis at all."""
+    a module, it computes no basis at all.  A one-row module is I_1 and
+    reads its basis from the Groebner table, where the first check stored
+    it: no Buchberger runs, in an auxiliary ring or any other."""
     for name in ("minors", "height", "hilbert_basis", "quotient_hilbert_function", "chain"):
         assert not hasattr(complexes, name)
     rings = []
     original = groebner._buchberger
 
-    def spy(span, ring):
+    def spy(span, ring, *rest):
         rings.append(ring)
-        return original(span, ring)
+        return original(span, ring, *rest)
 
     def refuse(*_):
         raise AssertionError("verify_annihilator computed minors")
@@ -600,6 +627,9 @@ def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, sq
                 patch.setattr(determinantal, "minors", refuse)
                 patch.setattr(determinantal, "_laplace_minors", refuse)
                 assert verify_annihilator(Q, d_max=4) == report
+            if P.t == 1:
+                assert rings == []
+                continue
             assert len(rings) == runs
             assert all(ring.nvars == P.ring.nvars + P.t for ring in rings)
 

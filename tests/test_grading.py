@@ -26,7 +26,7 @@ from detschemes import (
     piece_rank,
     verify_complex,
 )
-from detschemes.grading import GradingError, zero_matrix
+from detschemes.grading import GradingError, matrix_from_polys, zero_matrix
 from detschemes.groebner import ensure_gb
 from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
 from linalg_reference import (
@@ -237,9 +237,9 @@ def test_a_hilbert_table_past_the_switch_builds_one_column_module(generic_2x4, m
     rings = []
     original = groebner._buchberger
 
-    def spy(span, ring):
+    def spy(span, ring, *rest):
         rings.append(ring)
-        return original(span, ring)
+        return original(span, ring, *rest)
 
     monkeypatch.setattr(groebner, "_buchberger", spy)
     values = [hilbert_function(Coker(m), d) for d in range(31)]
@@ -407,3 +407,45 @@ def test_keyed_compose_raises_above_max_degree():
         one = matrix_from_strings(ring, [[f"x0^{half}"]])
         assert one.compose(c) == complexes_reference.compose(one, c)
         assert one.compose(c).entries[0][0].homogeneous_degree() == MAX_DEGREE
+
+
+def _one_row_cases(ring, rng):
+    """Seeded 1 x n rows, each as (entries, column twists) for row twist 0:
+    generic entries of mixed degrees, zero entries (one row all zero), a
+    unit entry, and equal or proportional entries (ht I_1 < n)."""
+    def form(deg):
+        return random_homogeneous(ring, deg, rng, bound=5)
+
+    f, g = form(1), form(1)
+    q = form(2)
+    return [
+        ([form(1), form(2), form(2)], (1, 2, 2)),
+        ([form(1), ring.zero(), form(2)], (1, 1, 2)),
+        ([ring.zero(), ring.zero()], (1, 2)),
+        ([form(1), ring.one().scale(ring.field.from_int(7)), form(2)], (1, 0, 2)),
+        ([f, f, g], (1, 1, 1)),
+        ([f, f.scale(ring.field.from_int(3)), q, f * g], (1, 1, 2, 2)),
+    ]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "Fp"])
+def test_one_row_piece_ranks_read_the_ideal_of_entries(field, order):
+    """A one-row matrix's column module is its ideal of entries: `auto`,
+    the Groebner engine and HF(coker) agree with the echelon of the piece
+    in every degree up to 10, with the row twisted by 0 and by 2, and
+    `auto` keeps the module on its matrix from degree 0 on."""
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field, order)
+    rng = random.Random(2024)
+    cases = _one_row_cases(ring, rng)
+    for (entries, col_twists), a in [(case, a) for case in cases for a in (0, 2)]:
+        def fresh():
+            return matrix_from_polys(ring, [entries], (a,), tuple(b + a for b in col_twists))
+
+        by_auto, by_groebner, by_coker = fresh(), fresh(), fresh()
+        for d in range(11):
+            want = matrix_piece(by_auto, d).rank()
+            assert piece_rank(by_auto, d) == want
+            assert by_auto.column_module is not None
+            assert piece_rank(by_groebner, d, "groebner") == want
+            assert hilbert_function(Coker(by_coker), d) == by_coker.target.dim(d) - want

@@ -89,11 +89,11 @@ def _recorded(monkeypatch, action, check=None):
     seen = []
     original = groebner._buchberger
 
-    def record(span, ring):
+    def record(span, ring, *rest):
         seen.append(([groebner._polynomial(ring, poly, 1) for poly in span], ring))
         if check is not None:
             check(*seen[-1])
-        return original(span, ring)
+        return original(span, ring, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(groebner, "_buchberger", record)
@@ -251,6 +251,65 @@ def test_fixture_minor_ideals_and_idealizations_match_the_reference(name, monkey
         )
         for gens, r in seen:
             _assert_same_basis(gens, r)
+
+
+def _multi_row_matrices():
+    """Every fixture's matrix and Eagon-Northcott differentials with two or
+    more rows, and seeded 2- and 3-row matrices over QQ and F_32003 (an
+    entry of negative degree is zero)."""
+    out = []
+    for name in FIXTURE_NAMES:
+        P = _fixture(name)
+        out += [m for m in (P.matrix, *eagon_northcott(P).differentials) if m.nrows >= 2]
+    rng = random.Random(20261020)
+    shapes = (((0, 0), (1, 1, 2)), ((0, 1), (1, 2, 2, 3)), ((0, 0, 0), (1, 1, 1, 1)),
+              ((0, 0, 1), (1, 1, 2, 2, 2)))
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(VARS4, field)
+        for row_twists, col_twists in shapes:
+            rows = [
+                [random_homogeneous(ring, b - a, rng, bound=5) if b >= a else ring.zero()
+                 for b in col_twists]
+                for a in row_twists
+            ]
+            out.append(matrix_from_polys(ring, rows, row_twists, col_twists))
+    return out
+
+
+def test_idealizations_skip_dead_pairs_and_keep_their_bases(monkeypatch):
+    """A multi-row column module queues no pair whose lcm has e-degree 2 or
+    more: its basis equals the one Buchberger computes with every pair
+    queued, and it reduces fewer S-polynomials."""
+    original, reduce = groebner._buchberger, groebner._reduce
+    reductions = []
+
+    def counted(*args):
+        reductions[-1] += 1
+        return reduce(*args)
+
+    fewer = more = 0  # reductions over all matrices, with and without the skip
+    for m in _multi_row_matrices():
+        runs = []
+
+        def record(span, ring, e_first=None):
+            runs.append((span, ring, e_first))
+            return original(span, ring, e_first)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_buchberger", record)
+            ColumnModuleGB(m.ring, m.target.twists, m.columns())
+        [(span, ring, e_first)] = runs
+        assert e_first == m.ring.nvars
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_reduce", counted)
+            reductions.append(0)
+            with_skip = original(span, ring, e_first)
+            reductions.append(0)
+            without = original(span, ring)
+        assert with_skip == without
+        assert _signature(with_skip.generators) == _signature(without.generators)
+        fewer, more = fewer + reductions[-2], more + reductions[-1]
+    assert fewer < more
 
 
 def test_normal_forms_and_spolys_match_the_reference():
@@ -467,9 +526,9 @@ def _counted_runs(patch):
     runs = []
     original = groebner._buchberger
 
-    def counted(span, ring):
+    def counted(span, ring, *rest):
         runs.append(ring)
-        return original(span, ring)
+        return original(span, ring, *rest)
 
     patch.setattr(groebner, "_buchberger", counted)
     return runs
