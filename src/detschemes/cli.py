@@ -48,7 +48,14 @@ from .determinantal import (
 )
 from .errors import InputError, VerificationError
 from .field import FieldError, field_from_descriptor
-from .grading import Coker, GradingError, hilbert_function, matrix_from_strings
+from .grading import (
+    Coker,
+    GradingError,
+    en_terms,
+    hilbert_function,
+    matrix_from_strings,
+    resolution_hilbert_function,
+)
 from .groebner import minimal_generator_count
 from .ring import MAX_DEGREE, ParseError, PolyRing, RingError
 
@@ -317,10 +324,19 @@ def _cmd_canonical(spec, args):
 
 
 def _cmd_hilbert(spec, args):
+    """HF(R/I_t, d) and HF(coker Φ, d) for d = 0..d_max.  On a standard
+    presentation EN and BR are resolutions, so both are read off their terms
+    (the cokernel's through `piece_rank`); otherwise R/I_t counts standard
+    monomials and the cokernel ranks pieces."""
     pres = spec.presentation
-    ideal = minors(pres, pres.t)
-    quotient = [hilbert_function(ideal, d) for d in range(spec.d_max + 1)]
-    coker = [hilbert_function(Coker(pres.matrix), d) for d in range(spec.d_max + 1)]
+    window = range(spec.d_max + 1)
+    if classify(pres).is_standard:
+        terms = en_terms(pres.matrix)[1]
+        quotient = [resolution_hilbert_function(terms, d) for d in window]
+    else:
+        ideal = minors(pres, pres.t)
+        quotient = [hilbert_function(ideal, d) for d in window]
+    coker = [hilbert_function(Coker(pres.matrix), d) for d in window]
     return {
         "max_degree": spec.d_max,
         "quotient": quotient,

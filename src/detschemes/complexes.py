@@ -12,11 +12,13 @@ Term shapes:
     BR:  0 -> ∧^f F ⊗ (S^{f-g-1}G)^∨ ⊗ ∧^g G^∨ -> ... -> ∧^{g+1}F ⊗ ∧^g G^∨
             -> F -> G
 
-The terms and their index sets come from `determinantal.en_terms` and
-`br_terms`, which section sequences and canonical modules also read Hilbert
-functions off.  The first EN differential is the list of maximal minors;
-the map of BR into F expands (g+1)-column index sets into signed maximal
-minors; all higher differentials are one contraction against Φ.  Acyclicity is certified by the
+The terms and their index sets come from `grading.en_terms` and
+`br_terms`, which section sequences, canonical modules and certified piece
+ranks also read Hilbert functions off.  The first EN differential is the
+list of maximal minors; the map of BR into F expands (g+1)-column index
+sets into signed maximal minors; all higher differentials are one
+contraction against Φ, and the canonical module builds only the last EN
+one.  Acyclicity is certified by the
 Buchsbaum-Eisenbud rank/height criterion (grade equals height here: the
 ambient polynomial ring is Cohen-Macaulay).  d∘d = 0 is checked once per
 complex, and the verdict is stored on it.  Ranks are proved from d∘d = 0:
@@ -27,7 +29,9 @@ from `determinantal._minors_height`, as the classifier's do.  The
 acyclicity verdict is stored on the complex too, and the degreewise
 exactness check and the Betti table of a certified complex read it.  The
 annihilator check computes only Ann(coker Φ) ⊆ I_t(Φ), the converse being
-Fitting's lemma, and reads dim (R/I_t)_d off the EN terms.
+Fitting's lemma, and reads dim (R/I_t)_d off the EN terms: nothing for one
+row, where Ann = I_1; over QQ a mod-p rank certificate first; else, and
+over F_p, ranks of normal forms modulo the column module.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from math import comb
 from . import grading
 from .determinantal import (
     _minors_height,
+    _scaled_mod_p,
     _unwrap,
     br_terms,
     classify,
@@ -49,7 +54,7 @@ from .determinantal import (
     resolution_hilbert_function,
 )
 from .errors import InputError, VerificationError
-from .grading import GradedFreeModule, HomogeneousMatrix, matrix_truncation_bound
+from .grading import GradedFreeModule, HomogeneousMatrix, matrix_piece, matrix_truncation_bound
 from .groebner import ColumnModuleGB
 from .linalg import Laplace, echelon, rank_of_columns
 
@@ -154,24 +159,28 @@ def _check_characteristic(phi):
 
 
 def _contraction_matrix(phi, tgt_items, src_items):
-    """One contraction against Φ: (S, β) -> Σ ± Φ[k][l] (S∖l, β-ε_k)."""
+    """One contraction against Φ: (S, β) -> Σ ± Φ[k][l] (S∖l, β-ε_k).
+
+    Distinct (l, k) land on distinct rows, so each entry is hit at most
+    once per column and is assigned, never summed; every entry of Φ is
+    negated once."""
     ring = phi.ring
     zero = ring.zero()
+    signed = (phi.entries, [[-p for p in row] for row in phi.entries])
     tgt_index = {item: i for i, item in enumerate(tgt_items)}
     entries = [[zero] * len(src_items) for _ in tgt_items]
     for col, (S, beta) in enumerate(src_items):
         for pos, l in enumerate(S):
             rest = S[:pos] + S[pos + 1 :]
-            negative = pos % 2 == 1
+            grid = signed[pos % 2]
             for k, bk in enumerate(beta):
                 if bk == 0:
                     continue
-                p = phi.entries[k][l]
+                p = grid[k][l]
                 if p.is_zero():
                     continue
                 beta2 = beta[:k] + (bk - 1,) + beta[k + 1 :]
-                row = tgt_index[(rest, beta2)]
-                entries[row][col] = entries[row][col] + (-p if negative else p)
+                entries[tgt_index[(rest, beta2)]][col] = p
     return entries
 
 
@@ -482,22 +491,33 @@ def verify_annihilator(P, d_max=8):
 
     I_t ⊆ Ann is Fitting's lemma (Eisenbud, *Commutative Algebra*, Prop.
     20.7): for t columns S, Φ_S adj(Φ_S) = det(Φ_S) 1, so det(Φ_S) e_j is
-    the image of a column of adj(Φ_S).  Only Ann ⊆ I_t is computed: f
-    annihilates iff the normal form of f e_j modulo the column module
-    (`ColumnModuleGB`) vanishes for every target generator e_j.  These are
-    k-linear, so dim (R/Ann)_d is the rank of μ ↦ (NF(μ e_j))_j over the
-    monomials μ of degree d, and Ann_d = (I_t)_d iff it is dim (R/I_t)_d.
-    The verdict certifies ht I_t = r + 1, so EN(Φ) resolves R/I_t (Eisenbud,
-    Appendix A2.6) and that is the alternating sum of its terms.  The lowest
-    failing degree is reported ("annihilator-inside-minors").
+    the image of a column of adj(Φ_S).  Only Ann ⊆ I_t is decided, in each
+    degree d through the k-linear map μ ↦ (μ e_j mod Im Φ)_j on the
+    monomials μ of degree d: its kernel is Ann_d, so its rank is
+    dim (R/Ann)_d, and Ann_d = (I_t)_d iff that is dim (R/I_t)_d.  The
+    verdict certifies ht I_t = r + 1, so EN(Φ) resolves R/I_t (Eisenbud,
+    Appendix A2.6) and that is the alternating sum of its terms.
+
+    One row needs nothing: coker Φ = (R/I_1)(-a), so Ann = I_1 = I_t in
+    every degree.  Over QQ a mod-p rank count decides first
+    (`_annihilator_rank_certificate`); where it cannot, and over every F_p,
+    the map's rank is that of the normal forms (NF(μ e_j))_j modulo the
+    column module (`ColumnModuleGB`) in every degree, and the lowest failing
+    degree is reported ("annihilator-inside-minors").
     """
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
+    if P.t == 1:
+        return AnnihilatorReport(True, d_max)
     ring = P.ring
+    quotient_terms = en_terms(P.matrix)[1]
+    if not ring.field.characteristic and _annihilator_rank_certificate(
+        P.matrix, d_max, quotient_terms
+    ):
+        return AnnihilatorReport(True, d_max)
     module = P.matrix.column_module  # one a piece rank kept, else built and dropped
     if module is None:
         module = ColumnModuleGB(ring, P.matrix.target.twists, P.matrix.columns())
-    quotient_terms = en_terms(P.matrix)[1]
     forms = module.normal_forms(  # degree by degree, read as the loop goes
         ring.from_keys({mu: ring.field.one})
         for d in range(d_max + 1)
@@ -515,6 +535,54 @@ def verify_annihilator(P, d_max=8):
         if span.rank != resolution_hilbert_function(quotient_terms, d):
             return AnnihilatorReport(False, d_max, d, "annihilator-inside-minors")
     return AnnihilatorReport(True, d_max)
+
+
+def _annihilator_rank_certificate(m, d_max, quotient_terms):
+    """True when ranks mod p prove Ann_d = (I_t)_d for every d <= d_max, for
+    Φ = m over QQ certified standard; False decides nothing.
+
+    Φ' = DΦ mod p (`_scaled_mod_p`) has integer rows, and DΦ has the image,
+    Ann and I_t of Φ.  For each d, and each e = d + a_j, the span U_e of
+    the piece (Im Φ')_e, built once for every (d, j) that needs it, must
+    have rank dim G_e - BR(e), the rank of Φ_e over QQ
+    (`grading.certified_rank`).  Each μ e_j, μ of degree d, is reduced
+    against U_{d+a_j} (`linalg.Echelon.reduce`), and the
+    concatenated reductions must have rank EN(d) = dim (R/I_t)_d.  Why that
+    proves it: the reductions' rank is rank [B | M] - rank B, for B the
+    image pieces (one block per j) and M the columns μ e_j.  An integer
+    matrix can only lose rank mod p, and rank B is exact, so the count mod p
+    is at most the count over QQ, which is dim (R/Ann)_d; and
+    dim (R/Ann)_d <= dim (R/I_t)_d = EN(d) by Fitting's lemma, I_t ⊆ Ann.
+    Equality with EN(d) forces dim Ann_d = dim (I_t)_d, hence Ann_d = (I_t)_d.
+    """
+    m_p = _scaled_mod_p(m)
+    ring_p = m_p.ring
+    spans = {}  # e -> (U_e, dense index of the basis of G_e)
+    for d in range(d_max + 1):
+        monos = ring_p.monomials_of_degree(d)
+        forms = [{} for _ in monos]  # μ -> its reductions, block j at offset j
+        offset = 0
+        for j, a in enumerate(m.target.twists):
+            e = d + a
+            if e not in spans:
+                piece = matrix_piece(m_p, e)
+                span = echelon(ring_p.field)
+                for col in piece.cols:
+                    span.insert(col)
+                if span.rank != grading.certified_rank(m, e):
+                    return False
+                spans[e] = span, {item: i for i, item in enumerate(piece.row_basis)}
+            span, index = spans[e]
+            for form, mu in zip(forms, monos):
+                for i, c in span.reduce({index[(j, mu)]: 1}).items():
+                    form[offset + i] = c
+            offset += len(index)
+        ranks = echelon(ring_p.field)
+        for form in forms:
+            ranks.insert(form)
+        if ranks.rank != resolution_hilbert_function(quotient_terms, d):
+            return False
+    return True
 
 
 # -- codimension-two canonical module --------------------------------------------------
@@ -539,9 +607,10 @@ def canonical_module(P, d_max=None):
     coker Φ.
 
     ω is the cokernel of the dual of the last Eagon-Northcott differential,
-    twisted by nvars.  The verdict certifies ht I_t = 2, so R/I_t is perfect
-    and the dual Eagon-Northcott complex resolves ω, while Buchsbaum-Rim
-    resolves coker Φ: both Hilbert functions are read off those terms.
+    twisted by nvars; that differential is the only one built.  The verdict
+    certifies ht I_t = 2, so R/I_t is perfect and the dual Eagon-Northcott
+    complex resolves ω, while Buchsbaum-Rim resolves coker Φ: both Hilbert
+    functions are read off those terms.
     """
     report = classify(P)
     if not report.is_standard or P.r != 1:
@@ -549,11 +618,14 @@ def canonical_module(P, d_max=None):
     ring = P.ring
     if d_max is None:
         d_max = matrix_truncation_bound(P.matrix)
-    en = eagon_northcott(P)
-    last = en.differentials[-1]
+    _check_characteristic(P.matrix)
+    levels, modules = en_terms(P.matrix)
+    last = HomogeneousMatrix(
+        modules[-2], modules[-1], _contraction_matrix(P.matrix, levels[-2], levels[-1])
+    )
     omega = last.transpose_dual().shifted(ring.nvars)
     coker_terms = br_terms(P.matrix)[1]
-    omega_terms = [F.dual().shifted(ring.nvars) for F in reversed(en.modules)]
+    omega_terms = [F.dual().shifted(ring.nvars) for F in reversed(modules)]
 
     def first_nonzero(modules, start):
         for d in range(start, start + 64):

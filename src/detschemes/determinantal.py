@@ -23,8 +23,11 @@ from .errors import InputError, VerificationError
 from .grading import (
     GradedFreeModule,
     HomogeneousMatrix,
+    br_terms,
+    en_terms,
     matrix_from_strings,
     matrix_truncation_bound,
+    resolution_hilbert_function,
 )
 from .field import GF
 from .groebner import (
@@ -110,71 +113,9 @@ def _laplace_minors(m, s):
     return IdealBasis(m.ring, tuple(gens))
 
 
-# -- Eagon-Northcott and Buchsbaum-Rim terms -------------------------------------------
-
-
-def _compositions(total, parts):
-    """Exponent multisets: all tuples of `parts` nonnegatives summing to total,
-    first exponents descending."""
-    if parts <= 1:
-        return [(total,)] if parts else [()] if total == 0 else []
-    return [
-        (e,) + rest
-        for e in range(total, -1, -1)
-        for rest in _compositions(total - e, parts - 1)
-    ]
-
-
-def _term_levels(m, first, count):
-    """Levels i < count of ∧^{first+i} F ⊗ (S^i G)^∨ ⊗ ∧^g G^∨ for m: F -> G.
-
-    Level i indexes its basis by pairs (S, β): S a sorted (first+i)-subset of
-    the columns, β a composition of i into g parts (the basis dual to
-    monomials).  Returns the levels, empty ones dropped (g = 0), and their
-    twisted free modules.
-    """
-    g, f = m.nrows, m.ncols
-    base = sum(m.target.twists)
-    levels, modules = [], []
-    for i in range(count):
-        items = [
-            (S, beta)
-            for S in combinations(range(f), first + i)
-            for beta in _compositions(i, g)
-        ]
-        if not items:
-            continue
-        levels.append(items)
-        modules.append(GradedFreeModule(m.ring, tuple(
-            sum(m.source.twists[l] for l in S) - base
-            - sum(b * tw for b, tw in zip(beta, m.target.twists))
-            for S, beta in items
-        )))
-    return levels, modules
-
-
-def en_terms(m):
-    """Index levels of the Eagon-Northcott terms F_1, ..., F_{f-g+1} of m, and
-    all of its modules R = F_0, F_1, ..., F_{f-g+1}."""
-    levels, modules = _term_levels(m, m.nrows, m.ncols - m.nrows + 1)
-    return levels, [GradedFreeModule(m.ring, (0,))] + modules
-
-
-def br_terms(m):
-    """Index levels of the Buchsbaum-Rim terms F_2, ..., F_{f-g+1} of m, and
-    all of its modules G = F_0, F = F_1, F_2, ..., F_{f-g+1}."""
-    levels, modules = _term_levels(m, m.nrows + 1, m.ncols - m.nrows)
-    return levels, [m.target, m.source] + modules
-
-
-def resolution_hilbert_function(modules, d):
-    """HF(M, d) for a graded free resolution F_0 <- F_1 <- ... of M with these
-    modules: the alternating sum of dim (F_i)_d."""
-    return sum((-1) ** i * F.dim(d) for i, F in enumerate(modules))
-
-
-#: the field of the mod-p lower bound on heights over QQ
-_HEIGHT_FIELD = GF(32003)
+#: the field of the mod-p certificates over QQ: heights here, and the
+#: annihilator check's ranks (`complexes.verify_annihilator`)
+_MOD_P_FIELD = GF(32003)
 
 
 def _minors_height(P, s):
@@ -220,8 +161,18 @@ def _certified_height(m, s):
     if sum(cols[:s]) <= sum(rows[-s:]):
         return None  # a minor of degree 0 may be a unit
     upper = min((m.nrows - s + 1) * (m.ncols - s + 1), ring.nvars)
-    # heights do not depend on the monomial order, so take the cheap grevlex
-    ring_p = PolyRing(ring.variables, _HEIGHT_FIELD, _allow_small=True)
+    lower = height(_unpinned_basis(_laplace_minors(_scaled_mod_p(m), s)))
+    return upper if lower == upper else None
+
+
+def _scaled_mod_p(m):
+    """DΦ mod p for Φ = m over QQ: each row scaled to integers by the lcm of
+    its denominators (D diagonal), reduced into grevlex F_p[x] (heights and
+    ranks do not depend on the monomial order, so take the cheap one).
+
+    DΦ has the minors, the image and the cokernel annihilator of Φ up to
+    units, and an integer matrix can only lose rank mod p."""
+    ring_p = PolyRing(m.ring.variables, _MOD_P_FIELD, _allow_small=True)
     grid = []
     for row in m.entries:
         den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
@@ -231,13 +182,11 @@ def _certified_height(m, s):
             )
             for f in row
         ])
-    m_p = HomogeneousMatrix(
+    return HomogeneousMatrix(
         GradedFreeModule(ring_p, m.target.twists),
         GradedFreeModule(ring_p, m.source.twists),
         grid,
     )
-    lower = height(_unpinned_basis(_laplace_minors(m_p, s)))
-    return upper if lower == upper else None
 
 
 def submaximal_height(P):
@@ -324,17 +273,22 @@ def classify(P, _parent=None):
     Only the verdict is memoized.  The minors and bases it needs are read
     from their tables when present but not added to them, so verdicts on
     throwaway candidates (augmentation retries, flag stages) pin no ideals.
+    A standard verdict, fresh or from the table, also marks P's matrix
+    (`HomogeneousMatrix.standard`), whose piece ranks are then read off its
+    Buchsbaum-Rim terms (`grading.piece_rank`).
     """
-    hit = _CLASSIFY_CACHE.get(P)
-    if hit is not None:
-        return hit
-    contained = (
-        _parent is not None
-        and _parent.is_standard
-        and extends_by_one_row(P, _parent._presentation)
-    )
-    report = ClassificationReport(P, _minors_height(P, P.t), contained)
-    return _CLASSIFY_CACHE.put(P, report, terms(*P.matrix.entries))
+    report = _CLASSIFY_CACHE.get(P)
+    if report is None:
+        contained = (
+            _parent is not None
+            and _parent.is_standard
+            and extends_by_one_row(P, _parent._presentation)
+        )
+        report = ClassificationReport(P, _minors_height(P, P.t), contained)
+        _CLASSIFY_CACHE.put(P, report, terms(*P.matrix.entries))
+    if report.is_standard:
+        P.matrix.standard = True
+    return report
 
 
 # -- generalized rows ------------------------------------------------------------------

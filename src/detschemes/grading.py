@@ -10,7 +10,13 @@ Degree-piece ranks drive cokernel and kernel Hilbert functions and the
 exactness check of a complex with no acyclicity certificate
 (`complexes.graded_exactness_check`); R/I only counts the standard
 monomials of one grevlex basis (`groebner.quotient_hilbert_function`).
-Two exact rank engines are cross-checked by the test suite: an echelon
+The Eagon-Northcott and Buchsbaum-Rim terms of a matrix live here too
+(`en_terms`, `br_terms`): they read only its twists and shape.  Once
+`determinantal.classify` certifies Φ standard, it marks the matrix
+(`HomogeneousMatrix.standard`), BR(Φ) resolves coker Φ, and every piece
+rank is read off the BR terms (`certified_rank`) with no piece assembled.
+Two exact rank engines rank the pieces of any other matrix, and are
+cross-checked by the test suite: an echelon
 on the assembled scalar piece (fine while pieces are small) and
 standard-monomial counting against a reduced Groebner basis of the column
 module (`groebner.ColumnModuleGB`; fast at any degree), built once and kept
@@ -19,21 +25,22 @@ the matrix.  A one-row matrix (f_1 .. f_n) has coker = (R/I_1)(-a), so its
 module counts against the basis of I_1 that the Groebner table holds, and
 more rows count against the idealization's basis.
 `piece_rank` is the one place that picks an engine: "auto" takes the
-Groebner engine for one row and switches on piece size for more, and
-every caller in the package takes it.
+term route on a marked matrix, else the Groebner engine for one row and
+the piece-size switch for more, and every caller in the package takes it.
 Over QQ the echelon engine ranks the piece fraction-free on sparse integer
 columns (`linalg.IntEchelon`), over F_p on residue rows packed into ints
 and kept reduced (`linalg.Echelon`), indexed by the piece's dense row
 basis.  A rank is all that any certificate reads from a piece, so nothing
-here solves in a piece or multiplies two.  Piece ranks are not memoized: section sequences
-and canonical modules of certified presentations read their Hilbert
-functions off resolution terms (`determinantal.resolution_hilbert_function`)
+here solves in a piece or multiplies two.  Piece ranks are not memoized:
+section sequences and canonical modules of certified presentations read
+their Hilbert functions off resolution terms (`resolution_hilbert_function`)
 and rank no piece, and every other caller ranks a piece once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .groebner import ColumnModuleGB, IdealBasis, quotient_hilbert_function
 from .linalg import rank_of_columns
@@ -133,9 +140,13 @@ class HomogeneousMatrix:
     Entries act on column vectors: column j holds the image of the j-th
     source generator.  `column_module` is None until a Groebner piece rank
     (`piece_rank`) builds the matrix's `ColumnModuleGB` and keeps it there.
+    `standard` is set by `determinantal.classify` once it certifies the
+    matrix standard, and `coker_terms` holds the Buchsbaum-Rim modules that
+    `certified_rank` builds on first use.
     """
 
-    __slots__ = ("ring", "target", "source", "entries", "_hash", "column_module")
+    __slots__ = ("ring", "target", "source", "entries", "_hash", "column_module",
+                 "standard", "coker_terms")
 
     def __init__(self, target, source, entries):
         if target.ring != source.ring:
@@ -164,6 +175,8 @@ class HomogeneousMatrix:
         self.entries = rows
         self._hash = None  # computed on first use: matrices key memo tables
         self.column_module = None
+        self.standard = False
+        self.coker_terms = None
 
     @property
     def nrows(self):
@@ -317,6 +330,69 @@ def matrix_from_polys(ring, polys, row_twists=None, col_twists=None):
     return HomogeneousMatrix(target, source, polys)
 
 
+# -- Eagon-Northcott and Buchsbaum-Rim terms -------------------------------------------
+
+
+def _compositions(total, parts):
+    """Exponent multisets: all tuples of `parts` nonnegatives summing to total,
+    first exponents descending."""
+    if parts <= 1:
+        return [(total,)] if parts else [()] if total == 0 else []
+    return [
+        (e,) + rest
+        for e in range(total, -1, -1)
+        for rest in _compositions(total - e, parts - 1)
+    ]
+
+
+def _term_levels(m, first, count):
+    """Levels i < count of ∧^{first+i} F ⊗ (S^i G)^∨ ⊗ ∧^g G^∨ for m: F -> G.
+
+    Level i indexes its basis by pairs (S, β): S a sorted (first+i)-subset of
+    the columns, β a composition of i into g parts (the basis dual to
+    monomials).  Returns the levels, empty ones dropped (g = 0), and their
+    twisted free modules.
+    """
+    g, f = m.nrows, m.ncols
+    base = sum(m.target.twists)
+    levels, modules = [], []
+    for i in range(count):
+        items = [
+            (S, beta)
+            for S in combinations(range(f), first + i)
+            for beta in _compositions(i, g)
+        ]
+        if not items:
+            continue
+        levels.append(items)
+        modules.append(GradedFreeModule(m.ring, tuple(
+            sum(m.source.twists[l] for l in S) - base
+            - sum(b * tw for b, tw in zip(beta, m.target.twists))
+            for S, beta in items
+        )))
+    return levels, modules
+
+
+def en_terms(m):
+    """Index levels of the Eagon-Northcott terms F_1, ..., F_{f-g+1} of m, and
+    all of its modules R = F_0, F_1, ..., F_{f-g+1}."""
+    levels, modules = _term_levels(m, m.nrows, m.ncols - m.nrows + 1)
+    return levels, [GradedFreeModule(m.ring, (0,))] + modules
+
+
+def br_terms(m):
+    """Index levels of the Buchsbaum-Rim terms F_2, ..., F_{f-g+1} of m, and
+    all of its modules G = F_0, F = F_1, F_2, ..., F_{f-g+1}."""
+    levels, modules = _term_levels(m, m.nrows + 1, m.ncols - m.nrows)
+    return levels, [m.target, m.source] + modules
+
+
+def resolution_hilbert_function(modules, d):
+    """HF(M, d) for a graded free resolution F_0 <- F_1 <- ... of M with these
+    modules: the alternating sum of dim (F_i)_d."""
+    return sum((-1) ** i * F.dim(d) for i, F in enumerate(modules))
+
+
 # -- degree pieces -----------------------------------------------------------------
 
 
@@ -363,12 +439,16 @@ def matrix_piece(phi, d):
 def piece_rank(phi, d, engine="auto"):
     """Exact rank of the degree-d piece of a homogeneous matrix.
 
-    An explicit engine always runs that engine.  "auto" sends a one-row
-    matrix to the Groebner engine, where its column module reads the basis
-    of its ideal of entries, and any other matrix to the echelon up to
-    `_PIECE_AUTO_LIMIT` rows x columns and to the Groebner engine above.
+    An explicit engine always runs that engine.  "auto" reads the rank of a
+    matrix certified standard off its Buchsbaum-Rim terms
+    (`certified_rank`), sends any other one-row matrix to the Groebner
+    engine, where its column module reads the basis of its ideal of
+    entries, and any other matrix to the echelon up to `_PIECE_AUTO_LIMIT`
+    rows x columns and to the Groebner engine above.
     """
     if engine == "auto":
+        if phi.standard:
+            return certified_rank(phi, d)
         size = phi.source.dim(d) * phi.target.dim(d)
         engine = "echelon" if phi.nrows != 1 and size <= _PIECE_AUTO_LIMIT else "groebner"
     if engine == "echelon":
@@ -378,6 +458,20 @@ def piece_rank(phi, d, engine="auto"):
             phi.column_module = ColumnModuleGB(phi.ring, phi.target.twists, phi.columns())
         return phi.column_module.image_dim(d)
     raise GradingError(f"unknown rank engine {engine!r}")
+
+
+def certified_rank(phi, d):
+    """rank Φ_d of a matrix Φ: F -> G that `determinantal.classify`
+    certified standard, with no piece assembled.
+
+    ht I_t(Φ) = r + 1 makes the Buchsbaum-Rim complex a resolution of
+    coker Φ in every characteristic (Eisenbud, *Commutative Algebra*, A2.6),
+    so rank Φ_d = dim G_d - Σ_i (-1)^i dim (BR_i)_d.  The terms are built on
+    first use and kept on the matrix (`coker_terms`).
+    """
+    if phi.coker_terms is None:
+        phi.coker_terms = br_terms(phi)[1]
+    return phi.target.dim(d) - resolution_hilbert_function(phi.coker_terms, d)
 
 
 # -- Hilbert functions ----------------------------------------------------------------

@@ -711,11 +711,11 @@ class ColumnModuleGB:
 
     Vectors live in a twisted free module R^g (twists = generator degrees).
     One row (g = 1) spans I_1 = (f_1 .. f_n) twisted by the row's twist a,
-    so the cokernel is (R/I_1)(-a): counts and normal forms run on the
-    reduced grevlex basis of I_1, which `ensure_gb` reads from the Groebner
-    table at each use (a hit whenever the ideal of entries was based, e.g.
-    as `minors(P, 1)`).  The module keeps only that ideal and its span key,
-    so a matrix that keeps the module pins no basis outside the table.
+    so the cokernel is (R/I_1)(-a): counts run on the reduced grevlex basis
+    of I_1, which `ensure_gb` reads from the Groebner table at each use (a
+    hit whenever the ideal of entries was based, e.g. as `minors(P, 1)`).
+    The module keeps only that ideal and its span key, so a matrix that
+    keeps the module pins no basis outside the table.
     More rows enter Nagata's idealization: in R[e_1..e_g] the ideal
     J = (sum_i v_i e_i : columns v) + (e_i e_k : i <= k) meets e-degree 1 in
     the column span, so R[e]/J in e-degree 1 is the cokernel.  Every
@@ -733,7 +733,6 @@ class ColumnModuleGB:
             raise GroebnerError("column length does not match module rank")
         if g == 1:
             self._ideal = grevlex_ideal(IdealBasis(ring, tuple(col[0] for col in columns)))
-            self._unit = [()]  # p e_1 is p
             ensure_gb(self._ideal)  # based now, as an idealization is
             return
         self._ideal = None
@@ -761,13 +760,13 @@ class ColumnModuleGB:
 
     def normal_forms(self, polys):
         """(NF(p e_j))_j for each p of the iterable `polys`, yielded as it
-        is read: normal forms modulo the column span in the basis's ring
-        (the auxiliary ring, or the grevlex copy of R for one row), k-linear
-        in p, and zero iff p e_j lies in the span.  The reducer entries of
-        the basis are built once per call and kept nowhere."""
-        gb = self._basis if self._ideal is None else ensure_gb(self._ideal)
-        aux = gb.ring
-        table = [_entry(_basis_poly(b), aux.nvars) for b in gb]
+        is read: normal forms modulo the column span in the auxiliary ring,
+        k-linear in p, and zero iff p e_j lies in the span.  The reducer
+        entries of the basis are built once per call and kept nowhere.
+        Modules of two or more rows only: the annihilator of a one-row
+        cokernel is its ideal of entries, and nothing reduces against it."""
+        aux = self._basis.ring
+        table = [_entry(_basis_poly(b), aux.nvars) for b in self._basis]
         for p in polys:
             yield tuple(_reduce_poly(_lift(p, aux, unit), table) for unit in self._unit)
 

@@ -19,8 +19,10 @@ at a time.  There is one exact echelon per kind of coefficient:
 
 `echelon(field)` picks the one for a field.  Both count, and both give the
 reduced row echelon form of their span (`reduced_rows`), which keys the
-Groebner table; neither keeps track of how a dependent vector combines the
-earlier ones.
+Groebner table, and reduce a vector against it (`reduce`): the F_p one
+exactly, to its normal form modulo the span, which the annihilator check's
+mod-p certificate ranks.  Neither keeps track of how a dependent vector
+combines the earlier ones.
 
 Determinants of polynomial matrices (`Laplace`, `poly_det`) run on dicts
 from packed monomial keys to ints for both fields: over QQ rows are scaled
@@ -128,20 +130,7 @@ class Echelon:
                 return {}
             self.rows = {i: [1 << i * self.w, p - 1, 0] for i in range(n)}
             return None
-        vals = [0] * n
-        acc = k = 0  # the multiply-adds; at most k*(p-1)*S in a slot
-        for i, c in vec.items():
-            c %= p
-            if c:
-                vals[i] = c
-                if i in rows:
-                    if k == self.batch:
-                        acc, k = self._pack(self._unpack(acc)), 1  # below p: one at most
-                    row, ninv, _ = rows[i]
-                    acc += c * ninv % p * row
-                    k += 1
-        if acc:
-            vals = self._unpack(acc + self._pack(vals))
+        vals = self._reduced(vec)
         x = next(filter(None, vals), 0)
         if not x:
             return {}
@@ -160,6 +149,41 @@ class Echelon:
                     entry[2] = 0
         rows[lead] = [new, ninv, 0]
         return None
+
+    def _reduced(self, vec):
+        """The n slots of vec, every index below n, reduced against the
+        rows mod p: vec - Σ_c (v_c / x_c) row_c over the pivots c, zero at
+        every pivot and linear in vec, since each row is zero at the other
+        pivots."""
+        p, rows = self.p, self.rows
+        vals = [0] * self.n
+        acc = k = 0  # the multiply-adds; at most k*(p-1)*S in a slot
+        for i, c in vec.items():
+            c %= p
+            if c:
+                vals[i] = c
+                if i in rows:
+                    if k == self.batch:
+                        acc, k = self._pack(self._unpack(acc)), 1  # below p: one at most
+                    row, ninv, _ = rows[i]
+                    acc += c * ninv % p * row
+                    k += 1
+        if acc:
+            vals = self._unpack(acc + self._pack(vals))
+        return vals
+
+    def reduce(self, vec):
+        """The vector reduced against the span, as IntEchelon.reduce gives
+        it, but exact: {index: residue}, nonzero entries only, the same for
+        every vector of one coset of the span.  Indices at or past the
+        width of the span are no row's, so they pass through."""
+        n, p = self.n, self.p
+        vals = self._reduced({i: c for i, c in vec.items() if i < n})
+        out = {i: x for i, x in enumerate(vals) if x}
+        for i, c in vec.items():
+            if i >= n and c % p:
+                out[i] = c % p
+        return out
 
     def reduced_rows(self):
         """The reduced row echelon form of the span: one [(index, entry),

@@ -7,8 +7,8 @@ block-diagonal echelon and counts ranks there.  The differential tests
 assert that the package's reports equal these.
 
 `fitting_failure` is the half of the check that Fitting's lemma made a
-theorem: one column-module normal form per maximal minor and target
-generator, as the package computed it before.
+theorem: one normal form per maximal minor and target generator, as the
+package computed it before, modulo the idealization for every row count.
 
 `idealization_verify_annihilator` is the package's normal-form check as it
 was before a one-row column module became its ideal of entries: the module
@@ -23,7 +23,6 @@ from detschemes.determinantal import classify, en_terms, minors, resolution_hilb
 from detschemes.errors import InputError
 from detschemes.grading import matrix_piece
 from detschemes.groebner import (
-    ColumnModuleGB,
     _aux_ring,
     _lift,
     buchberger,
@@ -136,10 +135,10 @@ def fitting_failure(P, gens=None):
     """
     if gens is None:
         gens = minors(P, P.t).generators
-    module = ColumnModuleGB(P.ring, P.matrix.target.twists, P.matrix.columns())
+    module = IdealizationModule(P.matrix)
     outside = [
         g.homogeneous_degree()
-        for g, forms in zip(gens, module.normal_forms(gens))
-        if any(not nf.is_zero() for nf in forms)
+        for g in gens
+        if any(not module.normal_form(g, j).is_zero() for j in range(P.t))
     ]
     return min(outside, default=None)

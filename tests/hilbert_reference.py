@@ -1,8 +1,9 @@
 """Reference oracle: section-sequence and canonical-module Hilbert functions
 as computed before they were read off resolution terms.
 
-A cokernel ranks every degree piece (`hilbert_function(Coker(...))`) and
-R/I counts the standard monomials of its grevlex basis
+A cokernel ranks every degree piece by an explicit engine (`coker_hf`:
+`piece_rank`'s "auto" reads a certified matrix's rank off the very terms
+under test) and R/I counts the standard monomials of its grevlex basis
 (`quotient_hilbert_function`).  The differential tests assert that the
 package's twist sums equal these.  Also here: the seeded inputs those tests
 run on (coordinate changes, lex copies, generic blocks over any field).
@@ -13,10 +14,19 @@ from __future__ import annotations
 from detschemes.complexes import eagon_northcott
 from detschemes.determinantal import DeterminantalPresentation, _laplace_minors
 from detschemes.field import QQ
-from detschemes.grading import Coker, GradedFreeModule, HomogeneousMatrix, hilbert_function
+from detschemes.grading import _PIECE_AUTO_LIMIT, GradedFreeModule, HomogeneousMatrix, piece_rank
 from detschemes.groebner import quotient_hilbert_function
 from detschemes.linalg import rank_of_columns
 from detschemes.ring import PolyRing
+
+
+def coker_hf(m, d):
+    """HF(coker m, d) = dim G_d - rank m_d, the rank from the engine that
+    "auto" picks for a matrix nothing certified: the Groebner engine for one
+    row or a piece of more than `_PIECE_AUTO_LIMIT` entries, else the
+    echelon."""
+    small = m.nrows != 1 and m.source.dim(d) * m.target.dim(d) <= _PIECE_AUTO_LIMIT
+    return m.target.dim(d) - piece_rank(m, d, "echelon" if small else "groebner")
 
 
 def section_rows(psi, deleted, twist, d_max):
@@ -25,9 +35,9 @@ def section_rows(psi, deleted, twist, d_max):
     return tuple(
         (
             d,
-            hilbert_function(Coker(psi.matrix), d),
+            coker_hf(psi.matrix, d),
             quotient_hilbert_function(ideal_s, d - twist),
-            hilbert_function(Coker(deleted), d),
+            coker_hf(deleted, d),
         )
         for d in range(d_max + 1)
     )
@@ -39,15 +49,13 @@ def canonical(P, d_max):
     ring = P.ring
     omega = eagon_northcott(P).differentials[-1].transpose_dual().shifted(ring.nvars)
 
-    def first_nonzero(subject, start):
-        return next(d for d in range(start, start + 64) if hilbert_function(subject, d) > 0)
+    def first_nonzero(m):
+        start = min(m.target.twists)
+        return next(d for d in range(start, start + 64) if coker_hf(m, d) > 0)
 
-    mx, om = Coker(P.matrix), Coker(omega)
-    e = first_nonzero(mx, min(P.matrix.target.twists)) - first_nonzero(
-        om, min(omega.target.twists)
-    )
+    e = first_nonzero(P.matrix) - first_nonzero(omega)
     agree = all(
-        hilbert_function(mx, k) == hilbert_function(om, k - e) for k in range(d_max + 1)
+        coker_hf(P.matrix, k) == coker_hf(omega, k - e) for k in range(d_max + 1)
     )
     degrees = tuple(range(d_max + 1)) if agree else None
     return omega, e, omega.target.rank == 1, degrees

@@ -209,6 +209,39 @@ def test_cli_one_row_with_equal_entries_is_not_standard_and_its_coker_is_r_mod_i
         assert hf["quotient"] == hf["coker"] == list(range(1, hf["max_degree"] + 2))
 
 
+@pytest.mark.parametrize("field", ["QQ", "Fp:32003"])
+def test_cli_hilbert_of_a_standard_presentation_reads_the_resolution_terms(
+    tmp_path, capsys, monkeypatch, field
+):
+    """Once its verdict is stored, `hilbert` on a standard presentation
+    computes no minor, no basis and no piece: its columns are the EN and BR
+    sums, equal to standard-monomial counts and explicit piece ranks."""
+    from detschemes import determinantal, grading, groebner, minors, piece_rank
+    from detschemes.groebner import quotient_hilbert_function
+
+    def refuse(*_):
+        raise AssertionError("hilbert of a standard presentation left the term route")
+
+    for name in FIXTURE_NAMES:
+        text = fixture_path(name).read_text().replace("ring.field: QQ", f"ring.field: {field}")
+        spec = parse_problem_text(text, name)
+        P, window = spec.presentation, range(spec.d_max + 1)
+        ideal = minors(P, P.t)
+        want = {
+            "max_degree": spec.d_max,
+            "quotient": [quotient_hilbert_function(ideal, d) for d in window],
+            "coker": [P.matrix.target.dim(d) - piece_rank(P.matrix, d, "groebner") for d in window],
+        }
+        assert classify(P).is_standard
+        path = _write(tmp_path, text)
+        with monkeypatch.context() as patch:
+            for module, fn in ((determinantal, "_laplace_minors"), (groebner, "_buchberger"),
+                               (grading, "matrix_piece")):
+                patch.setattr(module, fn, refuse)
+            assert run(["hilbert", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == want
+
+
 def test_cli_hilbert_of_an_inhomogeneous_entry_exits_2(tmp_path, capsys):
     bad = GOOD_TEXT.replace("x1 | x2 | x3 | 0", "x1 + x2^2 | x2 | x3 | 0")
     assert run(["hilbert", _write(tmp_path, bad), "--json"]) == 2

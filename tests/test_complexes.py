@@ -35,6 +35,7 @@ from detschemes import (
     matrix_from_strings,
     minors,
     normal_form,
+    piece_rank,
     presentation_from_strings,
     quotient_hilbert_function,
     rank_of_map,
@@ -408,6 +409,22 @@ def _lowest_wrong_degree(P, count, d_max):
     return min((d for d in range(d_max + 1) if count(d) != true(d)), default=None)
 
 
+def _assert_one_row_identity(P, monkeypatch, d_max=4):
+    """t = 1: coker Φ = (R/I_1)(-a), so Ann = I_1 and the check passes
+    reading no count, whatever count a mutation supplies; the idealization
+    oracle, which ranks normal forms, agrees."""
+    assert P.t == 1
+
+    def unread(_, d):
+        raise AssertionError(f"a one-row check read the count of degree {d}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(complexes, "resolution_hilbert_function", unread)
+        report = verify_annihilator(P, d_max=d_max)
+    assert report == AnnihilatorReport(True, d_max)
+    assert report == annihilator_reference.idealization_verify_annihilator(P, d_max)
+
+
 def test_verify_annihilator_matches_reference(annihilator_cases):
     for P in annihilator_cases:
         report = verify_annihilator(P, d_max=4)
@@ -417,6 +434,9 @@ def test_verify_annihilator_matches_reference(annihilator_cases):
 
 def test_verify_annihilator_detects_a_dropped_minor(annihilator_cases, monkeypatch):
     for P in _on_p3(annihilator_cases):
+        if P.t == 1:
+            _assert_one_row_identity(P, monkeypatch)
+            continue
         gens = minors(P, P.t).generators
         for k in (0, len(gens) - 1):
             rest = gens[:k] + gens[k + 1 :]
@@ -434,6 +454,9 @@ def test_verify_annihilator_detects_a_non_annihilating_cube(
     annihilator_cases, monkeypatch
 ):
     for P in _on_p3(annihilator_cases):
+        if P.t == 1:
+            _assert_one_row_identity(P, monkeypatch)
+            continue
         gens = minors(P, P.t).generators
         gb = ensure_gb(minors(P, P.t))
         for i in range(P.ring.nvars):
@@ -521,6 +544,9 @@ def test_verify_annihilator_matches_the_block_echelon(
     # that lost a generator or gained x0^3: each is reported at its lowest
     # wrong degree, and one wrong only past d_max passes
     for P in _on_p3(seeded + twisted):
+        if P.t == 1:
+            _assert_one_row_identity(P, monkeypatch)
+            continue
         true = _count_of(P, minors(P, P.t).generators)
         gens = minors(P, P.t).generators
         x0 = P.ring.parse("x0")
@@ -596,12 +622,13 @@ def _past_the_switch(m):
 
 
 def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, square_diag, monkeypatch):
-    """With P's verdict stored, the check on a fresh matrix computes the
-    column module's basis and nothing else: no minors, no basis of I_t.  On
-    a matrix that a Coker Hilbert function past the engine switch has given
-    a module, it computes no basis at all.  A one-row module is I_1 and
-    reads its basis from the Groebner table, where the first check stored
-    it: no Buchberger runs, in an auxiliary ring or any other."""
+    """With P's verdict stored, a check that the mod-p rank certificate
+    decides runs no Buchberger and reads no minors.  A fallback, forced or
+    from a failing certificate (square_diag), computes the column module's
+    basis and nothing else: no minors, no basis of I_t; on a matrix that a
+    Coker Hilbert function past the engine switch has given a module, it
+    computes no basis at all.  A one-row check is the identity Ann = I_1 and
+    runs no Buchberger in any ring."""
     for name in ("minors", "height", "hilbert_basis", "quotient_hilbert_function", "chain"):
         assert not hasattr(complexes, name)
     rings = []
@@ -614,24 +641,115 @@ def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, sq
     def refuse(*_):
         raise AssertionError("verify_annihilator computed minors")
 
+    def checked(Q, forced):
+        rings.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groebner, "_buchberger", spy)
+            patch.setattr(determinantal, "minors", refuse)
+            patch.setattr(determinantal, "_laplace_minors", refuse)
+            if forced:
+                patch.setattr(complexes, "_annihilator_rank_certificate", lambda *_: False)
+            return verify_annihilator(Q, d_max=4)
+
     for case in annihilator_cases[:6] + [square_diag]:
         P, kept = _fresh_presentation(case), _fresh_presentation(case)
         classify(P)
         report = verify_annihilator(case, d_max=4)
+        assert checked(P, forced=False) == report
+        if P.t == 1:
+            assert rings == []
+            continue
+        certified = case is not square_diag
+        assert len(rings) == (0 if certified else 1)
         hilbert_function(Coker(kept.matrix), _past_the_switch(kept.matrix))
         assert kept.matrix.column_module is not None
-        for Q, runs in ((P, 1), (kept, 0)):
-            rings.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(groebner, "_buchberger", spy)
-                patch.setattr(determinantal, "minors", refuse)
-                patch.setattr(determinantal, "_laplace_minors", refuse)
-                assert verify_annihilator(Q, d_max=4) == report
-            if P.t == 1:
-                assert rings == []
-                continue
+        for Q, runs in ((_fresh_presentation(case), 1), (kept, 0)):
+            classify(Q)
+            assert checked(Q, forced=True) == report
             assert len(rings) == runs
             assert all(ring.nvars == P.ring.nvars + P.t for ring in rings)
+
+
+def _spied_buchberger(patch):
+    """The rings of every basis `_buchberger` computes while the patch lives."""
+    rings = []
+    original = groebner._buchberger
+
+    def spy(span, ring, *rest):
+        rings.append(ring)
+        return original(span, ring, *rest)
+
+    patch.setattr(groebner, "_buchberger", spy)
+    return rings
+
+
+def _certificate(P, d_max):
+    return complexes._annihilator_rank_certificate(P.matrix, d_max, en_terms(P.matrix)[1])
+
+
+def test_the_rank_certificate_decides_seeded_qq_checks(monkeypatch):
+    """Over QQ the mod-p rank certificate alone decides every seeded standard
+    check with two or three rows, twisted rows (0, 1) among them: it runs no
+    Buchberger, and the reports equal the block-echelon oracle's (on P^3
+    here; `test_verify_annihilator_matches_the_block_echelon` compares the
+    rest).  Over F_p the certificate is never tried."""
+    cases = [P for P in _seeded_presentations() + _twisted_presentations() if P.t >= 2]
+    assert {P.matrix.target.twists for P in cases} >= {(0, 0), (0, 1), (0, 0, 0)}
+    tried = []
+    original = complexes._annihilator_rank_certificate
+    for P in cases:
+        assert classify(P).is_standard
+        with monkeypatch.context() as patch:
+            rings = _spied_buchberger(patch)
+            patch.setattr(complexes, "_annihilator_rank_certificate",
+                          lambda *args: tried.append(P) or original(*args))
+            report = verify_annihilator(P, d_max=4)
+        qq = P.ring.field.characteristic == 0
+        assert (tried[-1:] == [P]) == qq
+        assert (rings == []) == qq
+        assert report == AnnihilatorReport(True, 4)
+        if P.ring.nvars == 4:
+            assert report == annihilator_reference.verify_annihilator(P, 4)
+
+
+def _row_times(P, i, c):
+    """P with row i multiplied by the integer c."""
+    m = P.matrix
+    c = m.ring.field.from_int(c)
+    rows = [[f.scale(c) if k == i else f for f in row] for k, row in enumerate(m.entries)]
+    return DeterminantalPresentation(HomogeneousMatrix(m.target, m.source, rows))
+
+
+def test_the_rank_certificate_falls_back_to_the_column_module(square_diag, monkeypatch):
+    """Where the certificate proves nothing, the column module decides from
+    degree 0, and the report is the oracle's.  square_diag fails in degree
+    1: the count mod p stays below the Eagon-Northcott count.  A standard
+    matrix with one row times 32003 has that row vanish mod p, so its image
+    pieces lose rank by degree 4 (in degree 1 already for
+    diag(x0, 32003 x0), whose count there would otherwise reach EN(1)), and
+    the image check refuses it; below that degree the ranks still hold and
+    prove what they prove."""
+    assert not _certificate(square_diag, 4)
+    for d_max in (1, 4):
+        report = verify_annihilator(square_diag, d_max)
+        assert report == AnnihilatorReport(False, d_max, 1, "annihilator-inside-minors")
+    scaled = [_row_times(square_diag, 1, 32003)]
+    scaled += [_row_times(P, 0, 32003) for P in _seeded_presentations()[:10]
+               if P.t >= 2 and P.ring.field.characteristic == 0]
+    scaled += [_row_times(P, 1, 32003) for P in _twisted_presentations()[:3]]
+    assert len(scaled) >= 6
+    assert not _certificate(scaled[0], 1)
+    for Q in scaled:
+        assert classify(Q).is_standard
+        assert not _certificate(Q, 4)
+        with monkeypatch.context() as patch:
+            rings = _spied_buchberger(patch)
+            report = verify_annihilator(Q, 4)
+        assert len(rings) == 1 and rings[0].nvars == Q.ring.nvars + Q.t
+        assert report == annihilator_reference.verify_annihilator(Q, 4)
+    assert verify_annihilator(scaled[0], 1) == AnnihilatorReport(
+        False, 1, 1, "annihilator-inside-minors"
+    )
 
 
 def test_a_column_module_lives_as_long_as_its_matrix(generic_2x4):
@@ -696,7 +814,7 @@ def test_br_resolves_coker_hilbert_function(double_point):
         # modules are G, F, ...: alternating sum telescopes to HF(coker)
         for i, m in enumerate(cpx.modules):
             alt += (-1) ** i * m.dim(d)
-        assert alt == hilbert_function(Coker(double_point.matrix), d)
+        assert alt == double_point.matrix.target.dim(d) - piece_rank(double_point.matrix, d, "echelon")
 
 
 def test_prime_field_characteristic_guard():

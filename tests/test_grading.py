@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import complexes_reference
+import hilbert_reference
 from detschemes import (
     GF,
     QQ,
@@ -17,6 +18,7 @@ from detschemes import (
     grading,
     groebner,
     hilbert_function,
+    classify,
     ideal,
     koszul,
     matrix_from_strings,
@@ -26,6 +28,8 @@ from detschemes import (
     piece_rank,
     verify_complex,
 )
+from detschemes.cli import FIXTURE_NAMES, fixture_path, parse_problem_text
+from detschemes.determinantal import DeterminantalPresentation
 from detschemes.grading import GradingError, matrix_from_polys, zero_matrix
 from detschemes.groebner import ensure_gb
 from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
@@ -449,3 +453,111 @@ def test_one_row_piece_ranks_read_the_ideal_of_entries(field, order):
             assert by_auto.column_module is not None
             assert piece_rank(by_groebner, d, "groebner") == want
             assert hilbert_function(Coker(by_coker), d) == by_coker.target.dim(d) - want
+
+
+def _fresh(P):
+    """P's matrix as a new object: no verdict has marked it, no module rides on it."""
+    m = P.matrix
+    return HomogeneousMatrix(m.target, m.source, m.entries)
+
+
+def _oracle_rank(m, d):
+    """rank m_d by an explicit engine: the echelon of the assembled piece,
+    or the Groebner engine past `_PIECE_AUTO_LIMIT` entries."""
+    small = m.source.dim(d) * m.target.dim(d) <= grading._PIECE_AUTO_LIMIT
+    return piece_rank(m, d, "echelon" if small else "groebner")
+
+
+def _term_route_cases():
+    """(presentation, d_max): every fixture at its own d_max, its lex copy
+    and two coordinate changes, and seeded 1-, 2- and 3-row blocks over QQ,
+    F_32003 and F_7 (twisted rows among them) at d_max 6."""
+    rng = random.Random(2025)
+    cases = []
+    for name in FIXTURE_NAMES:
+        spec = parse_problem_text(fixture_path(name).read_text(), name)
+        P = spec.presentation
+        cases += [(P, spec.d_max), (hilbert_reference.with_order(P, "lex"), spec.d_max)]
+        for _ in range(2):
+            a = hilbert_reference.coordinate_change(rng)
+            cases.append((hilbert_reference.substitute(P, a), spec.d_max))
+    shapes = (((0,), (1, 2, 2)), ((2,), (3, 3)), ((0, 0), (1, 1, 1)),
+              ((0, 1), (2, 2, 2, 2)), ((0, 0, 0), (1, 1, 1, 1)))
+    for field in (QQ, GF(32003), GF(7)):
+        for row_twists, col_twists in shapes:
+            P = hilbert_reference.generic_block(rng, field, 4, row_twists, col_twists)
+            cases.append((P, 6))
+    return cases
+
+
+def test_certified_piece_ranks_are_read_off_the_buchsbaum_rim_terms(monkeypatch):
+    """Once `classify` certifies Φ standard, "auto" ranks every piece off the
+    Buchsbaum-Rim terms: it equals the explicit engines in every degree up
+    to d_max, assembles no piece and builds no column module, and keeps the
+    terms on the matrix.  A table hit marks a new matrix as well."""
+    assembled = []
+    original = grading.matrix_piece
+
+    def spy(phi, d):
+        assembled.append(phi)
+        return original(phi, d)
+
+    certified = 0
+    for P, d_max in _term_route_cases():
+        m = _fresh(P)
+        oracle = [_oracle_rank(m, d) for d in range(-1, d_max + 1)]
+        m = _fresh(P)
+        Q = DeterminantalPresentation(m)
+        verdict = classify(Q)
+        assert m.standard == verdict.is_standard
+        if not verdict.is_standard:
+            continue
+        certified += 1
+        with monkeypatch.context() as patch:
+            patch.setattr(grading, "matrix_piece", spy)
+            got = [piece_rank(m, d) for d in range(-1, d_max + 1)]
+            coker = [hilbert_function(Coker(m), d) for d in range(d_max + 1)]
+        assert got == oracle
+        assert coker == [m.target.dim(d) - oracle[d + 1] for d in range(d_max + 1)]
+        assert assembled == [] and m.column_module is None
+        assert m.coker_terms is not None
+        again = _fresh(P)
+        assert classify(DeterminantalPresentation(again)) is verdict and again.standard
+    assert certified >= 30
+
+
+def test_uncertified_piece_ranks_still_run_an_engine(monkeypatch):
+    """Seeded inputs that are not standard (a row with two equal entries, a
+    2 x 4 linear matrix in two variables) or were never classified keep
+    today's engines: a one-row piece goes to the column module, a small
+    multi-row piece is assembled."""
+    rng = random.Random(2026)
+    cases = []
+    for field in (QQ, GF(32003)):
+        ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+        f, g = (random_homogeneous(ring, 1, rng, bound=5) for _ in range(2))
+        cases.append(matrix_from_polys(ring, [[f, f, g]], (0,), (1, 1, 1)))
+        x0, x1 = ring.gens()[:2]
+        rows = [[x0.scale(field.from_int(rng.randint(1, 5))) + x1.scale(field.from_int(rng.randint(1, 5)))
+                 for _ in range(4)] for _ in range(2)]
+        cases.append(matrix_from_polys(ring, rows, (0, 0), (1, 1, 1, 1)))
+    assembled = []
+    original = grading.matrix_piece
+
+    def spy(phi, d):
+        assembled.append((phi, d))
+        return original(phi, d)
+
+    for m in cases:
+        assert not classify(DeterminantalPresentation(m)).is_standard
+        assert not m.standard
+        for d in range(5):
+            assembled.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(grading, "matrix_piece", spy)
+                got = piece_rank(m, d)
+            assert got == original(m, d).rank()
+            if m.nrows == 1:
+                assert assembled == [] and m.column_module is not None
+            else:
+                assert assembled == [(m, d)]

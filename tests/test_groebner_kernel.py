@@ -18,6 +18,7 @@ from detschemes import (
     PolyRing,
     buchsbaum_rim,
     classify,
+    complexes,
     eagon_northcott,
     groebner,
     ideal,
@@ -490,10 +491,18 @@ def test_heights_in_lex_build_no_lex_basis(monkeypatch):
 
 
 def test_annihilator_in_lex_builds_no_lex_basis(monkeypatch):
+    """With the verdict stored, the mod-p rank certificate decides the check
+    and runs no Buchberger at all; a forced fallback runs exactly one, the
+    column module's, in a grevlex auxiliary ring, and no lex basis."""
     P = _seeded_lex_2x3()
+    assert classify(P).is_standard
     reports = []
     seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
-    assert seen and reports[0].passed
+    assert seen == [] and reports[0].passed
+    monkeypatch.setattr(complexes, "_annihilator_rank_certificate", lambda *_: False)
+    seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
+    assert [(ring.order, ring.nvars) for ring in _rings(seen)] == [("grevlex", P.ring.nvars + 2)]
+    assert reports[1] == reports[0]
 
 
 # -- the Groebner table's span keys --------------------------------------------------
