@@ -30,8 +30,9 @@ acyclicity verdict is stored on the complex too, and the degreewise
 exactness check and the Betti table of a certified complex read it.  The
 annihilator check computes only Ann(coker Φ) ⊆ I_t(Φ), the converse being
 Fitting's lemma, and reads dim (R/I_t)_d off the EN terms: nothing for one
-row, where Ann = I_1; over QQ a mod-p rank certificate first; else, and
-over F_p, ranks of normal forms modulo the column module.
+row, where Ann = I_1; then a standard row deletion, whose section sequence
+bounds dim (R/Ann)_d from below by BR sums; else ranks of normal forms
+modulo the column module.
 """
 
 from __future__ import annotations
@@ -46,15 +47,16 @@ from math import comb
 from . import grading
 from .determinantal import (
     _minors_height,
-    _scaled_mod_p,
+    _section_rows,
     _unwrap,
     br_terms,
     classify,
+    delete_row,
     en_terms,
     resolution_hilbert_function,
 )
 from .errors import InputError, VerificationError
-from .grading import GradedFreeModule, HomogeneousMatrix, matrix_piece, matrix_truncation_bound
+from .grading import GradedFreeModule, HomogeneousMatrix, matrix_truncation_bound
 from .groebner import ColumnModuleGB
 from .linalg import Laplace, echelon, rank_of_columns
 
@@ -491,30 +493,25 @@ def verify_annihilator(P, d_max=8):
 
     I_t ⊆ Ann is Fitting's lemma (Eisenbud, *Commutative Algebra*, Prop.
     20.7): for t columns S, Φ_S adj(Φ_S) = det(Φ_S) 1, so det(Φ_S) e_j is
-    the image of a column of adj(Φ_S).  Only Ann ⊆ I_t is decided, in each
-    degree d through the k-linear map μ ↦ (μ e_j mod Im Φ)_j on the
-    monomials μ of degree d: its kernel is Ann_d, so its rank is
-    dim (R/Ann)_d, and Ann_d = (I_t)_d iff that is dim (R/I_t)_d.  The
+    the image of a column of adj(Φ_S).  Only Ann ⊆ I_t is decided.  The
     verdict certifies ht I_t = r + 1, so EN(Φ) resolves R/I_t (Eisenbud,
-    Appendix A2.6) and that is the alternating sum of its terms.
+    Appendix A2.6) and dim (R/I_t)_d is the alternating sum of its terms.
 
     One row needs nothing: coker Φ = (R/I_1)(-a), so Ann = I_1 = I_t in
-    every degree.  Over QQ a mod-p rank count decides first
-    (`_annihilator_rank_certificate`); where it cannot, and over every F_p,
-    the map's rank is that of the normal forms (NF(μ e_j))_j modulo the
-    column module (`ColumnModuleGB`) in every degree, and the lowest failing
-    degree is reported ("annihilator-inside-minors").
+    every degree.  A standard row deletion decides next
+    (`_deletion_certificate`).  Where it cannot, the check reads, in each
+    degree d, the k-linear map μ ↦ (μ e_j mod Im Φ)_j on the monomials μ
+    of degree d: its kernel is Ann_d, so its rank is dim (R/Ann)_d, and
+    Ann_d = (I_t)_d iff that is dim (R/I_t)_d.  Its rank is that of the
+    normal forms (NF(μ e_j))_j modulo the column module (`ColumnModuleGB`),
+    and the lowest failing degree is reported ("annihilator-inside-minors").
     """
     if not classify(P).is_standard:
         raise InputError("verify_annihilator requires a standard presentation")
-    if P.t == 1:
+    if P.t == 1 or _deletion_certificate(P, d_max):
         return AnnihilatorReport(True, d_max)
     ring = P.ring
     quotient_terms = en_terms(P.matrix)[1]
-    if not ring.field.characteristic and _annihilator_rank_certificate(
-        P.matrix, d_max, quotient_terms
-    ):
-        return AnnihilatorReport(True, d_max)
     module = P.matrix.column_module  # one a piece rank kept, else built and dropped
     if module is None:
         module = ColumnModuleGB(ring, P.matrix.target.twists, P.matrix.columns())
@@ -537,52 +534,28 @@ def verify_annihilator(P, d_max=8):
     return AnnihilatorReport(True, d_max)
 
 
-def _annihilator_rank_certificate(m, d_max, quotient_terms):
-    """True when ranks mod p prove Ann_d = (I_t)_d for every d <= d_max, for
-    Φ = m over QQ certified standard; False decides nothing.
+def _deletion_certificate(P, d_max):
+    """True when a standard row deletion proves Ann_d = (I_t)_d for every
+    d <= d_max, for P certified standard with t >= 2; False decides nothing.
 
-    Φ' = DΦ mod p (`_scaled_mod_p`) has integer rows, and DΦ has the image,
-    Ann and I_t of Φ.  For each d, and each e = d + a_j, the span U_e of
-    the piece (Im Φ')_e, built once for every (d, j) that needs it, must
-    have rank dim G_e - BR(e), the rank of Φ_e over QQ
-    (`grading.certified_rank`).  Each μ e_j, μ of degree d, is reduced
-    against U_{d+a_j} (`linalg.Echelon.reduce`), and the
-    concatenated reductions must have rank EN(d) = dim (R/I_t)_d.  Why that
-    proves it: the reductions' rank is rank [B | M] - rank B, for B the
-    image pieces (one block per j) and M the columns μ e_j.  An integer
-    matrix can only lose rank mod p, and rank B is exact, so the count mod p
-    is at most the count over QQ, which is dim (R/Ann)_d; and
-    dim (R/Ann)_d <= dim (R/I_t)_d = EN(d) by Fitting's lemma, I_t ⊆ Ann.
-    Equality with EN(d) forces dim Ann_d = dim (I_t)_d, hence Ann_d = (I_t)_d.
+    Let Φ' be Φ with row j deleted.  The sequence
+    0 -> (R/(Im Φ : e_j))(-a_j) -> coker Φ -> coker Φ' -> 0 is exact: its
+    kernel is the image of R e_j.  The first literal row j with
+    ht I_{t-1}(Φ') = r + 2 decides: then Φ' is standard too, so
+    Buchsbaum-Rim resolves both cokernels (Eisenbud, *Commutative Algebra*,
+    A2.6) and HF(R/(Im Φ : e_j), d) = BR_Φ(d + a_j) - BR_Φ'(d + a_j), the
+    section sequence's terms (`determinantal._section_rows`).  Since
+    Ann e_j ⊆ Im Φ and I_t ⊆ Ann, I_t ⊆ Ann ⊆ (Im Φ : e_j), so that
+    difference is at most dim (R/Ann)_d, itself at most EN(d) =
+    dim (R/I_t)_d.  Equality with EN(d) forces Ann_d = (I_t)_d.
     """
-    m_p = _scaled_mod_p(m)
-    ring_p = m_p.ring
-    spans = {}  # e -> (U_e, dense index of the basis of G_e)
-    for d in range(d_max + 1):
-        monos = ring_p.monomials_of_degree(d)
-        forms = [{} for _ in monos]  # μ -> its reductions, block j at offset j
-        offset = 0
-        for j, a in enumerate(m.target.twists):
-            e = d + a
-            if e not in spans:
-                piece = matrix_piece(m_p, e)
-                span = echelon(ring_p.field)
-                for col in piece.cols:
-                    span.insert(col)
-                if span.rank != grading.certified_rank(m, e):
-                    return False
-                spans[e] = span, {item: i for i, item in enumerate(piece.row_basis)}
-            span, index = spans[e]
-            for form, mu in zip(forms, monos):
-                for i, c in span.reduce({index[(j, mu)]: 1}).items():
-                    form[offset + i] = c
-            offset += len(index)
-        ranks = echelon(ring_p.field)
-        for form in forms:
-            ranks.insert(form)
-        if ranks.rank != resolution_hilbert_function(quotient_terms, d):
-            return False
-    return True
+    m = P.matrix
+    for j, a in enumerate(m.target.twists):
+        deleted = delete_row(m, j)
+        if _minors_height(deleted, P.t - 1) == P.r + 2:
+            rows = _section_rows(m, deleted, a, range(a, a + d_max + 1))
+            return all(hs == hq + hx for _, hs, hq, hx in rows)
+    return False
 
 
 # -- codimension-two canonical module --------------------------------------------------

@@ -113,8 +113,7 @@ def _laplace_minors(m, s):
     return IdealBasis(m.ring, tuple(gens))
 
 
-#: the field of the mod-p certificates over QQ: heights here, and the
-#: annihilator check's ranks (`complexes.verify_annihilator`)
+#: the field of the mod-p height certificate over QQ (`_certified_height`)
 _MOD_P_FIELD = GF(32003)
 
 
@@ -167,11 +166,11 @@ def _certified_height(m, s):
 
 def _scaled_mod_p(m):
     """DΦ mod p for Φ = m over QQ: each row scaled to integers by the lcm of
-    its denominators (D diagonal), reduced into grevlex F_p[x] (heights and
-    ranks do not depend on the monomial order, so take the cheap one).
+    its denominators (D diagonal), reduced into grevlex F_p[x] (a height does
+    not depend on the monomial order, so take the cheap one).
 
-    DΦ has the minors, the image and the cokernel annihilator of Φ up to
-    units, and an integer matrix can only lose rank mod p."""
+    DΦ has the minors of Φ up to units, which `_certified_height` takes
+    mod p."""
     ring_p = PolyRing(m.ring.variables, _MOD_P_FIELD, _allow_small=True)
     grid = []
     for row in m.entries:
@@ -623,17 +622,22 @@ def section_sequence(psi, deleted_row, d_max=None):
             "row deletion does not produce a standard presentation of codimension "
             f"{rep_s.expected_codim + 1} (got {rep_x})"
         )
-    br_s, en_s, br_x = br_terms(m)[1], en_terms(m)[1], br_terms(deleted)[1]
-    rows = []
-    for d in range(d_max + 1):
-        hs = resolution_hilbert_function(br_s, d)
-        hq = resolution_hilbert_function(en_s, d - twist)
-        hx = resolution_hilbert_function(br_x, d)
-        rows.append((d, hs, hq, hx))
+    rows = tuple(_section_rows(m, deleted, twist, range(d_max + 1)))
+    for d, hs, hq, hx in rows:
         if hs != hq + hx:
             raise VerificationError(
                 f"Hilbert additivity fails in degree {d}: {hs} != {hq} + {hx}",
                 degree=d,
             )
-    return SectionSequence(twist, tuple(range(d_max + 1)), tuple(rows), deleted)
+    return SectionSequence(twist, tuple(range(d_max + 1)), rows, deleted)
+
+
+def _section_rows(m, deleted, twist, degrees):
+    """(d, HF(coker m, d), HF(R/I_t(m), d - twist), HF(coker deleted, d)) for
+    each d in degrees, read off the BR, EN and BR terms, which resolve those
+    modules when m and deleted are both standard."""
+    hf = resolution_hilbert_function
+    br_s, en_s, br_x = br_terms(m)[1], en_terms(m)[1], br_terms(deleted)[1]
+    for d in degrees:
+        yield d, hf(br_s, d), hf(en_s, d - twist), hf(br_x, d)
 

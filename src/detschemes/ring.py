@@ -455,11 +455,6 @@ class Polynomial:
                 return NOT_HOMOGENEOUS
         return d
 
-    def total_degree(self):
-        if not self.terms:
-            return ZERO
-        return max(k for k, _ in self.terms) >> self.ring._top
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_ring(self, other):

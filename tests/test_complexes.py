@@ -386,11 +386,18 @@ def _on_p3(cases):
     return [P for P in cases if P.ring.nvars == 4]
 
 
-def _with_en_count(monkeypatch, count):
+def _with_en_count(monkeypatch, P, count):
     """verify_annihilator reads count(d) as dim (R/I_t)_d.  It reads that
-    dimension off the Eagon-Northcott terms and nothing else, so a wrong
-    count stands for a wrong minor ideal."""
-    monkeypatch.setattr(complexes, "resolution_hilbert_function", lambda _, d: count(d))
+    dimension off P's Eagon-Northcott terms and nothing else, in the
+    deletion certificate (`determinantal._section_rows`) and in the
+    fallback, so a wrong count stands for a wrong minor ideal."""
+    en, true = en_terms(P.matrix)[1], grading.resolution_hilbert_function
+
+    def counted(terms, d):
+        return count(d) if terms == en else true(terms, d)
+
+    for module in (complexes, determinantal):
+        monkeypatch.setattr(module, "resolution_hilbert_function", counted)
 
 
 def _count_of(P, gens):
@@ -443,7 +450,7 @@ def test_verify_annihilator_detects_a_dropped_minor(annihilator_cases, monkeypat
             outside = not normal_form(gens[k], ensure_gb(ideal(P.ring, *rest))).is_zero()
             assert outside  # maximal minors of these presentations are minimal
             count = _count_of(P, rest)
-            _with_en_count(monkeypatch, count)
+            _with_en_count(monkeypatch, P, count)
             report = verify_annihilator(P, d_max=4)
             degree = gens[k].homogeneous_degree()
             assert _lowest_wrong_degree(P, count, 4) == degree
@@ -466,7 +473,7 @@ def test_verify_annihilator_detects_a_non_annihilating_cube(
             assert annihilator_reference.fitting_failure(P, gens + (cube,)) == (
                 3 if outside else None
             )
-            _with_en_count(monkeypatch, _count_of(P, gens + (cube,)))
+            _with_en_count(monkeypatch, P, _count_of(P, gens + (cube,)))
             for d_max in (2, 4):  # the cube's degree lies past d_max 2
                 report = verify_annihilator(P, d_max=d_max)
                 if outside and d_max >= 3:
@@ -482,7 +489,7 @@ def test_verify_annihilator_checks_every_minor_of_a_degree(double_point, monkeyp
     gens = minors(double_point, 2).generators
     square = double_point.ring.parse("x0^2")
     assert annihilator_reference.fitting_failure(double_point, gens + (square,)) == 2
-    _with_en_count(monkeypatch, _count_of(double_point, gens + (square,)))
+    _with_en_count(monkeypatch, double_point, _count_of(double_point, gens + (square,)))
     report = verify_annihilator(double_point, d_max=4)
     assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
 
@@ -496,7 +503,7 @@ def test_verify_annihilator_reports_the_lowest_failing_degree(
     cube = double_point.ring.parse("x0^3")
     count = _count_of(double_point, gens[1:] + (cube,))
     assert _lowest_wrong_degree(double_point, count, 4) == 2
-    _with_en_count(monkeypatch, count)
+    _with_en_count(monkeypatch, double_point, count)
     report = verify_annihilator(double_point, d_max=4)
     assert report == AnnihilatorReport(False, 4, 2, "annihilator-inside-minors")
 
@@ -555,7 +562,7 @@ def test_verify_annihilator_matches_the_block_echelon(
             _count_of(P, gens + (x0**3,)),
         ]
         for count in counts:
-            _with_en_count(monkeypatch, count)
+            _with_en_count(monkeypatch, P, count)
             report = verify_annihilator(P, d_max=4)
             wrong = _lowest_wrong_degree(P, count, 4)
             if wrong is None:
@@ -621,34 +628,43 @@ def _past_the_switch(m):
     return d
 
 
-def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, square_diag, monkeypatch):
-    """With P's verdict stored, a check that the mod-p rank certificate
-    decides runs no Buchberger and reads no minors.  A fallback, forced or
-    from a failing certificate (square_diag), computes the column module's
-    basis and nothing else: no minors, no basis of I_t; on a matrix that a
-    Coker Hilbert function past the engine switch has given a module, it
-    computes no basis at all.  A one-row check is the identity Ann = I_1 and
-    runs no Buchberger in any ring."""
+def test_verify_annihilator_builds_one_basis_and_no_minors(
+    annihilator_cases, double_point, coordinate_axes, square_diag, monkeypatch
+):
+    """With P's verdict stored, a check builds no basis of I_t and forms no
+    t-minor of Φ.  The deletion certificate forms only (t-1)-minors of a
+    deletion, and its bases, those of their heights, live in P's variables.
+    A fallback, forced or because no literal deletion is standard
+    (double_point, coordinate_axes, square_diag), adds the column module's
+    basis and nothing else; on a matrix that a Coker Hilbert function past
+    the engine switch has given a module, it adds no basis at all.  A
+    one-row check is the identity Ann = I_1 and runs no Buchberger in any
+    ring."""
     for name in ("minors", "height", "hilbert_basis", "quotient_hilbert_function", "chain"):
         assert not hasattr(complexes, name)
-    rings = []
-    original = groebner._buchberger
+    rings, sizes = [], []
+    original, laplace_minors = groebner._buchberger, determinantal._laplace_minors
 
     def spy(span, ring, *rest):
         rings.append(ring)
         return original(span, ring, *rest)
 
+    def formed(m, s):
+        sizes.append((m.nrows, s))
+        return laplace_minors(m, s)
+
     def refuse(*_):
-        raise AssertionError("verify_annihilator computed minors")
+        raise AssertionError("verify_annihilator read the memoized minors")
 
     def checked(Q, forced):
         rings.clear()
+        sizes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(groebner, "_buchberger", spy)
             patch.setattr(determinantal, "minors", refuse)
-            patch.setattr(determinantal, "_laplace_minors", refuse)
+            patch.setattr(determinantal, "_laplace_minors", formed)
             if forced:
-                patch.setattr(complexes, "_annihilator_rank_certificate", lambda *_: False)
+                patch.setattr(complexes, "_deletion_certificate", lambda *_: False)
             return verify_annihilator(Q, d_max=4)
 
     for case in annihilator_cases[:6] + [square_diag]:
@@ -657,16 +673,18 @@ def test_verify_annihilator_builds_one_basis_and_no_minors(annihilator_cases, sq
         report = verify_annihilator(case, d_max=4)
         assert checked(P, forced=False) == report
         if P.t == 1:
-            assert rings == []
+            assert rings == [] and sizes == []
             continue
-        certified = case is not square_diag
-        assert len(rings) == (0 if certified else 1)
+        assert set(sizes) <= {(P.t - 1, P.t - 1)}
+        modules = [ring for ring in rings if ring.nvars != P.ring.nvars]
+        falls_back = case in (double_point, coordinate_axes, square_diag)
+        assert len(modules) == (1 if falls_back else 0)
         hilbert_function(Coker(kept.matrix), _past_the_switch(kept.matrix))
         assert kept.matrix.column_module is not None
         for Q, runs in ((_fresh_presentation(case), 1), (kept, 0)):
             classify(Q)
             assert checked(Q, forced=True) == report
-            assert len(rings) == runs
+            assert len(rings) == runs and sizes == []
             assert all(ring.nvars == P.ring.nvars + P.t for ring in rings)
 
 
@@ -683,73 +701,111 @@ def _spied_buchberger(patch):
     return rings
 
 
-def _certificate(P, d_max):
-    return complexes._annihilator_rank_certificate(P.matrix, d_max, en_terms(P.matrix)[1])
+def _standard_deletion(P):
+    """Does some literal row deletion of P have maximal minors of height
+    r + 2?  Computed from `minors` and `height`, not `_minors_height`."""
+    return any(
+        groebner.height(minors(determinantal.delete_row(P, j), P.t - 1)) == P.r + 2
+        for j in range(P.t)
+    )
 
 
-def test_the_rank_certificate_decides_seeded_qq_checks(monkeypatch):
-    """Over QQ the mod-p rank certificate alone decides every seeded standard
-    check with two or three rows, twisted rows (0, 1) among them: it runs no
-    Buchberger, and the reports equal the block-echelon oracle's (on P^3
-    here; `test_verify_annihilator_matches_the_block_echelon` compares the
-    rest).  Over F_p the certificate is never tried."""
+def _small_field_presentations():
+    """Seeded standard presentations with two or three rows over F_7, two
+    draws of each shape on P^3 and on P^4."""
+    out = []
+    rng = random.Random(20261021)
+    for n in (4, 5):
+        ring = PolyRing(tuple(f"x{i}" for i in range(n)), GF(7))
+        for nrows, ncols, deg in ((2, 3, 1), (2, 4, 1), (2, 3, 2), (3, 4, 1)) * 2:
+            rows = [
+                [random_homogeneous(ring, deg, rng) for _ in range(ncols)] for _ in range(nrows)
+            ]
+            target = GradedFreeModule(ring, (0,) * nrows)
+            source = GradedFreeModule(ring, (deg,) * ncols)
+            P = DeterminantalPresentation(HomogeneousMatrix(target, source, rows))
+            if classify(P).is_standard:  # the check's precondition
+                out.append(P)
+    return out
+
+
+def test_the_deletion_certificate_decides_seeded_checks(monkeypatch):
+    """Over QQ, F_32003 and F_7 the deletion certificate alone decides every
+    seeded standard check with two or three rows, twisted rows (0, 1) among
+    them: some literal deletion is standard, and no column module is built.
+    Every report passes and, on P^3, equals the block-echelon oracle's
+    (`test_verify_annihilator_matches_the_block_echelon` compares the
+    rest)."""
     cases = [P for P in _seeded_presentations() + _twisted_presentations() if P.t >= 2]
+    small = _small_field_presentations()
+    assert len(small) >= 12
     assert {P.matrix.target.twists for P in cases} >= {(0, 0), (0, 1), (0, 0, 0)}
-    tried = []
-    original = complexes._annihilator_rank_certificate
-    for P in cases:
+    assert {P.ring.field.characteristic for P in cases + small} == {0, 7, 32003}
+    original = complexes._deletion_certificate
+    decided = []
+    for P in cases + small:
         assert classify(P).is_standard
         with monkeypatch.context() as patch:
             rings = _spied_buchberger(patch)
-            patch.setattr(complexes, "_annihilator_rank_certificate",
-                          lambda *args: tried.append(P) or original(*args))
+            patch.setattr(complexes, "_deletion_certificate",
+                          lambda *args: decided.append(original(*args)) or decided[-1])
             report = verify_annihilator(P, d_max=4)
-        qq = P.ring.field.characteristic == 0
-        assert (tried[-1:] == [P]) == qq
-        assert (rings == []) == qq
+        assert _standard_deletion(P) and decided[-1]
+        assert all(ring.nvars == P.ring.nvars for ring in rings)
         assert report == AnnihilatorReport(True, 4)
         if P.ring.nvars == 4:
             assert report == annihilator_reference.verify_annihilator(P, 4)
+    assert len(decided) == len(cases) + len(small)
 
 
-def _row_times(P, i, c):
-    """P with row i multiplied by the integer c."""
-    m = P.matrix
-    c = m.ring.field.from_int(c)
-    rows = [[f.scale(c) if k == i else f for f in row] for k, row in enumerate(m.entries)]
-    return DeterminantalPresentation(HomogeneousMatrix(m.target, m.source, rows))
-
-
-def test_the_rank_certificate_falls_back_to_the_column_module(square_diag, monkeypatch):
+def test_the_deletion_certificate_falls_back_to_the_column_module(
+    double_point, coordinate_axes, square_diag, monkeypatch
+):
     """Where the certificate proves nothing, the column module decides from
-    degree 0, and the report is the oracle's.  square_diag fails in degree
-    1: the count mod p stays below the Eagon-Northcott count.  A standard
-    matrix with one row times 32003 has that row vanish mod p, so its image
-    pieces lose rank by degree 4 (in degree 1 already for
-    diag(x0, 32003 x0), whose count there would otherwise reach EN(1)), and
-    the image check refuses it; below that degree the ranks still hold and
-    prove what they prove."""
-    assert not _certificate(square_diag, 4)
+    degree 0 and builds the one basis of the check, and the report is the
+    oracle's, over QQ, F_32003 and F_7.
+
+    - double_point and coordinate_axes have no standard literal deletion.
+    - square_diag's deletion [0, x0] satisfies the term identity, but
+      ht I_1 = 1 < 2, so its BR terms resolve nothing; only the height
+      check keeps the certificate from passing, and the check fails in
+      degree 1.
+    - [[1, 0, x0], [0, x1, x2]] deletes to [1, 0, x0], whose minors
+      generate R: a height past r + 2 is no standard deletion either.
+    - A wrong EN count makes a deciding certificate refuse, and the
+      fallback reports the lowest wrong degree.
+    """
+    ring = square_diag.ring
+    unit = presentation_from_strings(ring, [["1", "0", "x0"], ["0", "x1", "x2"]])
+    assert determinantal._minors_height(determinantal.delete_row(unit, 1), 1) == float("inf")
+    cases = ((double_point, True), (coordinate_axes, True), (square_diag, False), (unit, True))
+    for Q, passes in cases:
+        for P in (Q, _mod_p_copy(Q, 32003), _mod_p_copy(Q, 7)):
+            assert classify(P).is_standard and not _standard_deletion(P)
+            assert not complexes._deletion_certificate(P, 4)
+            with monkeypatch.context() as patch:
+                rings = _spied_buchberger(patch)
+                report = verify_annihilator(_fresh_presentation(P), 4)
+            assert [r.nvars for r in rings if r.nvars != P.ring.nvars] == [P.ring.nvars + P.t]
+            assert report == annihilator_reference.verify_annihilator(P, 4)
+            assert report.passed == passes
+    m = square_diag.matrix
+    rows = determinantal._section_rows(m, determinantal.delete_row(m, 0), 0, range(5))
+    assert all(hs == hq + hx for _, hs, hq, hx in rows)
     for d_max in (1, 4):
         report = verify_annihilator(square_diag, d_max)
         assert report == AnnihilatorReport(False, d_max, 1, "annihilator-inside-minors")
-    scaled = [_row_times(square_diag, 1, 32003)]
-    scaled += [_row_times(P, 0, 32003) for P in _seeded_presentations()[:10]
-               if P.t >= 2 and P.ring.field.characteristic == 0]
-    scaled += [_row_times(P, 1, 32003) for P in _twisted_presentations()[:3]]
-    assert len(scaled) >= 6
-    assert not _certificate(scaled[0], 1)
-    for Q in scaled:
-        assert classify(Q).is_standard
-        assert not _certificate(Q, 4)
-        with monkeypatch.context() as patch:
-            rings = _spied_buchberger(patch)
-            report = verify_annihilator(Q, 4)
-        assert len(rings) == 1 and rings[0].nvars == Q.ring.nvars + Q.t
-        assert report == annihilator_reference.verify_annihilator(Q, 4)
-    assert verify_annihilator(scaled[0], 1) == AnnihilatorReport(
-        False, 1, 1, "annihilator-inside-minors"
-    )
+    for P in [P for P in _seeded_presentations() if P.t >= 2][:4]:
+        true = _count_of(P, minors(P, P.t).generators)
+        assert complexes._deletion_certificate(P, 4)
+        for k in (0, 2):
+            with monkeypatch.context() as patch:
+                _with_en_count(patch, P, _one_more_at(true, k))
+                assert not complexes._deletion_certificate(P, 4)
+                rings = _spied_buchberger(patch)
+                report = verify_annihilator(_fresh_presentation(P), 4)
+            assert [r.nvars for r in rings if r.nvars != P.ring.nvars] == [P.ring.nvars + P.t]
+            assert report == AnnihilatorReport(False, 4, k, "annihilator-inside-minors")
 
 
 def test_a_column_module_lives_as_long_as_its_matrix(generic_2x4):

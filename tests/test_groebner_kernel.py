@@ -491,15 +491,19 @@ def test_heights_in_lex_build_no_lex_basis(monkeypatch):
 
 
 def test_annihilator_in_lex_builds_no_lex_basis(monkeypatch):
-    """With the verdict stored, the mod-p rank certificate decides the check
-    and runs no Buchberger at all; a forced fallback runs exactly one, the
+    """With the verdict stored, the deletion certificate decides the check:
+    its only bases are grevlex ones of a deletion's entries (degrees 1 and
+    2), for the height of that deletion, and none of the 2x2 minors
+    (degrees 3 and 4).  A forced fallback runs exactly one Buchberger, the
     column module's, in a grevlex auxiliary ring, and no lex basis."""
     P = _seeded_lex_2x3()
     assert classify(P).is_standard
     reports = []
     seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
-    assert seen == [] and reports[0].passed
-    monkeypatch.setattr(complexes, "_annihilator_rank_certificate", lambda *_: False)
+    assert seen and reports[0].passed
+    assert {(ring.order, ring.nvars) for ring in _rings(seen)} == {("grevlex", P.ring.nvars)}
+    assert {g.homogeneous_degree() for gens, _ in seen for g in gens} <= {1, 2}
+    monkeypatch.setattr(complexes, "_deletion_certificate", lambda *_: False)
     seen = _recorded(monkeypatch, lambda: reports.append(verify_annihilator(P, 4)), _no_lex)
     assert [(ring.order, ring.nvars) for ring in _rings(seen)] == [("grevlex", P.ring.nvars + 2)]
     assert reports[1] == reports[0]

@@ -286,40 +286,6 @@ def test_fp_echelon_last_free_index(p):
         assert ech.reduced_rows() == field_reduced_rows(ref)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_fp_echelon_reduce_is_the_normal_form_modulo_the_reduced_rows(p):
-    """reduce(v) = v - Σ_c v_c R_c mod p over the reduced rows R_c (pivot c,
-    entry 1 there): zero at every pivot, the same on a coset of the span,
-    empty iff v lies in it, and entries at or past the span's width pass
-    through.  It leaves the span as it was."""
-    rng = random.Random(3 * p)
-    F = GF(p)
-    for n in (1, 4, 9, 40):
-        ech = Echelon(F)
-        for _ in range(rng.randint(0, n + 2)):
-            ech.insert({i: rng.randrange(p) for i in range(n) if rng.random() < 0.4})
-        rows = ech.reduced_rows()
-        for _ in range(12):
-            v = {i: rng.randint(-p, 2 * p) for i in range(n + 3) if rng.random() < 0.5}
-            want = {i: c % p for i, c in v.items()}
-            for row in rows:
-                c = want.get(row[0][0], 0)
-                for i, a in row:
-                    want[i] = (want.get(i, 0) - c * a) % p
-            want = {i: c for i, c in want.items() if c}
-            assert ech.reduce(v) == want
-            shifted = dict(v)
-            for row in rows:
-                c = rng.randrange(p)
-                for i, a in row:
-                    shifted[i] = shifted.get(i, 0) + c * a
-            assert ech.reduce(shifted) == want
-            assert not want or not want.keys() & {row[0][0] for row in rows}
-        assert ech.reduced_rows() == rows
-        for row in rows:
-            assert ech.reduce(dict(row)) == {}
-
-
 def _proportional(int_vec, field_vec):
     """True iff int_vec is a nonzero multiple of field_vec (same support)."""
     if int_vec.keys() != field_vec.keys():
