@@ -57,7 +57,7 @@ from .grading import (
     resolution_hilbert_function,
 )
 from .groebner import minimal_generator_count
-from .ring import MAX_DEGREE, ParseError, PolyRing, RingError
+from .ring import MAX_DEGREE, PolyRing, RingError
 
 SCHEMA_VERSION = 1
 
@@ -140,7 +140,7 @@ def parse_problem_text(text, path="<string>"):
     try:
         matrix = matrix_from_strings(ring, matrix_rows, row_twists, col_twists)
         pres = DeterminantalPresentation(matrix)
-    except (ParseError, RingError, GradingError, InputError) as e:
+    except (RingError, GradingError, InputError) as e:
         raise InputError(f"{path}: {e}")
 
     seed = _bounded_int(fields.get("seed", "0"), 0, f"{path}: seed")
@@ -493,10 +493,7 @@ def run(argv=None):
                 spec.d_max = _bounded_int(args.max_degree, 1, "--max-degree", MAX_DEGREE)
             seed = spec.seed
         results, code = _COMMANDS[command](spec, args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except (ParseError, RingError, GradingError, FieldError) as e:
+    except (InputError, RingError, GradingError, FieldError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except VerificationError as e:

@@ -30,7 +30,7 @@ import functools
 import re
 from math import comb
 
-from .field import QQ, FieldError
+from .field import QQ
 
 
 class RingError(ValueError):
@@ -135,7 +135,9 @@ _ORDER_KEYS = {
 
 
 class PolyRing:
-    """k[x_0,...,x_n] with a fixed monomial order ("grevlex" or "lex")."""
+    """k[x_0,...,x_n] with a fixed monomial order: "grevlex", "lex", or
+    "elim_last", which eliminates the last variable (the auxiliary rings of
+    `groebner.intersect`)."""
 
     def __init__(self, variables, field=QQ, order="grevlex", _allow_small=False):
         variables = tuple(variables)
@@ -269,28 +271,61 @@ class PolyRing:
 
     # -- parsing ---------------------------------------------------------
 
-    _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|\d+|\^|\*|\+|-|/)")
+    #: one factor: a variable power x^e, or a coefficient a or a/b, as the
+    #: groups (variable, exponent, numerator, denominator)
+    _FACTOR = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?|(\d+)(?:\s*/\s*(\d+))?")
+    #: one term: its sign (optional on the first term only), then its factors
+    #: joined by '*'
+    _TERM = re.compile(
+        rf"\s*(?:([+-])\s*)?((?:{_FACTOR.pattern})(?:\s*\*\s*(?:{_FACTOR.pattern}))*)"
+    )
 
     def parse(self, text):
         """Parse `expr := term (('+'|'-') term)*` with `a/b` coefficients.
 
-        Terms are products of an optional coefficient and variable powers;
-        a leading sign on the first term is accepted so printed output
-        parses back.
+        Terms are products of coefficients and variable powers; a leading
+        sign on the first term is accepted so printed output parses back.
+        The whole text is matched before any term is evaluated; then the
+        first unknown variable or zero denominator raises ParseError, and
+        the first factor that takes the degree past MAX_DEGREE raises
+        RingError.
         """
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = self._TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise ParseError(f"malformed token at {text[pos:]!r}")
-            tokens.append(m.group(1))
+        terms, pos, end = [], 0, len(text.rstrip())
+        while pos < end:
+            m = self._TERM.match(text, pos, end)
+            if m is None or (pos and not m.group(1)):
+                raise ParseError(f"malformed polynomial at {text[pos:]!r}")
+            terms.append(m.group(1, 2))
             pos = m.end()
-        if not tokens:
+        if not terms:
             raise ParseError("empty polynomial text")
-        return _PolyParser(self, tokens).parse()
+        field, var_index, var_keys = self.field, self._var_index, self._var_keys
+        acc = {}
+        for sign, body in terms:
+            key = degree = 0
+            num = den = 1
+            for var, exp, a, b in self._FACTOR.findall(body):
+                if var:
+                    i = var_index.get(var)
+                    if i is None:
+                        raise ParseError(f"unknown variable {var!r}")
+                    e = int(exp) if exp else 1
+                    degree += e
+                    if degree > MAX_DEGREE:
+                        raise RingError(f"total degree {degree} above the limit {MAX_DEGREE}")
+                    key += e * var_keys[i]
+                else:
+                    num *= int(a)
+                    if b:
+                        b = int(b)
+                        if field.is_zero(field.from_int(b)):
+                            raise ParseError(f"zero denominator {b}")
+                        den *= b
+            if sign == "-":
+                num = -num
+            c = field.from_int(num) if den == 1 else field.from_fraction(num, den)
+            acc[key] = acc[key] + c if key in acc else c
+        return self.from_keys(acc)
 
     # -- printing ---------------------------------------------------------
 
@@ -328,82 +363,6 @@ class PolyRing:
         if self.field.eq(coeff, self.field.one):
             return self.format_monomial(m)
         return f"{self.field.to_str(coeff)}*{self.format_monomial(m)}"
-
-
-class _PolyParser:
-    def __init__(self, ring, tokens):
-        self.ring = ring
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        """Every term is one coefficient times one monomial, so the terms
-        add up in one {packed key: coefficient} dict."""
-        acc = {}
-        self.parse_term(acc, allow_sign=True)
-        while self.peek() in ("+", "-"):
-            self.parse_term(acc, negate=self.next() == "-")
-        if self.peek() is not None:
-            raise ParseError(f"unexpected token {self.peek()!r}")
-        return self.ring.from_keys(acc)
-
-    def parse_term(self, acc, allow_sign=False, negate=False):
-        field, n = self.ring.field, self.ring.nvars
-        if allow_sign and self.peek() in ("+", "-"):
-            negate = self.next() == "-"
-        key, coeff = self.parse_factor()
-        while self.peek() == "*":
-            self.next()
-            k, c = self.parse_factor()
-            if k:  # a variable power, whose coefficient is one
-                key = _check_degree(key + k, n)
-            else:
-                coeff = field.mul(coeff, c)
-        if negate:
-            coeff = field.neg(coeff)
-        acc[key] = acc[key] + coeff if key in acc else coeff
-
-    def parse_factor(self):
-        """(packed key, coefficient) of one constant or variable power."""
-        tok = self.next()
-        field = self.ring.field
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if tok.isdigit() or (tok.startswith("-") and tok[1:].isdigit()):
-            num = int(tok)
-            if self.peek() == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok is None or not den_tok.isdigit():
-                    raise ParseError("malformed rational coefficient")
-                try:
-                    return 0, field.from_fraction(num, int(den_tok))
-                except FieldError as e:
-                    raise ParseError(str(e))
-            return 0, field.from_int(num)
-        if tok in self.ring._var_index:
-            i = self.ring._var_index[tok]
-            exp = 1
-            if self.peek() == "^":
-                self.next()
-                e_tok = self.next()
-                if e_tok is None or not e_tok.isdigit():
-                    raise ParseError("malformed exponent")
-                exp = int(e_tok)
-                if exp > MAX_DEGREE:
-                    raise RingError(f"total degree {exp} above the limit {MAX_DEGREE}")
-            return exp * self.ring._var_keys[i], field.one
-        if tok.isidentifier():
-            raise ParseError(f"unknown variable {tok!r}")
-        raise ParseError(f"malformed token {tok!r}")
 
 
 class Polynomial:

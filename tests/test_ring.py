@@ -40,8 +40,11 @@ def test_parse_rejects_unknown_variable(ring):
 
 
 def test_parse_rejects_malformed(ring):
-    with pytest.raises(ParseError):
-        ring.parse("x0 + * x1")
+    # every term after the first needs its sign
+    assert ring.parse("2 + x0") == ring.parse("x0 + 2")
+    for text in ("x0 + * x1", "2 x0", "x0 x1", "2x0", "x0^2 3", "1/2 3/4", "- x0 x1"):
+        with pytest.raises(ParseError):
+            ring.parse(text)
 
 
 def test_parse_rational_coefficients(ring):
@@ -342,6 +345,11 @@ def test_degree_past_the_packed_field_is_rejected(ring):
         ring.monomials_of_degree(MAX_DEGREE + 1)
     top = ring.parse(f"x0^{MAX_DEGREE - 1}") * ring.parse("x3")
     assert top.homogeneous_degree() == MAX_DEGREE
+    assert ring.parse(f"x0^{MAX_DEGREE - 1}*x1 + x2^{MAX_DEGREE}") == ring.parse(
+        f"x0^{MAX_DEGREE - 1}*x1"
+    ) + ring.parse(f"x2^{MAX_DEGREE}")
+    with pytest.raises(RingError):
+        ring.parse(f"x0^{MAX_DEGREE - 1}*x1*x2")
 
 
 def test_degree_growth_in_terms_and_reductions_is_rejected(ring):
