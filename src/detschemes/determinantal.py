@@ -13,6 +13,7 @@ only produces certificates and can never misclassify.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .groebner import (
     normal_form,
     stored_basis,
 )
-from .linalg import Laplace, rank_of_columns
+from .linalg import Laplace, integer_rows, rank_of_columns
 from .memo import MATRIX_BUDGET, MINORS_BUDGET, Memo, terms
 from .ring import PolyRing, random_homogeneous
 
@@ -113,17 +114,17 @@ def _laplace_minors(m, s):
     return IdealBasis(m.ring, tuple(gens))
 
 
-#: the field of the mod-p height certificate over QQ (`_certified_height`)
+#: the field of the height certificates over QQ (`_certified_height`)
 _MOD_P_FIELD = GF(32003)
 
 
 def _minors_height(P, s):
     """Height of I_s(Φ), leaving no minors or basis in the memo tables.
 
-    Cheapest route first: a basis already in the memo tables; over QQ, the
-    mod-p certificate of `_certified_height`; else the full Groebner basis,
-    in grevlex whatever the ring's order (`grevlex_ideal`): a height depends
-    only on the Hilbert function.
+    Cheapest route first: a basis already in the memo tables; the point,
+    line or mod-p certificate of `_certified_height`; else the full Groebner
+    basis, in grevlex whatever the ring's order (`grevlex_ideal`): a height
+    depends only on the Hilbert function.
     """
     m = _unwrap(P)
     I = _MINORS_CACHE.get((m, s))
@@ -143,48 +144,164 @@ def _unpinned_basis(I):
 
 
 def _certified_height(m, s):
-    """ht I_s(m) over QQ when a lower bound mod p meets the upper bound.
+    """ht I_s(m) when a lower bound mod p meets the upper bound, else None.
 
     When every s-minor has positive degree, I_s is proper and its height is
-    at most (t-s+1)(ncols-s+1) (Eagon-Northcott) and at most nvars.  Rows
-    scaled to integers have s-minors that are nonzero integer multiples of
-    the minors over QQ, and their images J_p mod p span each degree piece
-    with rank at most the rank over QQ.  So HF(R_p/J_p) >= HF(R/I_s) in
-    every degree and ht J_p <= ht I_s, for every prime.  Returns None when
-    the two bounds differ or the field is not QQ.
+    at most (t-s+1)(ncols-s+1) (Eagon-Northcott) and at most nvars.  Over
+    QQ, DΦ (`_scaled_mod_p`) has integer s-minors that are nonzero multiples
+    of those of Φ.  An upper bound of 1 or 2 is met, in every
+    characteristic, by a seeded point or line (`_point_or_line`).  Else,
+    over QQ only, the images J_p of the integer minors mod p span each
+    degree piece with rank at most the rank over QQ, so HF(R_p/J_p) >=
+    HF(R/I_s) in every degree and ht J_p <= ht I_s, for every prime.
+    Returns None when no route meets the upper bound.
     """
     ring = m.ring
-    if ring.field.characteristic:
-        return None
     rows, cols = sorted(m.target.twists), sorted(m.source.twists)
     if sum(cols[:s]) <= sum(rows[-s:]):
         return None  # a minor of degree 0 may be a unit
     upper = min((m.nrows - s + 1) * (m.ncols - s + 1), ring.nvars)
+    low = upper <= 2 and sum(cols[-s:]) - sum(rows[:s]) <= _LINE_MAX_DEGREE
+    if low and _point_or_line(m, s, upper):
+        return upper
+    if ring.field.characteristic:
+        return None
     lower = height(_unpinned_basis(_laplace_minors(_scaled_mod_p(m), s)))
     return upper if lower == upper else None
 
 
-def _scaled_mod_p(m):
-    """DΦ mod p for Φ = m over QQ: each row scaled to integers by the lcm of
-    its denominators (D diagonal), reduced into grevlex F_p[x] (a height does
-    not depend on the monomial order, so take the cheap one).
+#: the seed of the point and the line of `_point_or_line`
+_LINE_SEED = "determinantal/point-or-line"
+#: `_point_or_line` runs only when no s-minor has a larger degree: the
+#: restrictions to the line are dense in u, so their products cost the
+#: square of it, while sparse minors of high degree may have a cheap basis
+_LINE_MAX_DEGREE = 32
 
-    DΦ has the minors of Φ up to units, which `_certified_height` takes
-    mod p."""
+
+@functools.cache
+def _seeded_line(n, p):
+    """The point a and the base point b of the line {a u + b} in F_p^n."""
+    rng = random.Random(f"{_LINE_SEED}/{n}/{p}")
+    return tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+
+
+@functools.cache
+def _line_ring(field):
+    """F_p[u], in which the entries restricted to the line live."""
+    return PolyRing(("u",), field, _allow_small=True)
+
+
+def _point_or_line(m, s, upper):
+    """Does a seeded point (upper 1) or line (upper 2) prove ht I_s(m) >=
+    upper?  False means only that this route did not decide.
+
+    The route works mod p on DΦ, Φ = m with rows scaled to integers
+    (`integer_rows`); over F_p, DΦ is Φ.  Let M run over the s-minors of DΦ
+    mod p, and let a and b be the seeded points of F_p^n (`_seeded_line`).
+    A common factor of the minors of Φ over QQ, taken primitive in Z[x],
+    divides every integer minor of DΦ in Z[x] by Gauss's lemma; its image
+    mod p is a nonzero form of the same positive degree, and divides every
+    M.  So it suffices to show that the M have no common factor of positive
+    degree.
+
+    - Upper 1.  If the scalar matrix DΦ(a) has rank >= s, some M(a) is
+      nonzero, so some minor of Φ is nonzero and ht I_s >= 1.
+    - Upper 2.  In the UFD k[x] a height-one prime is principal, so a
+      nonzero ideal has height >= 2 exactly when its generators have no
+      common factor.  Restrict to the line: M(a u + b) has degree at most
+      the formal degree d_M of M, read off the twists, and its u^{d_M}
+      coefficient is M(a).  Suppose h of positive degree divides every M.
+      If h vanishes on the line, every restriction is zero.  Else h(a u +
+      b) divides every restriction, and either it has positive degree, so
+      their gcd does too, or it lost degree, so h(a) = 0 and every M(a) =
+      0.  Hence a constant gcd together with one M(a) != 0, that is one
+      restriction that keeps its formal degree, proves ht >= 2.
+
+    Over a small field the seeded point or line may fail both tests; the
+    caller then falls back to a basis.
+    """
+    ring = m.ring
+    field = ring.field if ring.field.characteristic else _MOD_P_FIELD
+    p = field.p
+    a, b = _seeded_line(ring.nvars, p)
+    grid = integer_rows(m.entries, ring.field.characteristic)[1]
+    keys = {k for row in grid for f in row for k in f}
+    if upper == 1:
+        at_a = {k: math.prod(pow(x, e, p) for x, e in zip(a, ring.exponents(k))) for k in keys}
+        cols = []
+        for j in range(m.ncols):
+            values = ((i, sum(c * at_a[k] for k, c in row[j].items()) % p)
+                      for i, row in enumerate(grid))
+            cols.append({i: v for i, v in values if v})
+        return rank_of_columns(cols, field) >= s
+    on_line = {}  # key -> coefficients of its monomial at a u + b, from u^0 up
+    for k in keys:
+        mono = [1]
+        for ai, bi, e in zip(a, b, ring.exponents(k)):
+            for _ in range(e):
+                mono = [(x * bi + y * ai) % p for x, y in zip(mono + [0], [0] + mono)]
+        on_line[k] = mono
+    ring_u = _line_ring(field)
+    laplace = Laplace([[_restrict(f, on_line, ring_u) for f in row] for row in grid], ring_u)
+    row_tw, col_tw = m.target.twists, m.source.twists
+    gcd, keeps_degree = None, False
+    for rows in combinations(range(m.nrows), s):
+        for cols in combinations(range(m.ncols), s):
+            minor = laplace.det(rows, cols)
+            if minor.is_zero():
+                continue
+            degree = sum(col_tw[j] for j in cols) - sum(row_tw[i] for i in rows)
+            keeps_degree = keeps_degree or minor.leading_monomial() == degree
+            gcd = _dense(minor) if gcd is None else _gcd_mod_p(gcd, _dense(minor), p)
+            if keeps_degree and len(gcd) == 1:
+                return True
+    return False
+
+
+def _restrict(f, on_line, ring_u):
+    """The entry f, a dict {packed key: int}, on the line, in F_p[u]."""
+    acc = {}
+    for key, c in f.items():
+        for j, v in enumerate(on_line[key]):
+            acc[j] = acc.get(j, 0) + c * v
+    return ring_u.from_keys(acc)
+
+
+def _dense(f):
+    """The coefficients of f in F_p[u], highest degree first."""
+    out = [0] * (f.leading_monomial() + 1)
+    for k, c in f.terms:
+        out[-1 - k] = c
+    return out
+
+
+def _gcd_mod_p(f, g, p):
+    """A gcd of two nonzero dense polynomials over F_p (Euclid)."""
+    while g:
+        inv = pow(g[0], -1, p)
+        f = list(f)
+        while len(f) >= len(g):
+            q = f[0] * inv % p
+            for i in range(1, len(g)):
+                f[i] = (f[i] - q * g[i]) % p
+            del f[0]
+            while f and not f[0]:
+                del f[0]
+        f, g = g, f
+    return f
+
+
+def _scaled_mod_p(m):
+    """DΦ mod p for Φ = m over QQ, in grevlex F_p[x] (a height does not
+    depend on the monomial order, so take the cheap one).
+
+    DΦ (`integer_rows`) has the minors of Φ up to units, which
+    `_certified_height` takes mod p."""
     ring_p = PolyRing(m.ring.variables, _MOD_P_FIELD, _allow_small=True)
-    grid = []
-    for row in m.entries:
-        den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
-        grid.append([
-            ring_p.from_keys(
-                {k: c.numerator * (den // c.denominator) for k, c in f.terms}
-            )
-            for f in row
-        ])
     return HomogeneousMatrix(
         GradedFreeModule(ring_p, m.target.twists),
         GradedFreeModule(ring_p, m.source.twists),
-        grid,
+        [[ring_p.from_keys(f) for f in row] for row in integer_rows(m.entries, 0)[1]],
     )
 
 

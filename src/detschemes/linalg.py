@@ -260,6 +260,21 @@ def rank_of_columns(columns, field):
 # -- polynomial determinants ----------------------------------------------------
 
 
+def integer_rows(grid, p):
+    """(scales, rows) of a polynomial matrix, each entry a dict {packed key:
+    int}.  Over QQ (p = 0) each row is scaled to integers by the lcm of its
+    denominators, its scale; over F_p entries are residues, with scale 1."""
+    scales, rows = [], []
+    for row in grid:
+        den = 1 if p else math.lcm(*[c.denominator for f in row for _, c in f.terms])
+        scales.append(den)
+        rows.append([
+            dict(f.terms) if p else {k: c.numerator * (den // c.denominator) for k, c in f.terms}
+            for f in row
+        ])
+    return scales, rows
+
+
 class Laplace:
     """Determinants of square submatrices of one polynomial matrix.
 
@@ -277,19 +292,7 @@ class Laplace:
     def __init__(self, grid, ring):
         self.ring = ring
         self.p = ring.field.characteristic
-        self.scales = []
-        self.grid = []
-        for row in grid:
-            if self.p:
-                self.scales.append(1)
-                self.grid.append([dict(f.terms) for f in row])
-                continue
-            den = math.lcm(*[c.denominator for f in row for _, c in f.terms])
-            self.scales.append(den)
-            self.grid.append([
-                {k: c.numerator * (den // c.denominator) for k, c in f.terms}
-                for f in row
-            ])
+        self.scales, self.grid = integer_rows(grid, self.p)
         self.memo = {}
 
     def det(self, rows, cols):

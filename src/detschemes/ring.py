@@ -65,6 +65,16 @@ _FIELD = (1 << FIELD_BITS) - 1
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
 
 
+def _integer(digits, error):
+    """The int of a digit string, or `error` where the string is longer
+    than the interpreter converts (`sys.get_int_max_str_digits`): for an
+    exponent, RingError, as it is past MAX_DEGREE."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(f"a number of {len(digits)} digits is too long to read") from None
+
+
 @functools.cache
 def _masks(n):
     """(all n fields, guard bits of the n fields) for n variables."""
@@ -286,9 +296,9 @@ class PolyRing:
         Terms are products of coefficients and variable powers; a leading
         sign on the first term is accepted so printed output parses back.
         The whole text is matched before any term is evaluated; then the
-        first unknown variable or zero denominator raises ParseError, and
-        the first factor that takes the degree past MAX_DEGREE raises
-        RingError.
+        first unknown variable, zero denominator or number too long to
+        convert raises ParseError, and the first factor that takes the
+        degree past MAX_DEGREE raises RingError.
         """
         terms, pos, end = [], 0, len(text.rstrip())
         while pos < end:
@@ -309,15 +319,17 @@ class PolyRing:
                     i = var_index.get(var)
                     if i is None:
                         raise ParseError(f"unknown variable {var!r}")
-                    e = int(exp) if exp else 1
+                    e = _integer(exp, RingError) if exp else 1
+                    if e > MAX_DEGREE:
+                        raise RingError(f"exponent above the limit {MAX_DEGREE}")
                     degree += e
                     if degree > MAX_DEGREE:
                         raise RingError(f"total degree {degree} above the limit {MAX_DEGREE}")
                     key += e * var_keys[i]
                 else:
-                    num *= int(a)
+                    num *= _integer(a, ParseError)
                     if b:
-                        b = int(b)
+                        b = _integer(b, ParseError)
                         if field.is_zero(field.from_int(b)):
                             raise ParseError(f"zero denominator {b}")
                         den *= b

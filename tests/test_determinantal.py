@@ -349,15 +349,16 @@ def _assert_certified_heights_exact(P):
     return certified
 
 
-def _generic_block(rng, nvars, row_twists, col_twists, denominators=False):
-    """Seeded dense QQ forms, with coefficients c/d when `denominators`."""
-    ring = PolyRing(tuple(f"x{i}" for i in range(nvars)))
+def _generic_block(rng, nvars, row_twists, col_twists, denominators=False, field=QQ):
+    """Seeded dense forms over `field`, with coefficients c/d when `denominators`."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(nvars)), field)
     rows = []
     for a in row_twists:
         row = []
         for b in col_twists:
             row.append(ring.from_keys({
-                mono: Fraction(rng.randint(-10, 10), rng.randint(1, 9) if denominators else 1)
+                mono: field.from_fraction(rng.randint(-10, 10),
+                                          rng.randint(1, 9) if denominators else 1)
                 for mono in ring.monomials_of_degree(b - a)
             }))
         rows.append(row)
@@ -415,6 +416,13 @@ def test_a_constant_minor_is_never_certified(ring):
     assert _minors_height(P, 2) == _full_height(P, 2) == 2
     rep = classify(P)
     assert rep.submaximal_height == math.inf and rep.is_good
+    # a maximal minor equal to 1 makes I_t the unit ideal, while the point
+    # (square) or the line alone would report the bound
+    for rows in ([["1", "x0"], ["0", "1"]], [["1", "0", "x0"], ["0", "1", "x1"]]):
+        P = presentation_from_strings(ring, rows)
+        assert determinantal._point_or_line(P.matrix, P.t, P.r + 1)
+        assert _certified_height(P.matrix, P.t) is None
+        assert _minors_height(P, P.t) == _full_height(P, P.t) == math.inf
 
 
 def test_special_fixtures_fall_back_for_their_submaximal_height(double_point, coordinate_axes):
@@ -432,12 +440,136 @@ def test_augmentation_and_flags_run_no_buchberger_over_qq(monkeypatch):
         calls.append(ring.field.characteristic)
         return original(span, ring, *rest)
 
-    monkeypatch.setattr(groebner, "_buchberger", counted)
     P = _generic_block(random.Random(3), 4, (0, 0), (1, 1, 1))
+    assert classify(P).is_good
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     psi = augment_general_row(P, seed=4)
     flag = build_flag(P, seed=5)
     assert classify(psi).is_good and flag.all_good and flag.containments_ok
-    assert calls and 0 not in calls  # only Buchberger runs mod p
+    # the 3x3 stages after P have height 1, which a point decides
+    assert calls == []
+
+
+# -- heights from a point and a line --------------------------------------------------------
+
+#: QQ without and with denominators, a large prime and two small ones
+_LOW_FIELDS = ((QQ, False), (QQ, True), (GF(32003), False), (GF(7), False), (GF(5), False))
+_LOW_IDS = ("QQ", "QQ-denominators", "F32003", "F7", "F5")
+#: square generic shapes, whose determinants have bound 1
+_SQUARE_SHAPES = ((4, (0,), (2,)), (4, (0, 0), (1, 1)), (4, (0, 1), (1, 2)),
+                  (5, (0, 0), (1, 2)), (4, (0, 0, 0), (1, 1, 1)))
+
+
+def _over(P, field):
+    """P with its coefficients read in `field`."""
+    ring = PolyRing(P.ring.variables, field)
+    rows = [[ring.from_keys({k: field.from_fraction(c.numerator, c.denominator)
+                             for k, c in f.terms})
+             for f in row] for row in P.matrix.entries]
+    return DeterminantalPresentation(HomogeneousMatrix(
+        GradedFreeModule(ring, P.matrix.target.twists),
+        GradedFreeModule(ring, P.matrix.source.twists), rows,
+    ))
+
+
+def _low_cases(field, denominators, fixtures):
+    """Every fixture and two coordinate changes of each, over `field`, then
+    seeded generic and square blocks."""
+    rng = random.Random(30)
+    for P in fixtures:
+        P = _over(P, field)
+        yield P
+        for _ in range(2):
+            yield _substitute(P, _coordinate_change(rng))
+    for nvars, rows, cols in _GENERIC_SHAPES + _SQUARE_SHAPES:
+        yield _generic_block(rng, nvars, rows, cols, denominators, field)
+
+
+@pytest.mark.parametrize(("field", "denominators"), _LOW_FIELDS, ids=_LOW_IDS)
+def test_point_and_line_heights_equal_the_groebner_height(
+    field, denominators, double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3,
+    generic_2x4, monkeypatch,
+):
+    fixtures = (double_point, cubic_curve, coordinate_axes, ci_codim2, ci_codim3, generic_2x4)
+    decided = []
+    original = determinantal._point_or_line
+
+    def spy(m, s, upper):
+        decided.append(original(m, s, upper))
+        return decided[-1]
+
+    monkeypatch.setattr(determinantal, "_point_or_line", spy)
+    for P in _low_cases(field, denominators, fixtures):
+        for s in range(1, P.t + 1):
+            want = _full_height(P, s)
+            got = _certified_height(P.matrix, s)
+            assert got in (None, want), (P.matrix.entries, s, got, want)
+            assert _minors_height(P, s) == want
+    assert any(decided)
+
+
+def _seeded_forms(ring):
+    """A linear form h in two variables with h(a) = 0 and h(b) != 0, and
+    L1, L2 with L(a) = L(b) = 0, for the seeded line {a u + b} of the
+    ring's field."""
+    field = ring.field
+    p = field.characteristic or determinantal._MOD_P_FIELD.p
+    a, b = determinantal._seeded_line(ring.nvars, p)
+
+    def form(coeffs):
+        coeffs = [c % p for c in coeffs]
+        return sum((ring.variable(i).scale(field.from_int(c)) for i, c in enumerate(coeffs) if c),
+                   ring.zero())
+
+    def cross(i, j, k):
+        c = [0] * ring.nvars
+        c[i], c[j], c[k] = (a[j] * b[k] - a[k] * b[j], a[k] * b[i] - a[i] * b[k],
+                            a[i] * b[j] - a[j] * b[i])
+        return c
+
+    # h = a_j x_i - a_i x_j on the first pair with a_i, a_j and h(b) nonzero
+    h = next(c for i in range(ring.nvars) for j in range(i + 1, ring.nvars)
+             for c in [[a[j] if k == i else -a[i] if k == j else 0 for k in range(ring.nvars)]]
+             if a[i] and a[j] and sum(ck * x for ck, x in zip(c, b)) % p)
+    l1, l2 = cross(0, 1, 2), cross(1, 2, 3)
+    assert any(c % p for c in l1) and any(c % p for c in l2)
+    return form(h), form(l1), form(l2)
+
+
+def _matrix(ring, rows, row_twists, col_twists):
+    return DeterminantalPresentation(HomogeneousMatrix(
+        GradedFreeModule(ring, row_twists), GradedFreeModule(ring, col_twists), rows
+    ))
+
+
+@pytest.mark.parametrize("field", (QQ, GF(32003), GF(7), GF(5)), ids=("QQ", "F32003", "F7", "F5"))
+def test_degenerate_points_and_lines_fall_back_to_the_groebner_height(field):
+    ring = PolyRing(("x0", "x1", "x2", "x3"), field)
+    x0, x1, x2, x3 = ring.gens()
+    h, l1, l2 = _seeded_forms(ring)
+    cases = {
+        # shared factor: I_2 = (x3 - x2)(x0, x1), ht 1
+        "shared factor": ([[x0, x1, x2], [x0, x1, x3]], (0, 0), (1, 1, 1), 2, False, 1),
+        # minors x0*h and x1*h: coprime on the line, both vanish at infinity
+        "at infinity": ([[x0, x1, x2], [x0, x1, x2 + h]], (0, 0), (1, 1, 1), 2, False, 1),
+        # h*x1 and h*x3 vanish at infinity, x1*x2 keeps its degree: ht 2
+        "one minor at infinity": (
+            [[h, ring.zero(), x2], [ring.zero(), x1, x3]], (0, 0), (1, 1, 1), 2, True, 2),
+        # I_2 = (L1, L2)^2: every minor is zero on the line
+        "zero on the line": (
+            [[l1, l2, ring.zero()], [ring.zero(), l1, l2]], (0, 0), (1, 1, 1), 2, False, 2),
+        # det = h*x2 is zero at the point
+        "rank drop": ([[h, ring.zero()], [ring.zero(), x2]], (0, 0), (1, 1), 1, False, 1),
+        "nonsingular square": ([[x0, x1], [x2, x3]], (0, 0), (1, 1), 1, True, 1),
+    }
+    for name, (rows, row_tw, col_tw, upper, decided, ht) in cases.items():
+        P = _matrix(ring, rows, row_tw, col_tw)
+        got = determinantal._point_or_line(P.matrix, P.t, upper)
+        # over F_7 and F_5 a seeded coordinate may vanish and undo a decision
+        assert got is decided or (decided and field.characteristic in (5, 7)), name
+        # undecided, QQ still has the mod-p basis, F_p only the full one
+        assert _certified_height(P.matrix, P.t) in ((ht,) if got else (None, ht)), name
+        assert _minors_height(P, P.t) == _full_height(P, P.t) == ht, name
 
 
 # -- goodness by containment ----------------------------------------------------------------

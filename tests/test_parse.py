@@ -157,6 +157,16 @@ def test_a_grammar_error_is_raised_before_any_term_is_evaluated(ring):
         ring.parse("1/0*x0^40000")
 
 
+def test_numbers_too_long_to_read_are_input_errors(ring):
+    # 5000 digits is past the interpreter's limit on integer string conversion
+    long = "1" * 5000
+    for text, error in ((f"{long}*x0", ParseError), (f"1/{long}*x0", ParseError),
+                        (f"x0^{long}", RingError), (f"x0^2*x1^{'9' * 4300}", RingError)):
+        with pytest.raises(error):
+            ring.parse(text)
+    assert ring.parse(f"{'9' * 4300}*x0").terms[0][1] == int("9" * 4300)
+
+
 LONG_INPUTS = [
     " " * 20000 + "x0",
     "x0" + " " * 20000 + "+ x1",
