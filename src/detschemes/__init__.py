@@ -6,10 +6,6 @@ from .ring import (
     ZERO,
     Polynomial,
     PolyRing,
-    evaluate,
-    homogeneous_degree,
-    parse_polynomial,
-    poly_arith,
     random_homogeneous,
 )
 from .groebner import (
@@ -21,14 +17,8 @@ from .groebner import (
     ensure_gb,
     height,
     ideal,
-    ideal_quotient,
-    ideals_equal,
-    is_member,
-    krull_dim,
     minimal_generator_count,
-    normal_form,
     quotient_hilbert_function,
-    saturate,
 )
 from .grading import (
     Coker,
@@ -55,7 +45,6 @@ from .determinantal import (
     delete_row,
     find_generalized_row,
     generalized_deletion,
-    ideal_contained,
     minors,
     presentation_from_strings,
     section_sequence,

@@ -85,9 +85,6 @@ class FreeComplex:
     def ranks(self):
         return tuple(m.rank for m in self.modules)
 
-    def alternating_rank_sum(self):
-        return sum((-1) ** i * m.rank for i, m in enumerate(self.modules))
-
     def replaced(self, position, differential):
         """Copy with d_position swapped out and no verdict (mutation tests)."""
         diffs = list(self.differentials)

@@ -34,10 +34,8 @@ from .field import GF
 from .groebner import (
     IdealBasis,
     buchberger,
-    ensure_gb,
     grevlex_ideal,
     height,
-    normal_form,
     stored_basis,
 )
 from .linalg import Laplace, integer_rows, rank_of_columns
@@ -614,12 +612,6 @@ def _augment(P, report, row_twist=None, seed=0):
     raise VerificationError(
         f"augmentation failed after {_AUGMENT_RETRIES} attempts (last report: {last_report})"
     )
-
-
-def ideal_contained(A, B):
-    """A ⊆ B via normal forms against the reduced GB of B."""
-    gb = ensure_gb(B)
-    return all(normal_form(g, gb).is_zero() for g in A.generators if not g.is_zero())
 
 
 def extends_by_one_row(psi, phi):

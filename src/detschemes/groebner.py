@@ -1,10 +1,16 @@
-"""Reduced Groebner bases and the ideal-theoretic toolkit.
+"""Reduced grevlex Groebner bases and what the certificates read off them.
 
 Buchberger's algorithm with the two classical pair-elimination criteria
 (coprime leading terms, chain) and the normal selection strategy; on top of
-it: membership, Krull dimension and height via independent variable sets,
-ideal quotient and saturation through a single auxiliary elimination
-variable, and minimal generator counts by degreewise linear algebra.
+it: Krull dimension and height via independent variable sets, Hilbert
+functions by standard monomials, and minimal generator counts by degreewise
+linear algebra.
+
+Every basis is a grevlex one.  Heights and Hilbert functions are the same
+under every monomial order (Macaulay's theorem), so a ring in lex order is
+a printing and parsing order only: `buchberger`, and so `ensure_gb`, raise
+GroebnerError on it, and `grevlex_ideal` or `hilbert_basis` carry its
+ideals to the grevlex copy of the ring.
 
 Buchberger runs on one integer kernel over packed monomial keys, the
 monomials that polynomials hold: a polynomial enters the kernel with its
@@ -16,8 +22,7 @@ reductions work on {key: int} dicts: over F_p with one `% p` per term, over
 QQ fraction-free (cancelling lc against gc multiplies the working dict by
 gc/gcd(lc, gc), and each remainder is made primitive).  Only the finished,
 minimalized and interreduced basis is made monic as Polynomials; no
-`Fraction` arithmetic runs before that.  `reduce_full`, `spoly` and
-`normal_form` are thin wrappers over the same kernel.
+`Fraction` arithmetic runs before that.
 
 Buchberger starts from the generators' canonical span: in each degree the
 reduced row echelon form of the homogeneous generators' span, read off the
@@ -37,7 +42,7 @@ basis in e-degree 1 count the cokernel degree by degree.  The grading layer
 uses those counts as the rank engine for one-row matrices and large degree
 pieces, and the test suite pins them against the echelon.
 Normal forms of p e_j against that basis certify the annihilator.  R/I is
-counted by the same counter, on one grevlex basis in every ring order.
+counted by the same counter, on its grevlex basis.
 """
 
 from __future__ import annotations
@@ -116,9 +121,16 @@ def ideal(ring, *gens):
 
 # -- the integer kernel ------------------------------------------------------------
 #
-# A kernel polynomial is a list of (packed key, int) terms, decreasing in the
-# ring order.  Normalized means monic residues over F_p and, over QQ,
-# content-free with a positive leading coefficient.
+# A kernel polynomial is a list of (packed key, int) terms, decreasing in
+# grevlex, which is int order on packed keys.  Normalized means monic
+# residues over F_p and, over QQ, content-free with a positive leading
+# coefficient.
+#
+# Degrees: grevlex ranks total degree first, so a polynomial's leading key
+# carries its largest total degree.  A multiple q * g whose leading key
+# q + lm(g) is in range therefore has every term in range, and only the
+# lcm of an S-pair needs a check: a reduction step cancels a term k of
+# the working dict by q = k / lm(g), whose multiple of g has leading key k.
 
 
 def _scaled(p):
@@ -152,8 +164,7 @@ def _basis_poly(p):
 def _entry(poly, n):
     """Reducer entry of a normalized kernel polynomial."""
     k = poly[0][0]
-    # the largest key carries the largest total degree
-    return _unpack(k, n), k, poly[0][1], poly, max(k for k, _ in poly)
+    return _unpack(k, n), k, poly[0][1], poly
 
 
 def _polynomial(ring, poly, scale):
@@ -167,12 +178,11 @@ def _spair(f, g, ring):
     """{key: int} S-polynomial of two reducer entries, and its scale: it is
     scale times the S-polynomial of the monic f and g."""
     n, mod = ring.nvars, ring._modulus
-    _, kf, cf, tf, mf = f
-    _, kg, cg, tg, mg = g
+    _, kf, cf, tf = f
+    _, kg, cg, tg = g
+    # the lcm is the leading key of both multiples (see the kernel's note)
     lcm = _check_degree(lcm_key(kf, kg, n), n)
     qf, qg = lcm - kf, lcm - kg
-    _check_degree(qf + mf, n)
-    _check_degree(qg + mg, n)
     if mod:  # monic entries
         a = b = scale = 1
     else:
@@ -204,26 +214,24 @@ def _reduce(cur, table, ring):
     (the product of those multipliers; 1 over F_p).
     """
     n = ring.nvars
-    okey = ring._okey
     mod = ring._modulus
     guard = _masks(n)[1]
     get = cur.get
     remainder = []
     scale = 1
     while cur:
-        k = max(cur, key=okey)
+        k = max(cur)
         lc = cur[k]
         le = _unpack(k, n)
-        for ge, gk, gc, gterms, gmax in table:
+        for ge, gk, gc, gterms in table:
             if not (le - ge) & guard:
                 break
         else:
             remainder.append((k, lc))
             del cur[k]
             continue
+        # q * g has leading key k, so no term of it passes the degree limit
         qk = k - gk
-        # outside grevlex a tail term of g can outweigh its leading one
-        _check_degree(qk + gmax, n)
         if mod:  # monic entries
             for mk, c in gterms:
                 k2 = qk + mk
@@ -248,20 +256,6 @@ def _reduce(cur, table, ring):
             else:
                 cur.pop(k2, None)
     return remainder, scale
-
-
-def spoly(f, g):
-    """S-polynomial of f / lc(f) and g / lc(g)."""
-    ring, n = f.ring, f.ring.nvars
-    s, scale = _spair(_entry(_basis_poly(f), n), _entry(_basis_poly(g), n), ring)
-    if not ring._modulus:
-        s = {k: Fraction(c, scale) for k, c in s.items()}
-    return ring.from_keys(s)
-
-
-def reduce_full(p, reducers):
-    """Full normal form of p against a list of nonzero polynomials."""
-    return _reduce_poly(p, [_entry(_basis_poly(g), p.ring.nvars) for g in reducers])
 
 
 def _reduce_poly(p, table):
@@ -300,8 +294,7 @@ def _canonical_span(polys, ring):
         if len(group) == 1:
             out.append(_normalized(group[0], mod))
             continue
-        keys = {k for poly in group for k, _ in poly}
-        keys = sorted(keys, key=ring._okey, reverse=True)
+        keys = sorted({k for poly in group for k, _ in poly}, reverse=True)
         index = {k: i for i, k in enumerate(keys)}
         ech = echelon(ring.field)
         for poly in group:
@@ -309,8 +302,7 @@ def _canonical_span(polys, ring):
         # a row's smallest index is its leading monomial
         for row in ech.reduced_rows():
             out.append(_normalized([(keys[i], c) for i, c in row], mod))
-    order = ring._okey or int  # sort key of a packed key; grevlex: the key itself
-    out.sort(key=lambda poly: [(order(k), c) for k, c in poly])
+    out.sort()
     return [poly for i, poly in enumerate(out) if not i or out[i - 1] != poly]
 
 
@@ -347,11 +339,13 @@ def _decode_span(data, ring):
 def buchberger(gens, ring=None):
     """Reduced Groebner basis generating the same ideal as `gens`.
 
-    Deterministic for a fixed monomial order: see `_buchberger`, which runs
-    on the generators' `_canonical_span`.  Nothing is memoized; an
-    IdealBasis keeps its span, so a later `ensure_gb` of it needs no echelon.
+    Deterministic: see `_buchberger`, which runs on the generators'
+    `_canonical_span`.  Nothing is memoized; an IdealBasis keeps its span,
+    so a later `ensure_gb` of it needs no echelon.  The ring must be in
+    grevlex order; `grevlex_ideal` carries an ideal there.
     """
     if isinstance(gens, IdealBasis):
+        _require_grevlex(gens.ring)
         ring, key = gens._span_key()
         return _buchberger(_decode_span(key, ring), ring)
     polys = list(gens)
@@ -359,7 +353,16 @@ def buchberger(gens, ring=None):
         if not polys:
             raise GroebnerError("cannot infer ring from an empty generator list")
         ring = polys[0].ring
+    _require_grevlex(ring)
     return _buchberger(_canonical_span(polys, ring), ring)
+
+
+def _require_grevlex(ring):
+    if ring.order != "grevlex":
+        raise GroebnerError(
+            f"Groebner bases are computed in grevlex only, not in {ring.order}: "
+            "take the basis of grevlex_ideal(I), or hilbert_basis(I)"
+        )
 
 
 def _buchberger(span, ring, e_first=None):
@@ -380,8 +383,6 @@ def _buchberger(span, ring, e_first=None):
     if not span:
         return IdealBasis(ring, (), True)
 
-    okey = ring._okey
-    order = okey or int  # sort key of a packed key; grevlex: the key itself
     mod = ring._modulus
     n = ring.nvars
     guard = _masks(n)[1]
@@ -401,7 +402,7 @@ def _buchberger(span, ring, e_first=None):
             if x_shift is not None and (lcm >> top) - ((lcm >> x_shift) & _FIELD) >= 2:
                 continue
             pending.add((i, j))
-            heapq.heappush(heap, (order(lcm), i, j))
+            heapq.heappush(heap, (lcm, i, j))
 
     for poly in span:
         add(poly)
@@ -434,7 +435,7 @@ def _buchberger(span, ring, e_first=None):
 
     # minimalize: drop elements whose leading monomial another one divides
     minimal = []
-    for entry in sorted(table, key=lambda e: order(e[1])):
+    for entry in sorted(table, key=lambda e: e[1]):
         if not any(not (entry[0] - m[0]) & guard for m in minimal):
             minimal.append(entry)
     # interreduce tails
@@ -442,7 +443,7 @@ def _buchberger(span, ring, e_first=None):
     for idx, entry in enumerate(minimal):
         r, _ = _reduce(dict(entry[3]), minimal[:idx] + minimal[idx + 1 :], ring)
         reduced.append(_normalized(r, mod))
-    reduced.sort(key=lambda poly: order(poly[0][0]), reverse=True)
+    reduced.sort(reverse=True)
     monic = tuple(_polynomial(ring, poly, poly[0][1]) for poly in reduced)
     return IdealBasis(ring, monic, True)
 
@@ -453,36 +454,25 @@ _GB_CACHE = Memo(GB_BUDGET)
 
 
 def stored_basis(I):
-    """The reduced GB of I if the Groebner table holds its span, else None."""
-    return I if I.is_reduced_gb else _GB_CACHE.get(I._span_key())
+    """The reduced GB of I if the Groebner table holds its span, else None.
+    The table holds grevlex bases only, so an ideal in another order builds
+    no span key."""
+    if I.is_reduced_gb:
+        return I
+    return _GB_CACHE.get(I._span_key()) if I.order == "grevlex" else None
 
 
 def ensure_gb(I):
     """Reduced GB of I, memoized by the span of its generators in each degree:
     the basis depends only on the ideal.  Callers that must not store a
-    basis read `stored_basis` and call `buchberger` themselves.
+    basis read `stored_basis` and call `buchberger` themselves.  Raises
+    GroebnerError on a ring not in grevlex order, as `buchberger` does.
     """
     hit = stored_basis(I)
     if hit is None:
         hit = buchberger(I)
         _GB_CACHE.put(I._span_key(), hit, terms(I, hit))
     return hit
-
-
-def normal_form(p, gb):
-    """Remainder of p modulo a certified reduced Groebner basis."""
-    if not gb.is_reduced_gb:
-        raise GroebnerError("normal_form requires a certified reduced Groebner basis")
-    return reduce_full(p, list(gb.generators))
-
-
-def is_member(p, I):
-    return normal_form(p, ensure_gb(I)).is_zero()
-
-
-def ideals_equal(I, J):
-    """Ideal equality via the canonical reduced Groebner bases."""
-    return ensure_gb(I).generators == ensure_gb(J).generators
 
 
 # -- dimension ------------------------------------------------------------------
@@ -527,21 +517,18 @@ def height(I):
     return dimension_report(I).height
 
 
-def krull_dim(I):
-    return dimension_report(I).krull_dim
+# -- auxiliary rings ----------------------------------------------------------------
 
 
-# -- quotient / saturation through elimination -----------------------------------
-
-
-def _aux_ring(ring, extra=1, order="elim_last"):
-    """ring with `extra` fresh variables appended, and the first one's index."""
+def _aux_ring(ring, extra):
+    """ring with `extra` fresh variables appended, in grevlex, and the first
+    one's index."""
     stem = "_w"
     while any(v.startswith(stem) for v in ring.variables):
         stem += "_"
     names = tuple(f"{stem}{i}" for i in range(extra))
     return (
-        PolyRing(ring.variables + names, ring.field, order, _allow_small=True),
+        PolyRing(ring.variables + names, ring.field, _allow_small=True),
         len(ring.variables),
     )
 
@@ -562,72 +549,6 @@ def _lift(p, aux, tail=None):
         ones |= 1 << (FIELD_BITS * (n + i))
         shifted |= total << (FIELD_BITS * (n + i))
     return aux.from_keys({k + (k >> top) * ones + shifted: c for k, c in p.terms})
-
-
-def _project(p, ring):
-    """p in `ring`, its last variable set to 1: the key's top field goes."""
-    mask = _masks(ring.nvars)[0]
-    acc = {}
-    for k, c in p.terms:
-        k &= mask
-        acc[k] = acc[k] + c if k in acc else c
-    return ring.from_keys(acc)
-
-
-def intersect(I, J):
-    """I ∩ J by the single-auxiliary-variable elimination trick."""
-    ring = I.ring
-    if ring != J.ring:
-        raise GroebnerError("ideals live in different rings")
-    aux, _ = _aux_ring(ring)
-    # w f for f in I and (1 - w) g for g in J
-    gens = [_lift(f, aux, (1,)) for f in I.generators if not f.is_zero()]
-    gens += [_lift(g, aux) - _lift(g, aux, (1,)) for g in J.generators if not g.is_zero()]
-    if not gens:
-        return IdealBasis(ring, (), True)
-    gb = buchberger(gens, aux)
-    kept = [
-        _project(g, ring)
-        for g in gb.generators
-        if all(aux.exponents(k)[-1] == 0 for k, _ in g.terms)
-    ]
-    kept.sort(key=lambda q: ring.monomial_key(q.leading_monomial()), reverse=True)
-    certified = ring.order == "grevlex"
-    return IdealBasis(ring, tuple(kept), certified)
-
-
-def _quotient_by_poly(I, g):
-    ring = I.ring
-    if g.is_zero():
-        return IdealBasis(ring, (ring.one(),))
-    if g.leading_monomial() == 0:
-        return I  # unit divisor: (I : c) = I
-    meet = intersect(I, IdealBasis(ring, (g,)))
-    gens = tuple(h.exact_div(g) for h in meet.generators)
-    return IdealBasis(ring, gens)
-
-
-def ideal_quotient(I, J):
-    """(I : J) = {r : rJ ⊆ I}, intersected over the generators of J."""
-    ring = I.ring
-    nonzero = [g for g in J.generators if not g.is_zero()]
-    if not nonzero:
-        return IdealBasis(ring, (ring.one(),), True)
-    result = None
-    for g in nonzero:
-        q = _quotient_by_poly(I, g)
-        result = q if result is None else intersect(result, q)
-    return ensure_gb(result)
-
-
-def saturate(I, J):
-    """(I : J^inf): iterate the quotient until it stabilizes."""
-    current = ensure_gb(I)
-    while True:
-        nxt = ensure_gb(ideal_quotient(current, J))
-        if nxt.generators == current.generators:
-            return current
-        current = nxt
 
 
 # -- minimal generators and Hilbert functions --------------------------------------
@@ -676,7 +597,7 @@ def grevlex_ideal(I):
 def hilbert_basis(I):
     """I when it is a reduced Groebner basis, else the grevlex one.  By
     Macaulay's theorem in(I) has the Hilbert function of I under every
-    order; a lex basis can take minutes where grevlex takes milliseconds."""
+    order, so the grevlex basis serves an ideal in any ring order."""
     return I if I.is_reduced_gb else ensure_gb(grevlex_ideal(I))
 
 
@@ -720,9 +641,9 @@ class ColumnModuleGB:
     J = (sum_i v_i e_i : columns v) + (e_i e_k : i <= k) meets e-degree 1 in
     the column span, so R[e]/J in e-degree 1 is the cokernel.  Every
     generator is bihomogeneous in (e-degree, degree with deg e_i = twist_i),
-    so the reduced basis from `buchberger` is too, under any monomial order,
-    and its leading monomials x^m e_i give exact standard-monomial counts;
-    pairs of e-degree 2 or more reduce to zero and are never reduced.
+    so its reduced grevlex basis is too, and its leading monomials x^m e_i
+    give exact standard-monomial counts; pairs of e-degree 2 or more reduce
+    to zero and are never reduced.
     """
 
     def __init__(self, ring, twists, columns):
@@ -736,7 +657,7 @@ class ColumnModuleGB:
             ensure_gb(self._ideal)  # based now, as an idealization is
             return
         self._ideal = None
-        aux, first = _aux_ring(ring, g, "grevlex")
+        aux, first = _aux_ring(ring, g)
         self._unit = unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
         e = [aux.variable(first + i) for i in range(g)]
         gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]

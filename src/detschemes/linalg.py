@@ -22,7 +22,7 @@ reduced row echelon form of their span (`reduced_rows`), which keys the
 Groebner table; neither keeps track of how a dependent vector combines the
 earlier ones.
 
-Determinants of polynomial matrices (`Laplace`, `poly_det`) run on dicts
+Determinants of polynomial matrices (`Laplace`) run on dicts
 from packed monomial keys to ints for both fields: over QQ rows are scaled
 to integers first, over F_p sub-minors are reduced mod p.  Every sub-minor's
 total degree is checked against the ring's limit as it is formed.
@@ -343,19 +343,3 @@ class Laplace:
             _check_degree(max(acc), self.ring.nvars)
         self.memo[key] = acc
         return acc
-
-
-def poly_det(grid, ring=None):
-    """Determinant of a square polynomial matrix (see Laplace).
-
-    For an empty matrix the determinant is 1, so a ring handle is required
-    then.
-    """
-    n = len(grid)
-    if n == 0:
-        if ring is None:
-            raise ValueError("empty determinant needs a ring handle")
-        return ring.one()
-    if any(len(row) != n for row in grid):
-        raise ValueError("determinant of a non-square matrix")
-    return Laplace(grid, grid[0][0].ring).det(range(n), range(n))

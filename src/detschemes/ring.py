@@ -13,13 +13,14 @@ comparison is the grevlex order, multiplying monomials adds their keys, and
 the exponents come back as key - ((key << FIELD_BITS) & mask), on which
 divisibility is one test of the fields' guard bits.  A polynomial's terms
 are (key, coefficient) pairs; `PolyRing.monomial` and `PolyRing.exponents`
-convert at the boundary.  The lex and elimination orders sort by an int key
-computed from the packed one.
+convert at the boundary.  A ring in lex order, a printing and parsing order
+(every Groebner basis is a grevlex one), sorts by an int key computed from
+the packed one.
 
 A total degree above MAX_DEGREE raises RingError wherever degrees are made
 or grow: `PolyRing.monomial`, parsing, `from_keys` (and so products, powers
-and determinants), `mul_term`, and each S-polynomial and reduction step of
-the Groebner kernel.  Fields are wide enough for the sum of two keys in
+and determinants), `mul_term`, and the lcm of each S-pair in the Groebner
+kernel.  Fields are wide enough for the sum of two keys in
 range, so that check is sound on such a sum; past it, fields would carry
 into each other and divisibility tests would silently go wrong.
 """
@@ -130,24 +131,19 @@ def _lex_key(key, n):
     return out
 
 
-def _elim_last_key(key, n):
-    # Block order eliminating the last variable: its exponent replaces the
-    # total degree in the top field, above the grevlex key of the others.
-    return key - (((key >> (FIELD_BITS * (n - 2))) & _FIELD) << (FIELD_BITS * (n - 1)))
-
-
 #: int order key of a packed key; None for grevlex, where it is the key itself
 _ORDER_KEYS = {
     "grevlex": None,
     "lex": _lex_key,
-    "elim_last": _elim_last_key,
 }
 
 
 class PolyRing:
-    """k[x_0,...,x_n] with a fixed monomial order: "grevlex", "lex", or
-    "elim_last", which eliminates the last variable (the auxiliary rings of
-    `groebner.intersect`)."""
+    """k[x_0,...,x_n] with a fixed monomial order, "grevlex" or "lex".
+
+    The order sorts terms and prints them.  Groebner bases are grevlex
+    only: `groebner.ensure_gb` raises on a lex ring, whose ideals reach a
+    basis through `groebner.grevlex_ideal` or `groebner.hilbert_basis`."""
 
     def __init__(self, variables, field=QQ, order="grevlex", _allow_small=False):
         variables = tuple(variables)
@@ -524,51 +520,6 @@ class Polynomial:
                     val = field.mul(val, x)
             total = field.add(total, val)
         return total
-
-    # -- exact division -------------------------------------------------------
-
-    def exact_div(self, g):
-        """Quotient self/g when g divides exactly; raises otherwise."""
-        if g.is_zero():
-            raise RingError("division by zero polynomial")
-        ring = self.ring
-        field = ring.field
-        rem = self
-        quotient = {}
-        lm, lc = g.leading_term()
-        while not rem.is_zero():
-            rm, rc = rem.leading_term()
-            if lcm_key(lm, rm, ring.nvars) != rm:
-                raise RingError("inexact polynomial division")
-            qc = field.div(rc, lc)
-            quotient[rm - lm] = qc
-            rem = rem - g.mul_term(rm - lm, qc)
-        return ring.from_keys(quotient)
-
-
-# -- functional wrappers matching the operation-style API ----------------------
-
-
-def parse_polynomial(text, ring):
-    return ring.parse(text)
-
-
-def poly_arith(kind, p, q):
-    if kind == "add":
-        return p + q
-    if kind == "mul":
-        return p * q
-    if kind == "scale":
-        return p.scale(q)
-    raise RingError(f"unknown arithmetic kind {kind!r}")
-
-
-def homogeneous_degree(p):
-    return p.homogeneous_degree()
-
-
-def evaluate(p, point):
-    return p.evaluate(point)
 
 
 def random_homogeneous(ring, degree, rng, bound=10, allow_zero=False):

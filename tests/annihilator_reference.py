@@ -27,10 +27,10 @@ from detschemes.groebner import (
     _lift,
     buchberger,
     ensure_gb,
-    normal_form,
     quotient_hilbert_function,
 )
 from detschemes.linalg import echelon
+from groebner_reference import normal_form
 
 
 class IdealizationModule:
@@ -39,7 +39,7 @@ class IdealizationModule:
 
     def __init__(self, phi):
         g = phi.nrows
-        aux, first = _aux_ring(phi.ring, g, "grevlex")
+        aux, first = _aux_ring(phi.ring, g)
         self.unit = [tuple(int(i == k) for k in range(g)) for i in range(g)]
         e = [aux.variable(first + i) for i in range(g)]
         gens = [e[i] * e[k] for i in range(g) for k in range(i, g)]

@@ -14,9 +14,12 @@ a second echelon that back-substitutes its pivots, over both fields on
 `FieldEchelon` (`linalg_reference.field_reduced_rows`), so that it shares no
 linear algebra with the package either.
 
-`lift` and `project` are `groebner._lift` and `_project` as they were
-before they worked on packed keys: every monomial is rebuilt from its
-exponent tuple, so `PolyRing.monomial` checks each degree.
+`lift` is `groebner._lift` as it was before it worked on packed keys:
+every monomial is rebuilt from its exponent tuple, so `PolyRing.monomial`
+checks each degree.
+
+`normal_form` and `ideal_contained` are the membership tests the package
+no longer needs: the tests use them as oracles, on this `reduce_full`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from detschemes.groebner import GroebnerError, IdealBasis, _basis_poly, _normalized
+from detschemes.groebner import GroebnerError, IdealBasis, _basis_poly, _normalized, ensure_gb
 from detschemes.ring import (
     Polynomial,
     _check_degree,
@@ -107,6 +110,19 @@ def reduce_full(p, reducers):
             else:
                 cur.pop(k2, None)
     return Polynomial(ring, tuple(remainder))
+
+
+def normal_form(p, gb):
+    """Remainder of p modulo a certified reduced Groebner basis."""
+    if not gb.is_reduced_gb:
+        raise GroebnerError("normal_form requires a certified reduced Groebner basis")
+    return reduce_full(p, list(gb.generators))
+
+
+def ideal_contained(A, B):
+    """A ⊆ B via normal forms against the reduced GB of B."""
+    gb = ensure_gb(B)
+    return all(normal_form(g, gb).is_zero() for g in A.generators if not g.is_zero())
 
 
 def _linear_preprocess(polys):
@@ -276,12 +292,3 @@ def lift(p, aux, tail=None):
     return aux.from_keys(
         {aux.monomial(p.ring.exponents(k) + tuple(tail)): c for k, c in p.terms}
     )
-
-
-def project(p, ring):
-    """p in `ring`, its last variable set to 1; terms that meet add up."""
-    acc = {}
-    for k, c in p.terms:
-        m = ring.monomial(p.ring.exponents(k)[:-1])
-        acc[m] = acc[m] + c if m in acc else c
-    return ring.from_keys(acc)

@@ -27,12 +27,9 @@ from detschemes import (
     graded_exactness_check,
     hilbert_function,
     ideal,
-    ideal_contained,
-    ideals_equal,
     matrix_piece,
     minimal_generator_count,
     minors,
-    normal_form,
     presentation_from_strings,
     quotient_hilbert_function,
     section_sequence,
@@ -42,6 +39,7 @@ from detschemes import (
 from detschemes.determinantal import _verify_deletion
 from detschemes.grading import zero_matrix
 from detschemes.ring import random_homogeneous
+from groebner_reference import ideal_contained, normal_form
 from linalg_reference import piece_multiply
 
 
@@ -102,9 +100,9 @@ def test_criterion_2_good_curves(ring, cubic_curve, coordinate_axes):
     with criterion(2, "coordinate axes need a generalized row", limit_seconds=1.0):
         rep = classify(coordinate_axes)
         assert rep.is_good
-        assert ideals_equal(
-            minors(coordinate_axes, 2), ideal(ring, "x1*x2", "x1*x3", "x2*x3")
-        )
+        assert ensure_gb(minors(coordinate_axes, 2)).generators == ensure_gb(
+            ideal(ring, "x1*x2", "x1*x3", "x2*x3")
+        ).generators
         for i in (0, 1):
             ok, _ = _verify_deletion(
                 coordinate_axes, delete_row(coordinate_axes, i)
@@ -142,8 +140,8 @@ def test_criterion_4_complex_soundness(
             assert verify_complex(br), name
             assert buchsbaum_eisenbud(en).passed, name
             assert buchsbaum_eisenbud(br).passed, name
-            assert en.alternating_rank_sum() == 0, name
-            assert br.alternating_rank_sum() == 0, name
+            assert sum((-1) ** i * r for i, r in enumerate(en.ranks)) == 0, name
+            assert sum((-1) ** i * r for i, r in enumerate(br.ranks)) == 0, name
         assert eagon_northcott(double_point).ranks == (1, 6, 8, 3)
         assert buchsbaum_rim(double_point).ranks == (2, 4, 4, 2)
 

@@ -195,6 +195,42 @@ def test_cli_hilbert_of_a_lex_copy_equals_grevlex(tmp_path, capsys, name):
     assert results[0] == results[1]
 
 
+def test_cli_commands_on_lex_copies_build_only_grevlex_bases(
+    tmp_path, capsys, monkeypatch, fresh_gb_table
+):
+    """Every command on every fixture's lex copy, over QQ and F_32003: each
+    basis and each span key is built in a grevlex ring.  section, canonical
+    and flag may refuse a fixture; the others succeed."""
+    from detschemes import groebner
+
+    rings = []
+
+    def record_rings(name):
+        original = getattr(groebner, name)
+
+        def wrapped(polys, ring, *rest):
+            rings.append((name, ring))
+            return original(polys, ring, *rest)
+
+        monkeypatch.setattr(groebner, name, wrapped)
+
+    record_rings("_buchberger")
+    record_rings("_canonical_span")
+    may_refuse = {"section", "canonical", "flag"}
+    for name in FIXTURE_NAMES:
+        for field in ("QQ", "Fp:32003"):
+            text = fixture_path(name).read_text().replace("ring.field: QQ", f"ring.field: {field}")
+            path = _write(tmp_path, text.replace("ring.order: grevlex", "ring.order: lex"))
+            for argv in (["classify"], ["hilbert"], ["complex", "--kind", "en"],
+                         ["complex", "--kind", "br"], ["betti"], ["section", "--row", "0"],
+                         ["canonical"], ["flag"], ["annihilator"], ["cm-type"]):
+                code = run([argv[0], path, *argv[1:], "--json"])
+                capsys.readouterr()
+                assert code == 0 or argv[0] in may_refuse, (name, field, argv, code)
+    assert {name for name, _ in rings} == {"_buchberger", "_canonical_span"}
+    assert {ring.order for _, ring in rings} == {"grevlex"}
+
+
 def test_cli_one_row_with_equal_entries_is_not_standard_and_its_coker_is_r_mod_i1(tmp_path, capsys):
     """Two equal entries of a linear 1x3 row: ht I_1 = 2, and R/I_1 is the
     coordinate ring of a line, in grevlex and lex."""

@@ -34,7 +34,6 @@ from detschemes import (
     koszul,
     matrix_from_strings,
     minors,
-    normal_form,
     piece_rank,
     presentation_from_strings,
     quotient_hilbert_function,
@@ -49,6 +48,7 @@ from detschemes.errors import InputError, VerificationError
 from detschemes.grading import Coker, matrix_piece, zero_matrix
 from detschemes.memo import Memo
 from detschemes.ring import random_homogeneous
+from groebner_reference import normal_form
 from linalg_reference import image_membership, kernel_basis
 
 SQUARE_DIAG = Path(__file__).parent / "square_diag.problem"
@@ -81,7 +81,7 @@ def test_en_koszul_binomial_ranks(ring):
 def test_en_double_point_shape(double_point):
     cpx = eagon_northcott(double_point)
     assert cpx.ranks == (1, 6, 8, 3)
-    assert cpx.alternating_rank_sum() == 0
+    assert sum((-1) ** i * r for i, r in enumerate(cpx.ranks)) == 0
     assert cpx.modules[-1].rank == comb(2 + 2 - 1, 2)
 
 
@@ -94,7 +94,7 @@ def test_en_hilbert_burch_shape(cubic_curve):
 def test_br_double_point_shape(double_point):
     cpx = buchsbaum_rim(double_point)
     assert cpx.ranks == (2, 4, 4, 2)
-    assert cpx.alternating_rank_sum() == 0
+    assert sum((-1) ** i * r for i, r in enumerate(cpx.ranks)) == 0
 
 
 def test_br_map_entries_are_maximal_minors(double_point):

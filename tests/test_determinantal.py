@@ -15,8 +15,6 @@ from detschemes import (
     generalized_deletion,
     hilbert_function,
     ideal,
-    ideal_contained,
-    ideals_equal,
     minimal_generator_count,
     minors,
     presentation_from_strings,
@@ -38,6 +36,7 @@ from detschemes.groebner import buchberger, ensure_gb, height, stored_basis
 from detschemes.field import GF, QQ
 from detschemes.memo import Memo
 from detschemes.ring import PolyRing, random_homogeneous
+from groebner_reference import ideal_contained
 from detschemes.errors import InputError, VerificationError
 from hilbert_reference import coordinate_change as _coordinate_change
 from hilbert_reference import substitute as _substitute
@@ -51,12 +50,12 @@ def test_minors_double_point_exact_list(ring, double_point):
 
 def test_minors_axes_ideal(ring, coordinate_axes):
     I = minors(coordinate_axes, 2)
-    assert ideals_equal(I, ideal(ring, "x2*x3", "x1*x3", "x1*x2"))
+    assert ensure_gb(I).generators == ensure_gb(ideal(ring, "x2*x3", "x1*x3", "x1*x2")).generators
 
 
 def test_minors_size_one_is_entry_ideal(ring, double_point):
     I = minors(double_point, 1)
-    assert ideals_equal(I, ideal(ring, "x1", "x2", "x3"))
+    assert ensure_gb(I).generators == ensure_gb(ideal(ring, "x1", "x2", "x3")).generators
 
 
 def test_minors_out_of_range(double_point):

@@ -24,7 +24,6 @@ from detschemes import (
     matrix_from_strings,
     matrix_piece,
     minors,
-    normal_form,
     piece_rank,
     verify_complex,
 )
@@ -33,6 +32,7 @@ from detschemes.determinantal import DeterminantalPresentation
 from detschemes.grading import GradingError, matrix_from_polys, zero_matrix
 from detschemes.groebner import ensure_gb
 from detschemes.ring import MAX_DEGREE, PolyRing, RingError, random_homogeneous
+from groebner_reference import normal_form
 from linalg_reference import (
     FieldEchelon,
     image_membership,

@@ -46,8 +46,8 @@ def test_en_br_on_three_by_five(ring):
     br = buchsbaum_rim(pres)
     assert en.ranks == (1, 10, 15, 6)
     assert br.ranks == (3, 5, 5, 3)
-    assert en.alternating_rank_sum() == 0
-    assert br.alternating_rank_sum() == 0
+    assert sum((-1) ** i * r for i, r in enumerate(en.ranks)) == 0
+    assert sum((-1) ** i * r for i, r in enumerate(br.ranks)) == 0
     assert verify_complex(en)
     assert verify_complex(br)
     assert en.modules[-1].rank == comb(pres.r + pres.t - 1, pres.r)
@@ -65,8 +65,8 @@ def test_en_br_on_two_by_five(ring):
     br = buchsbaum_rim(pres)
     assert en.ranks == (1, 10, 20, 15, 4)
     assert br.ranks == (2, 5, 10, 10, 3)
-    assert en.alternating_rank_sum() == 0
-    assert br.alternating_rank_sum() == 0
+    assert sum((-1) ** i * r for i, r in enumerate(en.ranks)) == 0
+    assert sum((-1) ** i * r for i, r in enumerate(br.ranks)) == 0
     assert verify_complex(en)
     assert verify_complex(br)
     assert graded_exactness_check(en, range(7)).all_exact
